@@ -4,7 +4,9 @@ Skeleton generation is recursive with pruning (normality, chain conditions
 and nonnegative leaf/unary deficit are maintained during construction); the
 result provably equals filtering the ambient unary-binary trees, which the
 tests confirm by full ambient scans at small sizes.  Maps are generated by
-brute force over rotation permutations and deduplicated by canonical form.
+a search that builds each rooted rotation system directly in its canonical
+labelling, so none is built twice; the tests check it against a scan over
+all rotation permutations.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import comb
 
 from .bijections import degree_tree_stats, phi, skeleton_stats
@@ -27,9 +29,7 @@ from .lambda_core import Binary, LEAF, Skeleton, Unary
 from .planar_maps import (
     EMPTY_MAP,
     RootedMap,
-    canonical_form,
     map_stats,
-    rho_inv,
 )
 
 
@@ -42,7 +42,6 @@ class AssertionFailure(AssertionError):
 
 
 MAX_SKELETON_SIZE = 8
-MAX_BRUTE_MAP_EDGES = 5
 MAX_MAP_EDGES = 6
 MAX_TREE_EDGES = 7
 
@@ -115,102 +114,81 @@ def gen_reduced_skeletons(n: int) -> list[Skeleton]:
 # ---------------------------------------------------------------------------
 # Maps
 
-def _canon_sigma_bytes(sigma: tuple[int, ...], root: int) -> bytes:
-    nh = len(sigma)
-    order = [root]
-    seen = [False] * nh
-    seen[root] = True
-    i = 0
-    while i < len(order):
-        h = order[i]
-        i += 1
-        for nxt in (sigma[h], h ^ 1):
-            if not seen[nxt]:
-                seen[nxt] = True
-                order.append(nxt)
-    new_id = [-1] * nh
-    ne = 0
-    for h in order:
-        if new_id[h] < 0:
-            new_id[h] = 2 * ne
-            new_id[h ^ 1] = 2 * ne + 1
-            ne += 1
-    out = bytearray(nh)
-    for h in range(nh):
-        out[new_id[h]] = new_id[sigma[h]]
-    return bytes(out)
+def _planar_rotations(n: int) -> list[tuple[int, ...]]:
+    """The rotation of every rooted planar map with n >= 1 edges, each
+    exactly once and already in the labelling canonical_map gives it
+    (root 0).
 
-
-def _brute_maps(n: int) -> list[RootedMap]:
-    if n == 0:
-        return [EMPTY_MAP]
+    The search replays canonical_map's breadth-first relabelling: the
+    half-edge being processed takes as image either a labelled half-edge
+    that has no preimage yet, or the even half of the next new edge, and
+    the images and partners are queued as the relabelling queues them.
+    Each complete assignment is one connected rooted map of some genus;
+    those with V - E + F = 2 are kept.
+    """
     nh = 2 * n
-    found: set[bytes] = set()
-    half = range(nh)
-    for sigma in permutations(half):
-        # connectivity of the group generated by sigma and the edge flip
-        seen = [False] * nh
-        seen[0] = True
-        stack = [0]
-        cnt = 1
-        while stack:
-            h = stack.pop()
-            s = sigma[h]
-            if not seen[s]:
-                seen[s] = True
-                cnt += 1
-                stack.append(s)
-            a = h ^ 1
-            if not seen[a]:
-                seen[a] = True
-                cnt += 1
-                stack.append(a)
-        if cnt != nh:
-            continue
-        # Euler characteristic: V - n + F == 2
-        v = 0
-        mark = [False] * nh
-        for h0 in half:
-            if not mark[h0]:
-                v += 1
-                x = h0
-                while not mark[x]:
-                    mark[x] = True
-                    x = sigma[x]
-        f = 0
-        mark = [False] * nh
-        for h0 in half:
-            if not mark[h0]:
-                f += 1
-                x = h0
-                while not mark[x]:
-                    mark[x] = True
-                    x = sigma[x] ^ 1
-        if v - n + f != 2:
-            continue
-        found.add(_canon_sigma_bytes(sigma, 0))
-    return [RootedMap(n, tuple(b), 0) for b in sorted(found)]
+    sigma = [-1] * nh
+    hit = [False] * nh    # already the image of some half-edge
+    seen = [False] * nh   # already queued
+    seen[0] = True
+    order = [0]
+    out: list[tuple[int, ...]] = []
+    # The partial sigma and the partial face walk h -> sigma(h)^1 are each a
+    # set of paths and closed cycles (vertices and faces).  vbeg/fbeg map
+    # the last half-edge of each open path to its first, vend/fend back.
+    vbeg, vend, fbeg, fend = (list(range(nh)) for _ in range(4))
+
+    def extend(i: int, ne: int, cycles: int) -> None:
+        if i == len(order):
+            if ne == n and cycles == n + 2:
+                out.append(tuple(sigma))
+            return
+        h = order[i]
+        for t in range(2 * ne + (ne < n)):
+            if hit[t]:
+                continue
+            sigma[h] = t
+            hit[t] = True
+            mark = len(order)
+            for x in (t, h ^ 1):
+                if not seen[x]:
+                    seen[x] = True
+                    order.append(x)
+            u = t ^ 1
+            vb, ve, fb, fe = vbeg[h], vend[t], fbeg[h], fend[u]
+            if vb != t:
+                vend[vb], vbeg[ve] = ve, vb
+            if fb != u:
+                fend[fb], fbeg[fe] = fe, fb
+            extend(i + 1, ne + (t == 2 * ne), cycles + (vb == t) + (fb == u))
+            if fb != u:
+                fend[fb], fbeg[fe] = h, u
+            if vb != t:
+                vend[vb], vbeg[ve] = h, t
+            for x in order[mark:]:
+                seen[x] = False
+            del order[mark:]
+            hit[t] = False
+
+    extend(0, 1, 0)
+    return out
 
 
 @lru_cache(maxsize=None)
 def gen_maps(n: int) -> tuple[RootedMap, ...]:
-    """Distinct rooted planar maps with n edges.
-
-    Brute force over rotation permutations up to 5 edges; 6 edges are built
-    through the v-tree encoding and checked against the closed formula.
-    """
+    """Distinct rooted planar maps with n edges, each built once directly in
+    canonical labelling, sorted by rotation and checked against the closed
+    formula."""
     if not 0 <= n <= MAX_MAP_EDGES:
         raise SizeTooLarge(f"edge count must be in 0..{MAX_MAP_EDGES}")
-    if n <= MAX_BRUTE_MAP_EDGES:
-        return tuple(_brute_maps(n))
-    from .planar_maps import canonical_map
-
-    maps = [canonical_map(rho_inv(t)) for t in gen_trees(n, "vtree")]
-    forms = {canonical_form(m): m for m in maps}
-    if len(forms) != maps_formula(n):
+    if n == 0:
+        maps: tuple[RootedMap, ...] = (EMPTY_MAP,)
+    else:
+        maps = tuple(RootedMap(n, sigma, 0) for sigma in sorted(_planar_rotations(n)))
+    if len(maps) != maps_formula(n):
         raise AssertionFailure(
-            f"v-tree image yields {len(forms)} maps, formula says {maps_formula(n)}")
-    return tuple(m for _k, m in sorted(forms.items()))
+            f"generator yields {len(maps)} maps, formula says {maps_formula(n)}")
+    return maps
 
 
 def gen_bipartite_maps(n: int) -> list[RootedMap]:

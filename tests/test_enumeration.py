@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from lambdamaps.connectivity import check_family, is_three_connected_skeleton
@@ -18,7 +20,14 @@ from lambdamaps.enumeration import (
 )
 from lambdamaps.labeled_trees import render_labeled_tree, validate_degree_tree, validate_vtree
 from lambdamaps.lambda_core import render_skeleton
-from lambdamaps.planar_maps import canonical_form, validate_map
+from lambdamaps.planar_maps import (
+    EMPTY_MAP,
+    RootedMap,
+    canonical_form,
+    canonical_map,
+    rho_inv,
+    validate_map,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +90,112 @@ def test_gen_maps_small():
 
 
 def test_gen_maps_counts_and_formula():
-    for n in range(0, 5):
+    for n in range(0, 7):
         assert len(gen_maps(n)) == maps_formula(n)
     assert [maps_formula(n) for n in range(6)] == [1, 2, 9, 54, 378, 2916]
 
 
 def test_gen_maps_deduplicates():
-    for n in range(0, 4):
+    for n in range(0, 7):
         forms = [canonical_form(m) for m in gen_maps(n)]
         assert len(forms) == len(set(forms))
         assert forms == sorted(forms)
+
+
+def _scan_canon_sigma(sigma: tuple[int, ...], root: int) -> bytes:
+    """Breadth-first root-anchored relabelling of sigma, as a byte string."""
+    nh = len(sigma)
+    order = [root]
+    seen = [False] * nh
+    seen[root] = True
+    i = 0
+    while i < len(order):
+        h = order[i]
+        i += 1
+        for nxt in (sigma[h], h ^ 1):
+            if not seen[nxt]:
+                seen[nxt] = True
+                order.append(nxt)
+    new_id = [-1] * nh
+    ne = 0
+    for h in order:
+        if new_id[h] < 0:
+            new_id[h] = 2 * ne
+            new_id[h ^ 1] = 2 * ne + 1
+            ne += 1
+    out = bytearray(nh)
+    for h in range(nh):
+        out[new_id[h]] = new_id[sigma[h]]
+    return bytes(out)
+
+
+def _scan_maps(n: int) -> list[RootedMap]:
+    """Reference oracle: every rotation permutation on 2n half-edges,
+    filtered by connectivity and V - E + F = 2, deduplicated by the
+    relabelling above."""
+    if n == 0:
+        return [EMPTY_MAP]
+    nh = 2 * n
+    found: set[bytes] = set()
+    half = range(nh)
+    for sigma in permutations(half):
+        # connectivity of the group generated by sigma and the edge flip
+        seen = [False] * nh
+        seen[0] = True
+        stack = [0]
+        cnt = 1
+        while stack:
+            h = stack.pop()
+            s = sigma[h]
+            if not seen[s]:
+                seen[s] = True
+                cnt += 1
+                stack.append(s)
+            a = h ^ 1
+            if not seen[a]:
+                seen[a] = True
+                cnt += 1
+                stack.append(a)
+        if cnt != nh:
+            continue
+        # Euler characteristic: V - n + F == 2
+        v = 0
+        mark = [False] * nh
+        for h0 in half:
+            if not mark[h0]:
+                v += 1
+                x = h0
+                while not mark[x]:
+                    mark[x] = True
+                    x = sigma[x]
+        f = 0
+        mark = [False] * nh
+        for h0 in half:
+            if not mark[h0]:
+                f += 1
+                x = h0
+                while not mark[x]:
+                    mark[x] = True
+                    x = sigma[x] ^ 1
+        if v - n + f != 2:
+            continue
+        found.add(_scan_canon_sigma(sigma, 0))
+    return [RootedMap(n, tuple(b), 0) for b in sorted(found)]
+
+
+def test_gen_maps_equals_permutation_scan():
+    # the scan visits all 10! permutations at 5 edges: run once, in-process
+    for n in range(0, 6):
+        got = [(m.n, m.sigma, m.root) for m in gen_maps(n)]
+        want = [(m.n, m.sigma, m.root) for m in _scan_maps(n)]
+        assert got == want, n
+
+
+def test_gen_maps_six_edges_equals_vtree_image():
+    forms = [canonical_form(m) for m in gen_maps(6)]
+    image = {canonical_form(canonical_map(rho_inv(t))) for t in gen_trees(6, "vtree")}
+    assert set(forms) == image
+    assert len(image) == 24057
 
 
 def test_gen_maps_size_guard():

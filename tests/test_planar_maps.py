@@ -211,6 +211,7 @@ def test_rho_direct_agrees_at_six_edges():
         t = rho(m)
         assert rho_direct(m) == t
         assert t.label == outv(m)
+        assert canonical_form(rho_inv(t)) == canonical_form(m)
 
 
 def test_rho_onto_vtrees():
