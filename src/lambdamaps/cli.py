@@ -50,8 +50,8 @@ from .lambda_core import (
     Skeleton,
     alpha_equal,
     diagram_of,
-    free_variables,
     is_normal,
+    linearity_defect,
     parse_skeleton,
     parse_term,
     render_skeleton,
@@ -79,42 +79,11 @@ from .planar_maps import (
 # ---------------------------------------------------------------------------
 # Conversions (the skeleton is the hub)
 
-def _count_bound_atoms(term, var: str) -> int:
-    from .lambda_core import App, Var
-
-    if isinstance(term, Var):
-        return 1 if term.name == var else 0
-    if isinstance(term, App):
-        return _count_bound_atoms(term.fun, var) + _count_bound_atoms(term.arg, var)
-    if term.var == var:  # shadowed below
-        return 0
-    return _count_bound_atoms(term.body, var)
-
-
-def _check_linear_closed(term) -> None:
-    from .lambda_core import Abs, App
-
-    if free_variables(term):
-        raise InvalidInput(f"term is not closed: free {sorted(free_variables(term))}")
-
-    def walk(t):
-        if isinstance(t, Abs):
-            bound = _count_bound_atoms(t.body, t.var)
-            if bound != 1:
-                raise InvalidInput(
-                    f"abstraction over {t.var} binds {bound} atoms, not 1")
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fun)
-            walk(t.arg)
-
-    walk(term)
-
-
 def to_skeleton(kind: str, text: str) -> Skeleton:
     if kind == "term":
         term = parse_term(text)
-        _check_linear_closed(term)
+        if defect := linearity_defect(term):
+            raise InvalidInput(defect)
         return skeleton_of(term)
     if kind == "skeleton":
         return parse_skeleton(text)
@@ -123,7 +92,7 @@ def to_skeleton(kind: str, text: str) -> Skeleton:
     if kind == "dtree":
         return unreduce(phi_inv(parse_labeled_tree(text)))
     if kind == "map":
-        return psi_inv(rho(parse_map(text)))
+        return psi_inv(rho_direct(parse_map(text)))
     raise InvalidInput(f"unknown object kind {kind!r}")
 
 
@@ -180,7 +149,8 @@ def stats_lines(text: str, kind: str | None) -> list[str]:
     if kind in ("term", "skeleton"):
         if kind == "term":
             term = parse_term(text)
-            _check_linear_closed(term)
+            if defect := linearity_defect(term):
+                raise InvalidInput(defect)
             s = skeleton_of(term)
         else:
             s = parse_skeleton(text)

@@ -181,12 +181,59 @@ def render_term(t: LambdaTerm) -> str:
     return go(t, 0, True)
 
 
+def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str]]:
+    """One iterative pass over a term.
+
+    Returns the variables of its abstractions in pre-order (function before
+    argument), the number of atoms each one binds, and the names of the free
+    atoms.  An atom is bound by the innermost open abstraction over its
+    name; with none open it is free.
+    """
+    binders: list[str] = []
+    counts: list[int] = []
+    free: set[str] = set()
+    open_binders: dict[str, list[int]] = {}
+    stack: list[LambdaTerm | str] = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            scope = open_binders.get(x.name)
+            if scope:
+                counts[scope[-1]] += 1
+            else:
+                free.add(x.name)
+        elif isinstance(x, App):
+            stack.append(x.arg)
+            stack.append(x.fun)
+        elif isinstance(x, Abs):
+            open_binders.setdefault(x.var, []).append(len(binders))
+            binders.append(x.var)
+            counts.append(0)
+            stack.append(x.var)  # popped once the body is done: closes the scope
+            stack.append(x.body)
+        else:
+            open_binders[x].pop()
+    return binders, counts, free
+
+
 def free_variables(t: LambdaTerm, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(t, Var):
-        return set() if t.name in bound else {t.name}
-    if isinstance(t, Abs):
-        return free_variables(t.body, bound | {t.var})
-    return free_variables(t.fun, bound) | free_variables(t.arg, bound)
+    return _binding_scan(t)[2] - bound
+
+
+def linearity_defect(t: LambdaTerm) -> str | None:
+    """Why a term is not closed and linear, or None when it is.
+
+    A free atom is reported first, listing every free name.  Otherwise the
+    first abstraction in pre-order that does not bind exactly one atom is
+    reported.
+    """
+    binders, counts, free = _binding_scan(t)
+    if free:
+        return f"term is not closed: free {sorted(free)}"
+    for var, c in zip(binders, counts):
+        if c != 1:
+            return f"abstraction over {var} binds {c} atoms, not 1"
+    return None
 
 
 def _de_bruijn(t: LambdaTerm, env: tuple[str, ...]) -> object:
@@ -501,12 +548,9 @@ def clockwise_match(s: Skeleton) -> dict[int, int]:
 
 
 def _node_span(s: Skeleton) -> int:
-    """Number of nodes in a subtree (span of pre-order ids)."""
-    if isinstance(s, Leaf):
-        return 1
-    if isinstance(s, Unary):
-        return 1 + _node_span(s.child)
-    return 1 + _node_span(s.left) + _node_span(s.right)
+    """Number of nodes in a subtree (span of pre-order ids): its leaves,
+    its unary nodes and its nleaf - 1 binary nodes."""
+    return 2 * s.nleaf - 1 + s.nunary
 
 
 def diagram_of(s: Skeleton) -> Diagram:

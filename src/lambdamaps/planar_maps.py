@@ -499,51 +499,63 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     """Direct construction of rho by a clockwise contour exploration.
 
     Walking clockwise from the root corner, the first traversal of an edge
-    toward w labels w with the outer vertex count (root excluded) of the
-    one-corner part between the current corner and the next clockwise outer
-    corner of the current vertex; when that part extends past the far side
-    of the edge, the piece in between is detached, duplicating the current
-    vertex, so each inner face is eventually opened up and the map becomes
-    a tree carrying the v-tree labels.
+    h toward w labels w with the outer vertex count (root excluded) of the
+    one-corner part between h and the next clockwise outer corner g of the
+    current vertex.  Both come from one backward walk along the face of h
+    (x -> sigma^-1(alpha(x))), started next to h: g is the first half-edge
+    met at the current vertex, the half-edges passed before it are the
+    part's outer corners besides h, and the label is the number of distinct
+    vertices among them.  When that part extends past the far side of the
+    edge (g is not the clockwise neighbour of h), the half-edges between g
+    and h are detached onto a new copy of the current vertex, so each inner
+    face is eventually opened up and the map becomes a tree carrying the
+    v-tree labels.  Each step costs the length of its walk and of its
+    detached arc; no copy of the map is made.
     """
     if not validate_map(m):
         raise InvalidMap(map_defect(m))
     if m.n == 0:
         return LabeledTree(1)
-    succ = m.succ_dict()
-    pred = {v_: k for k, v_ in succ.items()}
+    succ = list(m.sigma)
+    pred = [0] * (2 * m.n)
+    for h, s in enumerate(succ):
+        pred[s] = h
+    vid = [0] * (2 * m.n)
+    cycles = vertex_cycles(m)
+    for v, cyc in enumerate(cycles):
+        for h in cyc:
+            vid[h] = v
+    nv = len(cycles)
+    seen_at = [-1] * nv  # vertex -> last step that counted it
     labels: dict[int, int] = {}
     visited: set[int] = set()
     cur = m.root
-    for _ in range(2 * m.n):
+    for step in range(2 * m.n):
         if cur >> 1 in visited:
             cur = pred[cur ^ 1]
             continue
         visited.add(cur >> 1)
         h = cur
-        orbit = {h}
-        x = succ[h] ^ 1
-        while x != h:
-            orbit.add(x)
-            x = succ[x] ^ 1
-        g = pred[h]
-        while g not in orbit:
-            g = pred[g]
-        arc = [succ[g]]
-        while arc[-1] != h:
-            arc.append(succ[arc[-1]])
-        over = dict(succ)
-        for x, y in zip(arc, arc[1:]):
-            over[x] = y
-        over[h] = arc[0]
-        piece, _reached = _extract(over, h)
-        value = outv_except_root(piece)
+        v = vid[h]
+        value = 0
+        g = pred[h ^ 1]
+        while vid[g] != v:
+            if seen_at[vid[g]] != step:
+                seen_at[vid[g]] = step
+                value += 1
+            g = pred[g ^ 1]
         if pred[h] != g:
-            arcp = arc[:-1]
+            arcp = [succ[g]]
+            while succ[arcp[-1]] != h:
+                arcp.append(succ[arcp[-1]])
             succ[g] = h
             pred[h] = g
             succ[arcp[-1]] = arcp[0]
             pred[arcp[0]] = arcp[-1]
+            for x in arcp:
+                vid[x] = nv
+            seen_at.append(-1)
+            nv += 1
         labels[h ^ 1] = value
         cur = pred[h ^ 1]
     assert cur == m.root and len(visited) == m.n

@@ -4,16 +4,19 @@ from hypothesis import given, strategies as st
 from lambdamaps.lambda_core import (
     Abs,
     App,
+    Leaf,
     MatchFailure,
     ParseError,
     Unary,
     Var,
+    _node_span,
     alpha_equal,
     clockwise_match,
     diagram_of,
     free_variables,
     has_beta_redex,
     is_normal,
+    linearity_defect,
     parenthesis_word,
     parse_skeleton,
     parse_term,
@@ -24,6 +27,7 @@ from lambdamaps.lambda_core import (
     skeleton_of,
     term_of_skeleton,
 )
+from lambdamaps.bijections import InvalidInput
 from lambdamaps.enumeration import gen_skeletons, iter_unary_binary
 
 
@@ -106,6 +110,118 @@ def test_free_variables_and_alpha():
 
 
 # ---------------------------------------------------------------------------
+# Linearity check, against the recursive check it replaced
+
+def _old_free_variables(t, bound=frozenset()):
+    if isinstance(t, Var):
+        return set() if t.name in bound else {t.name}
+    if isinstance(t, Abs):
+        return _old_free_variables(t.body, bound | {t.var})
+    return _old_free_variables(t.fun, bound) | _old_free_variables(t.arg, bound)
+
+
+def _old_count_bound_atoms(term, var):
+    if isinstance(term, Var):
+        return 1 if term.name == var else 0
+    if isinstance(term, App):
+        return _old_count_bound_atoms(term.fun, var) + _old_count_bound_atoms(term.arg, var)
+    if term.var == var:  # shadowed below
+        return 0
+    return _old_count_bound_atoms(term.body, var)
+
+
+def _old_check_linear_closed(term):
+    if _old_free_variables(term):
+        raise InvalidInput(f"term is not closed: free {sorted(_old_free_variables(term))}")
+
+    def walk(t):
+        if isinstance(t, Abs):
+            bound = _old_count_bound_atoms(t.body, t.var)
+            if bound != 1:
+                raise InvalidInput(
+                    f"abstraction over {t.var} binds {bound} atoms, not 1")
+            walk(t.body)
+        elif isinstance(t, App):
+            walk(t.fun)
+            walk(t.arg)
+
+    walk(term)
+
+
+def _old_linearity_defect(term):
+    """The message the former quadratic check raised, or None."""
+    try:
+        _old_check_linear_closed(term)
+    except InvalidInput as exc:
+        return str(exc)
+    return None
+
+
+def _atom_mutants(t, scope=()):
+    """t with one atom renamed to another binder in scope or to a free z."""
+    if isinstance(t, Var):
+        for name in dict.fromkeys(scope + ("z",)):
+            if name != t.name:
+                yield Var(name)
+    elif isinstance(t, Abs):
+        for body in _atom_mutants(t.body, scope + (t.var,)):
+            yield Abs(t.var, body)
+    else:
+        for fun in _atom_mutants(t.fun, scope):
+            yield App(fun, t.arg)
+        for arg in _atom_mutants(t.arg, scope):
+            yield App(t.fun, arg)
+
+
+def _rename_atoms(t, old, new):
+    if isinstance(t, Var):
+        return Var(new) if t.name == old else t
+    if isinstance(t, Abs):
+        return Abs(t.var, _rename_atoms(t.body, old, new))
+    return App(_rename_atoms(t.fun, old, new), _rename_atoms(t.arg, old, new))
+
+
+def _shadow_mutants(t, scope=()):
+    """t with one binder renamed to the name of an enclosing binder, once
+    alone (its atoms turn free) and once with its atoms (the enclosing
+    binder loses the atoms under it)."""
+    if isinstance(t, Abs):
+        for name in dict.fromkeys(scope):
+            if name != t.var:
+                yield Abs(name, t.body)
+                yield Abs(name, _rename_atoms(t.body, t.var, name))
+        for body in _shadow_mutants(t.body, scope + (t.var,)):
+            yield Abs(t.var, body)
+    elif isinstance(t, App):
+        for fun in _shadow_mutants(t.fun, scope):
+            yield App(fun, t.arg)
+        for arg in _shadow_mutants(t.arg, scope):
+            yield App(t.fun, arg)
+
+
+def test_linearity_defect_examples():
+    assert linearity_defect(parse_term(r"\x.\y.x y")) is None
+    assert linearity_defect(parse_term(r"\x.\y.x x")) == "abstraction over x binds 2 atoms, not 1"
+    assert linearity_defect(parse_term(r"\x.\x.x x")) == "abstraction over x binds 0 atoms, not 1"
+    assert linearity_defect(parse_term("y (x y)")) == "term is not closed: free ['x', 'y']"
+
+
+def test_linearity_defect_matches_old_check():
+    checked = 0
+    for n in range(1, 7):
+        for sk in gen_skeletons(n, 1):
+            term = term_of_skeleton(sk)
+            cases = [term]
+            if n <= 4:
+                cases += [*_atom_mutants(term), *_shadow_mutants(term)]
+            for t in cases:
+                assert linearity_defect(t) == _old_linearity_defect(t), render_term(t)
+                assert free_variables(t) == _old_free_variables(t)
+                checked += 1
+    assert checked > 3360
+
+
+# ---------------------------------------------------------------------------
 # Skeletons
 
 def test_skeleton_of_examples():
@@ -130,6 +246,24 @@ def test_skeleton_text_rejects_garbage():
 def test_counters():
     s = parse_skeleton("U(B(L,U(L)))")
     assert s.nleaf == 2 and s.nunary == 2 and s.size() == 2
+
+
+def _recount(s):
+    """Node count of a skeleton, by recursion over the subtree."""
+    if isinstance(s, Leaf):
+        return 1
+    if isinstance(s, Unary):
+        return 1 + _recount(s.child)
+    return 1 + _recount(s.left) + _recount(s.right)
+
+
+def test_node_span_closed_form():
+    for n in range(1, 8):
+        for s in gen_skeletons(n, 1):
+            assert _node_span(s) == _recount(s)
+    for text in ["L", "B(U(L),L)", "U(B(U(L),U(L)))", "B(B(L,U(U(L))),U(B(L,L)))"]:
+        for _nid, node, _parent in preorder(parse_skeleton(text)):
+            assert _node_span(node) == _recount(node)
 
 
 def test_preorder_ids():

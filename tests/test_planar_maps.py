@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from lambdamaps.cli import convert
 from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_trees
-from lambdamaps.labeled_trees import parse_labeled_tree, render_labeled_tree, validate_vtree
+from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree, render_labeled_tree, validate_vtree
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
     EmptyMapError,
@@ -212,6 +215,34 @@ def test_rho_direct_agrees_at_six_edges():
         assert rho_direct(m) == t
         assert t.label == outv(m)
         assert canonical_form(rho_inv(t)) == canonical_form(m)
+
+
+def _random_vtree(n: int, reach: int, rng: random.Random) -> LabeledTree:
+    """Seeded random v-tree with n edges, built bottom-up without recursion.
+    Node i hangs below one of the `reach` nodes before it, so a small reach
+    gives deep trees and a large one shallow, bushy trees."""
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        kids[rng.randrange(max(0, i - reach), i)].append(i)
+    nodes: list[LabeledTree] = [LabeledTree(0)] * (n + 1)
+    for v in range(n, -1, -1):
+        children = tuple(nodes[c] for c in kids[v])
+        top = 1 + sum(c.label for c in children)
+        nodes[v] = LabeledTree(top if v == 0 else rng.randint(0, top), children)
+    return nodes[0]
+
+
+def test_rho_direct_on_large_maps():
+    # sizes stay well inside the default recursion limit, which the
+    # recursive rho, rho_inv and the text renderers still need
+    rng = random.Random(2022)
+    trees = [_random_vtree(rng.randint(200, 300), reach, rng)
+             for reach in (2, 8, 300) for _ in range(2)]
+    trees.append(LabeledTree(301, (LabeledTree(1),) * 300))
+    for t in trees:
+        m = rho_inv(t)
+        assert rho_direct(m) == rho(m) == t
+        assert convert("map", "vtree", render_map(m)) == render_labeled_tree(t)
 
 
 def test_rho_onto_vtrees():
