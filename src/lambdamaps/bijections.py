@@ -21,28 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import check_family, check_reduced, unreduce
+from .connectivity import check_family, check_reduced, leading_chain, unreduce
 from .lambda_core import Binary, LEAF, Leaf, Skeleton, Unary, wrap_unary
 from .labeled_trees import (
     EdgeLabeledTree,
+    InvalidInput,
     LabeledTree,
     edge_labels_from_node_labels,
     node_labels_from_edge_labels,
     validate_degree_tree,
     validate_vtree,
 )
-
-
-class InvalidInput(ValueError):
-    pass
-
-
-def _strip_chain(s: Skeleton) -> tuple[int, Skeleton]:
-    k = 0
-    while isinstance(s, Unary):
-        k += 1
-        s = s.child
-    return k, s
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +43,7 @@ def _phi_spine(core: Skeleton, first_chain: int):
     chain = first_chain
     node = core
     while isinstance(node, Binary):
-        k, rcore = _strip_chain(node.right)
+        k, rcore = leading_chain(node.right)
         if isinstance(rcore, Leaf) and k > 0:
             raise InvalidInput("unary chain above a leaf in a reduced skeleton")
         entries.append((chain, EdgeLabeledTree(_phi_spine(rcore, k))))
@@ -69,7 +58,7 @@ def phi(r: Skeleton) -> LabeledTree:
     """Degree tree of a reduced skeleton."""
     if not check_reduced(r):
         raise InvalidInput("not a valid reduced skeleton")
-    m, core = _strip_chain(r)
+    m, core = leading_chain(r)
     return node_labels_from_edge_labels(EdgeLabeledTree(_phi_spine(core, m)))
 
 
@@ -99,7 +88,7 @@ def _psi_spine(core: Skeleton):
     entries = []
     node = core
     while isinstance(node, Binary):
-        _k, rcore = _strip_chain(node.right)
+        _k, rcore = leading_chain(node.right)
         entries.append(LabeledTree(node.right.deficit(), _psi_spine(rcore)))
         node = node.left
     if isinstance(node, Unary):
@@ -111,7 +100,7 @@ def psi(s: Skeleton) -> LabeledTree:
     """V-tree of a skeleton in the connected family."""
     if not check_family(s, 1):
         raise InvalidInput("skeleton is not planar linear normal")
-    m, core = _strip_chain(s)
+    m, core = leading_chain(s)
     return LabeledTree(m, _psi_spine(core))
 
 
@@ -166,17 +155,15 @@ def _chain_profile(s: Skeleton) -> dict[int, int]:
     """Multiplicities of maximal unary chain lengths."""
     out: dict[int, int] = {}
 
-    def walk(node: Skeleton, chain: int):
-        if isinstance(node, Unary):
-            walk(node.child, chain + 1)
-            return
+    def walk(node: Skeleton):
+        chain, node = leading_chain(node)
         if chain:
             out[chain] = out.get(chain, 0) + 1
         if isinstance(node, Binary):
-            walk(node.left, 0)
-            walk(node.right, 0)
+            walk(node.left)
+            walk(node.right)
 
-    walk(s, 0)
+    walk(s)
     return out
 
 

@@ -1,0 +1,263 @@
+"""The named checks behind `lambdamaps verify` and the acceptance suite.
+
+Each entry of CHECKS is ``(name, fn)``: ``fn(nmax)`` checks one claim
+exhaustively up to the size cap nmax and returns ``(ok, detail)``.  The
+suite of a check is the part of its name before the first dot.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+from .bijections import degree_tree_stats, phi, phi_inv, psi, psi_inv, skeleton_stats
+from .connectivity import (ConnectivityClass, check_family, edge_connectivity_class,
+                           is_three_connected_skeleton)
+from .enumeration import (MAX_SKELETON_SIZE, SizeTooLarge, bipartite_maps_formula,
+                          compare_stat_multisets, gen_bipartite_maps, gen_loopless_maps,
+                          gen_maps, gen_reduced_skeletons, gen_skeletons, gen_trees,
+                          maps_formula)
+from .labeled_trees import InvalidInput, render_labeled_tree
+from .lambda_core import (Skeleton, alpha_equal, diagram_of, parse_term, render_term,
+                          term_of_skeleton)
+from .planar_maps import (RootedMap, attach_root_edge, canonical_form, is_one_corner, outv,
+                          outv_except_root, pi, rho, rho_direct, rho_inv)
+from .series import check_gf_relation, limit_pmf, pmf_diagnostics
+
+# Connected terms of size 1..7 (= rooted maps with 0..6 edges) and
+# 3-connected terms of size 2..7 (= bipartite maps with 0..5 edges).
+CONNECTED_COUNTS = (1, 2, 9, 54, 378, 2916, 24057)
+THREE_CONNECTED_COUNTS = (1, 1, 3, 12, 56, 288)
+
+
+def _skeletons(nmax: int) -> list[Skeleton]:
+    """Every connected-family skeleton of size 1..nmax."""
+    return [s for n in range(1, nmax + 1) for s in gen_skeletons(n, 1)]
+
+
+def _maps(emax: int) -> list[RootedMap]:
+    """Every rooted planar map with 0..emax edges."""
+    return [m for e in range(emax + 1) for m in gen_maps(e)]
+
+
+def _term_text(nmax: int) -> tuple[bool, str]:
+    sks = _skeletons(nmax)
+    bad = sum(not alpha_equal(parse_term(render_term(t)), t)
+              for t in map(term_of_skeleton, sks))
+    return bad == 0, f"sizes<={nmax} ({len(sks)} terms)"
+
+
+def _phi_roundtrip(nmax: int) -> tuple[bool, str]:
+    rs = [r for n in range(2, nmax + 1) for r in gen_reduced_skeletons(n)]
+    bad = sum(phi_inv(phi(r)) != r for r in rs)
+    return bad == 0, f"sizes<={nmax} ({len(rs)} reduced skeletons)"
+
+
+def _psi_roundtrip(nmax: int) -> tuple[bool, str]:
+    sks = _skeletons(nmax)
+    bad = sum(psi_inv(psi(s)) != s for s in sks)
+    return bad == 0, f"sizes<={nmax} ({len(sks)} skeletons)"
+
+
+def _rho_roundtrip(nmax: int) -> tuple[bool, str]:
+    maps = _maps(min(nmax, 5))
+    bad = sum(canonical_form(rho_inv(rho(m))) != canonical_form(m) for m in maps)
+    return bad == 0, f"edges<={min(nmax, 5)} ({len(maps)} maps)"
+
+
+def _term_map_term(nmax: int) -> tuple[bool, str]:
+    from .cli import convert  # imported here because cli imports this module
+
+    sks = _skeletons(min(nmax, 5))
+    bad = 0
+    for term in map(term_of_skeleton, sks):
+        back = convert("map", "term", convert("term", "map", render_term(term)))
+        bad += not alpha_equal(parse_term(back), term)
+    return bad == 0, f"sizes<={min(nmax, 5)} ({len(sks)} terms)"
+
+
+def _connectivity(nmax: int) -> tuple[bool, str]:
+    """The structural 2- and 3-connectivity tests agree with brute-force
+    edge connectivity; the one-atom term is vacuous at level 3."""
+    sks = _skeletons(nmax)
+    bad = 0
+    for s in sks:
+        cls = edge_connectivity_class(diagram_of(s))
+        bad += check_family(s, 2) != (cls >= ConnectivityClass.Two)
+        if s.nleaf >= 2:
+            bad += is_three_connected_skeleton(s) != (cls == ConnectivityClass.ThreePlus)
+    return bad == 0, f"sizes<={nmax} ({len(sks)} skeletons)"
+
+
+def _rho_direct(nmax: int) -> tuple[bool, str]:
+    """rho_direct equals rho, and the root label is the outer vertex count."""
+    maps = _maps(min(nmax, 5))
+    bad = 0
+    for m in maps:
+        t = rho(m)
+        bad += rho_direct(m) != t or t.label != outv(m)
+    return bad == 0, f"edges<={min(nmax, 5)} ({len(maps)} maps)"
+
+
+def _preimages(nmax: int) -> tuple[bool, str]:
+    """attach_root_edge(m, i) for i in 0..outv(m) are outv(m) + 1 distinct
+    one-corner maps with i outer vertices besides the root, and they are
+    exactly the maps that pi sends to m."""
+    emax = min(nmax - 1, 4)
+    bad = total = 0
+    for e in range(emax + 1):
+        preimages: dict[bytes, list[bytes]] = {}
+        for u in gen_maps(e + 1):
+            if is_one_corner(u):
+                preimages.setdefault(canonical_form(pi(u)), []).append(canonical_form(u))
+        for m in gen_maps(e):
+            total += 1
+            attached = [attach_root_edge(m, i) for i in range(outv(m) + 1)]
+            built = sorted(canonical_form(u) for u in attached)
+            bad += (built != sorted(preimages.get(canonical_form(m), []))
+                    or len(set(built)) != len(attached))
+            bad += sum(outv_except_root(u) != i or not is_one_corner(u)
+                       for i, u in enumerate(attached))
+    return bad == 0, f"edges<={emax} ({total} maps)"
+
+
+def _connected_counts(nmax: int) -> tuple[bool, str]:
+    counts = [len(gen_skeletons(n, 1)) for n in range(1, min(nmax, 7) + 1)]
+    bad = sum(c != CONNECTED_COUNTS[n - 1] or c != maps_formula(n - 1)
+              or c != len(gen_maps(n - 1)) for n, c in enumerate(counts, start=1))
+    return bad == 0, f"sizes<={min(nmax, 7)} [{', '.join(map(str, counts))}]"
+
+
+def _two_connected_counts(nmax: int) -> tuple[bool, str]:
+    bad = sum(len(gen_skeletons(n, 2)) != len(gen_loopless_maps(n - 1))
+              for n in range(1, min(nmax, 7) + 1))
+    return bad == 0, f"sizes<={min(nmax, 7)}"
+
+
+def _three_connected_counts(nmax: int) -> tuple[bool, str]:
+    bad = 0
+    for n in range(2, min(nmax, 7) + 1):
+        c3 = len(gen_skeletons(n, 3))
+        cb = len(gen_bipartite_maps(n - 2))
+        f = bipartite_maps_formula(n - 2)
+        bad += c3 != cb or c3 != THREE_CONNECTED_COUNTS[n - 2] or (f is not None and f != cb)
+    return bad == 0, f"sizes<={min(nmax, 7)}"
+
+
+def _positive_vtrees(e: int) -> set[str]:
+    return {render_labeled_tree(t) for t in gen_trees(e, "vtree_positive")}
+
+
+def _psi_image(nmax: int) -> tuple[bool, str]:
+    """psi sends the 2-connected skeletons onto the positive v-trees."""
+    bad = sum(_positive_vtrees(n - 1) != {render_labeled_tree(psi(s)) for s in gen_skeletons(n, 2)}
+              for n in range(1, nmax + 1))
+    return bad == 0, f"sizes<={nmax}"
+
+
+def _rho_image(nmax: int) -> tuple[bool, str]:
+    """rho sends the loopless maps onto the positive v-trees."""
+    emax = min(nmax - 1, 5)
+    bad = sum(_positive_vtrees(e) != {render_labeled_tree(rho(m)) for m in gen_loopless_maps(e)}
+              for e in range(emax + 1))
+    return bad == 0, f"edges<={emax}"
+
+
+def _stat_multisets(nmax: int) -> tuple[bool, str]:
+    """Joint statistics of degree trees, bipartite maps and reduced
+    skeletons agree, the abstraction shift is 2, and phi carries each
+    reduced skeleton's statistics to its degree tree."""
+    nstat = min(nmax - 2, 4)
+    shifts = []
+    faults = []
+    for n in range(1, nstat + 1):
+        try:
+            shifts.append(compare_stat_multisets(n).abstraction_shift)
+        except AssertionError as exc:
+            faults.append(f"n{n}: {exc}")
+    for r in (r for n in range(2, nmax + 1) for r in gen_reduced_skeletons(n)):
+        s, d = skeleton_stats(r), degree_tree_stats(phi(r))
+        if (s.applv, s.appla, s.uc, s.ex) != (d.lnode, d.znode, d.edge, d.rlabel + 1):
+            faults.append(f"statistics of {r!r} differ from its degree tree's")
+            break
+    ok = not faults and all(shift == 2 for shift in shifts)
+    return ok, "; ".join([f"n<={nstat} shift={sorted(set(shifts))}", *faults])
+
+
+@lru_cache(maxsize=None)
+def _gf_report(tmax: int):
+    """One check_gf_relation run (about a second at t^6) for two checks."""
+    return check_gf_relation(tmax)
+
+
+def _chain_identity(nmax: int) -> tuple[bool, str]:
+    rep = _gf_report(min(nmax, 6))
+    return rep.identity_ok, rep.first_mismatch or f"t<={min(nmax, 6)}"
+
+
+def _printed_form(nmax: int) -> tuple[bool, str]:
+    """The printed closed form is compared and reported, never asserted."""
+    if _gf_report(min(nmax, 6)).printed_matches:
+        return True, "matches enumeration"
+    return True, "printed system deviates from enumeration (reported, not asserted)"
+
+
+def _pmf_sum(_nmax: int) -> tuple[bool, str]:
+    partial = sum((limit_pmf(k) for k in range(1, 201)), start=Fraction(0))
+    return abs(1 - partial) < Fraction(1, 10**9), f"defect={float(1 - partial):.2e}"
+
+
+def _pmf_tv(nmax: int) -> tuple[bool, str]:
+    n = min(nmax - 1, 6)
+    rep = pmf_diagnostics(200, n)
+    return rep.tv_on_support < 0.2, (f"n={n} tv-on-support={rep.tv_on_support:.3f} "
+                                     f"(full tv={rep.tv_distance:.3f}, floored by the tail mass)")
+
+
+CHECKS = (
+    ("roundtrip.term-text", _term_text),
+    ("roundtrip.phi", _phi_roundtrip),
+    ("roundtrip.psi", _psi_roundtrip),
+    ("roundtrip.rho", _rho_roundtrip),
+    ("roundtrip.term-map-term", _term_map_term),
+    ("oracle.connectivity", _connectivity),
+    ("oracle.rho-direct", _rho_direct),
+    ("oracle.preimages", _preimages),
+    ("counts.connected", _connected_counts),
+    ("counts.2-connected", _two_connected_counts),
+    ("counts.3-connected", _three_connected_counts),
+    ("counts.psi-2conn-image", _psi_image),
+    ("counts.rho-loopless-image", _rho_image),
+    ("stats.multisets", _stat_multisets),
+    ("gf.chain-identity", _chain_identity),
+    ("gf.printed-form", _printed_form),
+    ("gf.pmf-sum", _pmf_sum),
+    ("gf.pmf-tv", _pmf_tv),
+)
+
+SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, _fn in CHECKS))
+
+
+def run_verify(suite: str, nmax: int) -> tuple[bool, list[str]]:
+    """Run the checks of one suite, or of all, up to size nmax.
+
+    Returns whether every check passed, and one ``ok``/``FAIL`` line per
+    check followed by a summary line.  Raises before any check runs when
+    the suite is unknown or nmax is outside 2..MAX_SKELETON_SIZE.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise InvalidInput(f"unknown suite {suite!r}")
+    if not 2 <= nmax <= MAX_SKELETON_SIZE:
+        raise SizeTooLarge(f"max size must be in 2..{MAX_SKELETON_SIZE}, got {nmax}")
+    lines = []
+    for name, fn in CHECKS:
+        if suite in ("all", name.split(".", 1)[0]):
+            ok, detail = fn(nmax)
+            lines.append(f"{'ok' if ok else 'FAIL'} {name} {detail}")
+    total = len(lines)
+    failed = sum(line.startswith("FAIL") for line in lines)
+    if failed:
+        tail = f"{failed} check(s) failed ({total - failed}/{total})"
+    else:
+        tail = f"all checks passed ({total}/{total})"
+    return failed == 0, lines + [tail]

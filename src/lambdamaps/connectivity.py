@@ -38,6 +38,15 @@ class ConnectivityClass(IntEnum):
     ThreePlus = 3
 
 
+def leading_chain(s: Skeleton) -> tuple[int, Skeleton]:
+    """Length of the unary chain at the top of s, and the subtree below."""
+    k = 0
+    while isinstance(s, Unary):
+        k += 1
+        s = s.child
+    return k, s
+
+
 def check_family(s: Skeleton, level: int) -> bool:
     """Structural membership test for the connected (level 1) and
     2-connected (level 2) families.
@@ -96,9 +105,7 @@ def check_reduced(s: Skeleton) -> bool:
 def reduce_skeleton(s: Skeleton) -> Skeleton:
     """Strip the leading unary chain, the first binary node and its left
     leaf; returns that node's right subtree."""
-    node = s
-    while isinstance(node, Unary):
-        node = node.child
+    _k, node = leading_chain(s)
     if isinstance(node, Leaf):
         raise NotReducible("skeleton has no binary node")
     if not isinstance(node.left, Leaf):
@@ -122,14 +129,6 @@ def is_three_connected_skeleton(s: Skeleton) -> bool:
     except NotReducible:
         return False
     return check_reduced(r)
-
-
-def leading_chain(s: Skeleton) -> int:
-    k = 0
-    while isinstance(s, Unary):
-        k += 1
-        s = s.child
-    return k
 
 
 # ---------------------------------------------------------------------------

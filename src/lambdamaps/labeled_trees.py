@@ -21,6 +21,10 @@ from typing import NamedTuple
 from .lambda_core import ParseError
 
 
+class InvalidInput(ValueError):
+    """An object that is not a valid input of the requested conversion."""
+
+
 @dataclass(frozen=True)
 class LabeledTree:
     label: int
@@ -121,15 +125,17 @@ class VTreeCheck(NamedTuple):
     positive: bool
 
 
+def has_zero(t: LabeledTree) -> bool:
+    """Some node of t is labeled 0."""
+    return t.label == 0 or any(has_zero(c) for c in t.children)
+
+
 def validate_vtree(t: LabeledTree) -> VTreeCheck:
     """Check the v-tree conditions; positive additionally forbids label 0."""
     def nonroot_ok(u: LabeledTree) -> bool:
         if not (0 <= u.label <= 1 + sum(c.label for c in u.children)):
             return False
         return all(nonroot_ok(c) for c in u.children)
-
-    def has_zero(u: LabeledTree) -> bool:
-        return u.label == 0 or any(has_zero(c) for c in u.children)
 
     valid = (t.label == 1 + sum(c.label for c in t.children)
              and all(nonroot_ok(c) for c in t.children))

@@ -435,8 +435,11 @@ def parenthesis_word(s: Skeleton) -> str:
     return "".join(out)
 
 
-def planar_match(s: Skeleton) -> dict[int, int]:
-    """Match unary nodes to leaves by stack discipline on the pre-order word.
+def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
+    """Match unary nodes to leaves by stack discipline on the pre-order
+    word, or with right_first on the clockwise contour, which descends into
+    right subtrees first.  The two succeed alike on the connected family;
+    outside it they can disagree.
 
     Returns {unary id: leaf id} over pre-order node ids.  Raises MatchFailure
     when a leaf finds an empty stack, unmatched unary nodes remain, or a
@@ -444,23 +447,28 @@ def planar_match(s: Skeleton) -> dict[int, int]:
     leaf, so it could not bind it).
     """
     match: dict[int, int] = {}
-    stack: list[int] = []
-    spans: dict[int, int] = {}
-    for nid, node, _parent in preorder(s):
+    open_unary: list[tuple[int, int]] = []  # (id, end of its id span)
+    todo: list[tuple[int, Skeleton]] = [(0, s)]
+    while todo:
+        nid, node = todo.pop()
         if isinstance(node, Unary):
-            stack.append(nid)
-            spans[nid] = _node_span(node)
-        elif isinstance(node, Leaf):
-            if not stack:
+            open_unary.append((nid, nid + _node_span(node)))
+            todo.append((nid + 1, node.child))
+        elif isinstance(node, Binary):
+            left = (nid + 1, node.left)
+            right = (nid + 1 + _node_span(node.left), node.right)
+            todo += (left, right) if right_first else (right, left)
+        else:
+            if not open_unary:
                 raise MatchFailure(f"leaf {nid} has no enclosing unary node")
-            unary = stack.pop()
-            if not unary < nid < unary + spans[unary]:
+            unary, end = open_unary.pop()
+            if not unary < nid < end:
                 raise MatchFailure(
                     f"nesting violated: unary {unary} paired with leaf {nid} "
                     f"outside its subtree")
             match[unary] = nid
-    if stack:
-        raise MatchFailure(f"{len(stack)} unary nodes left unmatched")
+    if open_unary:
+        raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
     return match
 
 
@@ -501,50 +509,15 @@ class Diagram:
     per leaf, from the leaf's parent to its matched unary node (a self-loop
     when the parent is the binder).  The root is the skeleton's root node.
 
-    Binder edges follow the clockwise-contour matching (right subtree
-    visited first).  The mirror choice flips which unary node each leaf
-    reaches; the two drawings agree on the connected and 2-connected
-    classes but differ at 3-connectivity, where only the clockwise drawing
-    matches the structural characterization.
+    Binder edges follow the clockwise-contour matching (planar_match with
+    right_first: right subtree visited first).  The mirror choice flips
+    which unary node each leaf reaches; the two drawings agree on the
+    connected and 2-connected classes but differ at 3-connectivity, where
+    only the clockwise drawing matches the structural characterization.
     """
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     root: int
-
-
-def clockwise_match(s: Skeleton) -> dict[int, int]:
-    """Stack matching over first visits of the clockwise contour, which
-    descends into right subtrees before left ones.  Agrees with
-    planar_match on succeeding for every skeleton of the connected family;
-    outside it the two contours can disagree."""
-    match: dict[int, int] = {}
-    stack: list[int] = []
-    spans: dict[int, int] = {}
-
-    def go(nid: int, node: Skeleton) -> None:
-        if isinstance(node, Leaf):
-            if not stack:
-                raise MatchFailure(f"leaf {nid} has no enclosing unary node")
-            unary = stack.pop()
-            if not unary < nid < unary + spans[unary]:
-                raise MatchFailure(
-                    f"nesting violated: unary {unary} paired with leaf {nid} "
-                    f"outside its subtree")
-            match[unary] = nid
-        elif isinstance(node, Unary):
-            stack.append(nid)
-            spans[nid] = _node_span(node)
-            go(nid + 1, node.child)
-        else:
-            left_id = nid + 1
-            right_id = left_id + _node_span(node.left)
-            go(right_id, node.right)
-            go(left_id, node.left)
-
-    go(0, s)
-    if stack:
-        raise MatchFailure(f"{len(stack)} unary nodes left unmatched")
-    return match
 
 
 def _node_span(s: Skeleton) -> int:
@@ -554,7 +527,7 @@ def _node_span(s: Skeleton) -> int:
 
 
 def diagram_of(s: Skeleton) -> Diagram:
-    match = clockwise_match(s)
+    match = planar_match(s, right_first=True)
     leaf_binder = {leaf: unary for unary, leaf in match.items()}
     vertices = []
     edges = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labeled_trees import LabeledTree, validate_vtree
+from .labeled_trees import InvalidInput, LabeledTree, validate_vtree
 
 
 class InvalidMap(ValueError):
@@ -36,10 +36,6 @@ class EmptyMapError(ValueError):
 
 
 class IndexOutOfRange(ValueError):
-    pass
-
-
-class InvalidInput(ValueError):
     pass
 
 

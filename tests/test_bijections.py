@@ -118,7 +118,7 @@ def test_psi_root_label_is_leading_chain():
 
     for n in range(1, 7):
         for s in gen_skeletons(n, 1):
-            assert psi(s).label == leading_chain(s)
+            assert psi(s).label == leading_chain(s)[0]
 
 
 # ---------------------------------------------------------------------------

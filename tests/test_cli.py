@@ -30,11 +30,15 @@ def test_convert_term_to_map_documented():
 
 
 def test_verify_roundtrip_documented():
-    code, out, _err = run_cli("verify", "--suite", "roundtrip", "--max-size", "3")
+    code, out, _err = run_cli("verify", "--suite", "roundtrip", "--max-size", "5")
     assert code == 0
-    lines = out.rstrip("\n").split("\n")
-    assert all(line.startswith("ok ") for line in lines[:-1])
-    assert lines[-1].startswith("all checks passed")
+    assert out == (
+        "ok roundtrip.term-text sizes<=5 (444 terms)\n"
+        "ok roundtrip.phi sizes<=5 (17 reduced skeletons)\n"
+        "ok roundtrip.psi sizes<=5 (444 skeletons)\n"
+        "ok roundtrip.rho edges<=5 (3360 maps)\n"
+        "ok roundtrip.term-map-term sizes<=5 (444 terms)\n"
+        "all checks passed (5/5)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -139,4 +143,34 @@ def test_table_and_gf_commands(capsys):
 def test_run_verify_all_small():
     ok, lines = run_verify("all", 3)
     assert ok
-    assert lines[-1].startswith("all checks passed")
+    assert lines == [
+        "ok roundtrip.term-text sizes<=3 (12 terms)",
+        "ok roundtrip.phi sizes<=3 (2 reduced skeletons)",
+        "ok roundtrip.psi sizes<=3 (12 skeletons)",
+        "ok roundtrip.rho edges<=3 (66 maps)",
+        "ok roundtrip.term-map-term sizes<=3 (12 terms)",
+        "ok oracle.connectivity sizes<=3 (12 skeletons)",
+        "ok oracle.rho-direct edges<=3 (66 maps)",
+        "ok oracle.preimages edges<=2 (12 maps)",
+        "ok counts.connected sizes<=3 [1, 2, 9]",
+        "ok counts.2-connected sizes<=3",
+        "ok counts.3-connected sizes<=3",
+        "ok counts.psi-2conn-image sizes<=3",
+        "ok counts.rho-loopless-image edges<=2",
+        "ok stats.multisets n<=1 shift=[2]",
+        "ok gf.chain-identity t<=3",
+        "ok gf.printed-form printed system deviates from enumeration "
+        "(reported, not asserted)",
+        "ok gf.pmf-sum defect=8.28e-25",
+        "ok gf.pmf-tv n=2 tv-on-support=0.137 (full tv=0.734, floored by the tail mass)",
+        "all checks passed (18/18)",
+    ]
+
+
+def test_verify_rejects_max_size_out_of_range(capsys):
+    for suite, max_size in (("stats", "0"), ("roundtrip", "0"), ("all", "1"),
+                            ("all", "9")):
+        assert main(["verify", "--suite", suite, "--max-size", max_size]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: max size must be in 2..8, got {max_size}\n"

@@ -82,8 +82,8 @@ def test_reduce_unreduce_identity():
 
 
 def test_leading_chain():
-    assert leading_chain(sk("U(U(B(L,L)))")) == 2
-    assert leading_chain(sk("B(L,L)")) == 0
+    assert leading_chain(sk("U(U(B(L,L)))"))[0] == 2
+    assert leading_chain(sk("B(L,L)"))[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from lambdamaps.lambda_core import (
     Var,
     _node_span,
     alpha_equal,
-    clockwise_match,
     diagram_of,
     free_variables,
     has_beta_redex,
@@ -319,7 +318,7 @@ def test_terms_of_family_skeletons_are_closed():
             term = term_of_skeleton(sk)
             assert free_variables(term) == set()
             # both contours admit a matching on family skeletons
-            assert len(clockwise_match(sk)) == n
+            assert len(planar_match(sk, right_first=True)) == n
 
 
 # ---------------------------------------------------------------------------
