@@ -191,12 +191,14 @@ def gen_maps(n: int) -> tuple[RootedMap, ...]:
     return maps
 
 
-def gen_bipartite_maps(n: int) -> list[RootedMap]:
-    return [m for m in gen_maps(n) if map_stats(m).bipartite]
+@lru_cache(maxsize=None)
+def gen_bipartite_maps(n: int) -> tuple[RootedMap, ...]:
+    return tuple(m for m in gen_maps(n) if map_stats(m).bipartite)
 
 
-def gen_loopless_maps(n: int) -> list[RootedMap]:
-    return [m for m in gen_maps(n) if map_stats(m).loopless]
+@lru_cache(maxsize=None)
+def gen_loopless_maps(n: int) -> tuple[RootedMap, ...]:
+    return tuple(m for m in gen_maps(n) if map_stats(m).loopless)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ root half-edge, and that orbit visits the outer corners in counterclockwise
 contour order.  The empty map (one vertex, no edges) is a distinguished
 value with n = 0.
 
+Every kernel works on this one flat representation: sigma as a list indexed
+by half-edge (`succ = list(m.sigma)` where a kernel rewires it), alpha as
+h ^ 1, a `pred` list holding the inverse of succ where a kernel walks
+backwards, and the orbit ids of `_orbits`: `_orbits(sigma)` numbers the
+vertices and `_orbits([s ^ 1 for s in sigma])` the faces, giving each
+half-edge the id of its vertex or face.
+
 The one-corner machinery lives here: deleting a root edge and re-rooting at
 the corner it stemmed from (pi), drawing a new root edge into a map at one
 of outv(M)+1 positions (attach_root_edge), splitting a map at the outer
@@ -18,6 +25,9 @@ by v-trees (rho recursively, rho_direct by a contour exploration).
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .labeled_trees import InvalidInput, LabeledTree, validate_vtree
@@ -54,9 +64,6 @@ class RootedMap:
     def is_empty(self) -> bool:
         return self.n == 0
 
-    def succ_dict(self) -> dict[int, int]:
-        return {h: s for h, s in enumerate(self.sigma)}
-
     def __eq__(self, other):
         if not isinstance(other, RootedMap):
             return NotImplemented
@@ -72,39 +79,38 @@ class RootedMap:
 EMPTY_MAP = RootedMap(0, (), -1)
 
 
-def _cycles(perm: dict[int, int] | tuple[int, ...], domain) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for start in domain:
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = perm[x]
-        out.append(tuple(cyc))
-    return out
+def _orbits(perm: Sequence[int]) -> tuple[list[int], int]:
+    """The orbit id of each point of perm (a permutation of 0..len-1), ids
+    numbered in the order of each orbit's smallest point, and the number of
+    orbits."""
+    ids = [-1] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if ids[start] < 0:
+            x = start
+            while ids[x] < 0:
+                ids[x] = count
+                x = perm[x]
+            count += 1
+    return ids, count
 
 
 def vertex_cycles(m: RootedMap) -> list[tuple[int, ...]]:
-    return _cycles(m.sigma, range(2 * m.n))
-
-
-def vertex_of_map(m: RootedMap) -> dict[int, int]:
-    out = {}
-    for i, cyc in enumerate(vertex_cycles(m)):
-        for h in cyc:
-            out[h] = i
+    """The cycles of sigma, each from its smallest half-edge, in that order."""
+    seen = [False] * (2 * m.n)
+    out = []
+    for start in range(2 * m.n):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = m.sigma[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = m.sigma[x]
+        out.append(tuple(cyc))
     return out
-
-
-def face_cycles(m: RootedMap) -> list[tuple[int, ...]]:
-    """Orbits of h -> alpha(sigma(h)); one per face, listing corner reps."""
-    face = {h: m.sigma[h] ^ 1 for h in range(2 * m.n)}
-    return _cycles(face, range(2 * m.n))
 
 
 def map_defect(m: RootedMap) -> str | None:
@@ -118,18 +124,19 @@ def map_defect(m: RootedMap) -> str | None:
         return "sigma is not a permutation of the half-edges"
     if not (0 <= m.root < 2 * m.n):
         return "root half-edge out of range"
-    seen = {0}
+    seen = [False] * (2 * m.n)
+    seen[0] = True
     stack = [0]
     while stack:
         h = stack.pop()
         for nxt in (m.sigma[h], h ^ 1):
-            if nxt not in seen:
-                seen.add(nxt)
+            if not seen[nxt]:
+                seen[nxt] = True
                 stack.append(nxt)
-    if len(seen) != 2 * m.n:
+    if not all(seen):
         return "map is not connected"
-    v = len(vertex_cycles(m))
-    f = len(face_cycles(m))
+    v = _orbits(m.sigma)[1]
+    f = _orbits([s ^ 1 for s in m.sigma])[1]
     if v - m.n + f != 2:
         return f"genus is not zero (V-E+F = {v - m.n + f})"
     return None
@@ -156,25 +163,38 @@ def outv(m: RootedMap) -> int:
     """Distinct vertices on the outer face."""
     if m.n == 0:
         return 1
-    vm = vertex_of_map(m)
-    return len({vm[h] for h in outer_walk(m)})
+    vid = _orbits(m.sigma)[0]
+    return len({vid[h] for h in outer_walk(m)})
 
 
 def outv_except_root(m: RootedMap) -> int:
-    if m.n == 0:
-        return 0
-    vm = vertex_of_map(m)
-    vs = {vm[h] for h in outer_walk(m)}
-    vs.discard(vm[m.root])
-    return len(vs)
+    return outv(m) - 1
+
+
+def _root_corners(m: RootedMap) -> list[int]:
+    """The outer corners of the root vertex in ccw contour order, ending at
+    the root corner."""
+    vid = _orbits(m.sigma)[0]
+    return [h for h in outer_walk(m) if vid[h] == vid[m.root]]
+
+
+def _last_outer_corners(m: RootedMap) -> list[int]:
+    """The last outer corner of each outer vertex in ccw contour order; the
+    root corner ends the walk, so the root vertex comes last."""
+    vid, nv = _orbits(m.sigma)
+    met = [False] * nv
+    last = []
+    for h in reversed(outer_walk(m)):
+        if not met[vid[h]]:
+            met[vid[h]] = True
+            last.append(h)
+    last.reverse()
+    return last
 
 
 def is_one_corner(m: RootedMap) -> bool:
     """The root corner is the only outer corner of the root vertex."""
-    if m.n == 0:
-        return True
-    vm = vertex_of_map(m)
-    return sum(1 for h in outer_walk(m) if vm[h] == vm[m.root]) == 1
+    return m.n == 0 or len(_root_corners(m)) == 1
 
 
 @dataclass(frozen=True)
@@ -193,78 +213,67 @@ def map_stats(m: RootedMap) -> MapStats:
         raise InvalidMap(map_defect(m))
     if m.n == 0:
         return MapStats(1, True, 0, 1, True, 0, ())
-    vm = vertex_of_map(m)
-    nv = len(vertex_cycles(m))
-    loopless = all(vm[2 * e] != vm[2 * e + 1] for e in range(m.n))
-    color = {vm[m.root]: 0}
-    stack = [vm[m.root]]
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for e in range(m.n):
-        a, b = vm[2 * e], vm[2 * e + 1]
-        adj[a].append(b)
-        adj[b].append(a)
-    bipartite = True
-    while stack and bipartite:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in color:
-                color[y] = color[x] ^ 1
-                stack.append(y)
-            elif color[y] == color[x]:
-                bipartite = False
-                break
-    if not bipartite:
-        return MapStats(outv(m), False, None, None, loopless, None, None)
-    black = sum(1 for c in color.values() if c == 0)
-    white = nv - black
-    outer = set(outer_walk(m))
-    outdeg = len(outer) // 2
-    face: dict[int, int] = {}
-    for cyc in face_cycles(m):
-        if cyc[0] in outer:
-            continue
-        k = len(cyc) // 2
-        face[k] = face.get(k, 0) + 1
-    return MapStats(outv(m), True, white, black, loopless, outdeg,
+    vid, nv = _orbits(m.sigma)
+    loopless = all(vid[h] != vid[h + 1] for h in range(0, 2 * m.n, 2))
+    n_outer = len({vid[h] for h in outer_walk(m)})
+    # 2-colour the vertices through their half-edges: sigma keeps the colour
+    # and alpha flips it; the root vertex is black (colour 0).
+    side = [-1] * (2 * m.n)
+    side[m.root] = 0
+    stack = [m.root]
+    while stack:
+        h = stack.pop()
+        for nxt, c in ((m.sigma[h], side[h]), (h ^ 1, side[h] ^ 1)):
+            if side[nxt] < 0:
+                side[nxt] = c
+                stack.append(nxt)
+            elif side[nxt] != c:
+                return MapStats(n_outer, False, None, None, loopless, None, None)
+    black = len({vid[h] for h in range(2 * m.n) if side[h] == 0})
+    fid, nf = _orbits([s ^ 1 for s in m.sigma])
+    size = Counter(fid)
+    outer = fid[m.root]
+    face = Counter(size[f] // 2 for f in range(nf) if f != outer)
+    return MapStats(n_outer, True, nv - black, black, loopless, size[outer] // 2,
                     tuple(sorted(face.items())))
 
 
 # ---------------------------------------------------------------------------
 # Canonical form and text format
 
-def _extract(succ: dict[int, int], root: int) -> tuple[RootedMap, set[int]]:
-    """Relabel the part of succ reachable from root (via rotation and edge
-    flips) in traversal order, keeping the half-edge pairing h <-> h^1.
-    The new root gets label 0."""
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        h = order[i]
-        i += 1
-        for nxt in (succ[h], h ^ 1):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    new_id: dict[int, int] = {}
-    ne = 0
-    for h in order:
-        if h not in new_id:
-            new_id[h] = 2 * ne
-            new_id[h ^ 1] = 2 * ne + 1
-            ne += 1
-    sigma = [0] * (2 * ne)
-    for h in seen:
-        sigma[new_id[h]] = new_id[succ[h]]
-    return RootedMap(ne, tuple(sigma), new_id[root]), seen
+def _extract(succ: Sequence[int], roots: list[int]) -> list[RootedMap]:
+    """For each root, relabel the part of the rotation succ reachable from
+    it via rotation and edge flips, in breadth-first order (succ[h], then
+    h ^ 1), keeping the pairing h <-> h ^ 1; the root gets label 0.  The
+    parts must be disjoint, so one pair of scratch lists serves them all."""
+    queued = [False] * len(succ)
+    new = [-1] * len(succ)
+    out = []
+    for root in roots:
+        queued[root] = True
+        new[root], new[root ^ 1] = 0, 1
+        order = [root]
+        ne = 1
+        for h in order:
+            for nxt in (succ[h], h ^ 1):
+                if not queued[nxt]:
+                    queued[nxt] = True
+                    order.append(nxt)
+                    if new[nxt] < 0:
+                        new[nxt], new[nxt ^ 1] = 2 * ne, 2 * ne + 1
+                        ne += 1
+        sigma = [0] * (2 * ne)
+        for h in order:
+            sigma[new[h]] = new[succ[h]]
+        out.append(RootedMap(ne, tuple(sigma), 0))
+    return out
 
 
 def canonical_map(m: RootedMap) -> RootedMap:
     """Root-anchored deterministic relabeling; the root becomes 0."""
     if m.n == 0:
         return EMPTY_MAP
-    out, _ = _extract(m.succ_dict(), m.root)
-    return out
+    return _extract(m.sigma, [m.root])[0]
 
 
 def canonical_form(m: RootedMap) -> bytes:
@@ -276,13 +285,8 @@ def canonical_form(m: RootedMap) -> bytes:
 def render_map(m: RootedMap) -> str:
     if m.n == 0:
         return "map n=0"
-    parts = []
-    for cyc in vertex_cycles(m):
-        start = min(cyc)
-        i = cyc.index(start)
-        parts.append("(" + " ".join(str(h) for h in cyc[i:] + cyc[:i]) + ")")
-    parts.sort(key=lambda s: int(s[1:-1].split()[0]))
-    return f"map n={m.n} sigma={''.join(parts)} root={m.root}"
+    cycles = "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in vertex_cycles(m))
+    return f"map n={m.n} sigma={cycles} root={m.root}"
 
 
 def parse_map(text: str) -> RootedMap:
@@ -290,8 +294,6 @@ def parse_map(text: str) -> RootedMap:
     if not toks or toks[0] != "map":
         raise InvalidMap("expected 'map n=...'")
     fields = " ".join(toks[1:])
-    import re
-
     mn = re.match(r"n=(\d+)\s*(.*)$", fields)
     if not mn:
         raise InvalidMap("missing n=")
@@ -302,9 +304,15 @@ def parse_map(text: str) -> RootedMap:
     ms = re.match(r"sigma=((?:\([\d ]*\))+)\s+root=(\d+)$", rest)
     if not ms:
         raise InvalidMap("missing sigma=...(cycles) root=...")
+    cycles = [[int(x) for x in cyc.split()] for cyc in re.findall(r"\(([\d ]*)\)", ms.group(1))]
+    # Omitted half-edges are fixed points.  In a connected map with n >= 2
+    # edges no edge has both halves fixed, so a valid text lists at least
+    # n - 1 half-edges; checking that first keeps a huge n from allocating.
+    listed = sum(len(vals) for vals in cycles)
+    if listed < n - 1:
+        raise InvalidMap(f"n={n} needs at least {n - 1} half-edges in sigma, got {listed}")
     sigma = list(range(2 * n))
-    for cyc in re.findall(r"\(([\d ]*)\)", ms.group(1)):
-        vals = [int(x) for x in cyc.split()]
+    for vals in cycles:
         for i, h in enumerate(vals):
             if not 0 <= h < 2 * n:
                 raise InvalidMap(f"half-edge {h} out of range")
@@ -319,6 +327,13 @@ def parse_map(text: str) -> RootedMap:
 # ---------------------------------------------------------------------------
 # One-corner machinery
 
+def _inverse(succ: list[int]) -> list[int]:
+    pred = [0] * len(succ)
+    for h, s in enumerate(succ):
+        pred[s] = h
+    return pred
+
+
 def pi(u: RootedMap) -> RootedMap:
     """Delete the root edge and re-root at the corner its far end stems
     from; an isolated old root vertex disappears."""
@@ -326,30 +341,20 @@ def pi(u: RootedMap) -> RootedMap:
         raise EmptyMapError("pi needs a nonempty one-corner component")
     if u.n == 1:
         return EMPTY_MAP
-    succ = u.succ_dict()
-    pred = {v: k for k, v in succ.items()}
+    succ = list(u.sigma)
+    pred = _inverse(succ)
     r = u.root
     a = r ^ 1
     cand = pred[a]
-    while cand in (r, a):
-        if cand == a:
-            cand = None
-            break
-        cand = pred[cand]
-    if cand is None:
+    if cand == r:  # a loop: look past its other half
+        cand = pred[r]
+    if cand == a:
         raise WouldDisconnect("far end of the root edge carries no other edge")
-
-    def delete(h):
+    for h in (r, a):
         p, nx = pred[h], succ[h]
-        del succ[h], pred[h]
-        if nx != h:
-            succ[p] = nx
-            pred[nx] = p
-
-    delete(r)
-    delete(a)
-    out, reached = _extract(succ, cand)
-    if len(reached) != len(succ):
+        succ[p], pred[nx] = nx, p
+    out = _extract(succ, [cand])[0]
+    if out.n != u.n - 1:
         raise WouldDisconnect("deleting the root edge disconnects the map")
     return out
 
@@ -367,38 +372,20 @@ def attach_root_edge(m: RootedMap, i: int) -> RootedMap:
     k = outv(m)
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"i must be in 0..{k}, got {i}")
-    a, b = 2 * m.n, 2 * m.n + 1
     if m.n == 0:
         if i == 1:
             return RootedMap(1, (0, 1), 1)  # single edge, pendant root
         return RootedMap(1, (1, 0), 1)      # loop at the lone vertex
-    succ = m.succ_dict()
-    orig_next = succ[m.root]
+    a, b = 2 * m.n, 2 * m.n + 1
+    succ = list(m.sigma) + [m.sigma[m.root], b]
     if i == k:
         succ[m.root] = a
-        succ[a] = orig_next
-        succ[b] = b
+    elif i == 0:
+        succ[m.root], succ[b] = b, a
     else:
-        vm = vertex_of_map(m)
-        walk = outer_walk(m)
-        last_rep: dict[int, int] = {}
-        for h in walk:
-            last_rep[vm[h]] = h
-        pos = {h: j for j, h in enumerate(walk)}
-        us = sorted(last_rep, key=lambda v: pos[last_rep[v]])
-        target_rep = last_rep[us[k - i - 1]]
-        succ[b] = succ[target_rep]
-        succ[target_rep] = b
-        if target_rep == m.root:
-            succ[b] = a
-            succ[a] = orig_next
-        else:
-            succ[m.root] = a
-            succ[a] = orig_next
-    sigma = [0] * (2 * m.n + 2)
-    for h, s in succ.items():
-        sigma[h] = s
-    return RootedMap(m.n + 1, tuple(sigma), b)
+        t = _last_outer_corners(m)[k - i - 1]
+        succ[b], succ[t], succ[m.root] = succ[t], b, a
+    return RootedMap(m.n + 1, tuple(succ), b)
 
 
 def decompose(m: RootedMap) -> list[RootedMap]:
@@ -406,25 +393,14 @@ def decompose(m: RootedMap) -> list[RootedMap]:
     the one-corner components come counterclockwise from the root corner."""
     if m.n == 0:
         raise EmptyMapError("cannot decompose the empty map")
-    succ = m.succ_dict()
-    vm = vertex_of_map(m)
-    v_root = vm[m.root]
-    cuts = [h for h in outer_walk(m) if vm[h] == v_root]
-    comps = []
-    total_deg = 0
-    prev = m.root
-    for o in cuts:
-        arc = [succ[prev]]
-        while arc[-1] != o:
-            arc.append(succ[arc[-1]])
-        total_deg += len(arc)
-        over = dict(succ)
-        for x, y in zip(arc, arc[1:]):
-            over[x] = y
-        over[o] = arc[0]
-        comps.append(_extract(over, o)[0])
-        prev = o
-    assert total_deg == sum(1 for h in vm if vm[h] == v_root)
+    cuts = _root_corners(m)
+    # Each cut o closes the arc of the root rotation that runs from after
+    # the previous cut up to o into a vertex of its own.  The arcs are
+    # disjoint, so one list holds every closed arc at once.
+    succ = list(m.sigma)
+    for prev, o in zip([m.root] + cuts, cuts):
+        succ[o] = m.sigma[prev]
+    comps = _extract(succ, cuts)
     assert sum(c.n for c in comps) == m.n
     return comps
 
@@ -432,25 +408,16 @@ def decompose(m: RootedMap) -> list[RootedMap]:
 def _glue(comps: list[RootedMap]) -> RootedMap:
     """Merge one-corner components around a shared root vertex,
     counterclockwise, the root corner between the last and the first."""
-    succ: dict[int, int] = {}
-    arcs = []
-    offset = 0
+    sigma: list[int] = []
+    roots = []
     for c in comps:
-        for h, s in enumerate(c.sigma):
-            succ[h + offset] = s + offset
-        r = c.root + offset
-        arc = [succ[r]]
-        while arc[-1] != r:
-            arc.append(succ[arc[-1]])
-        arcs.append(arc)
-        offset += 2 * c.n
-    for j, arc in enumerate(arcs):
-        succ[arc[-1]] = arcs[(j + 1) % len(arcs)][0]
-    n = offset // 2
-    sigma = [0] * (2 * n)
-    for h, s in succ.items():
-        sigma[h] = s
-    return RootedMap(n, tuple(sigma), arcs[-1][-1])
+        offset = len(sigma)
+        sigma.extend(s + offset for s in c.sigma)
+        roots.append(c.root + offset)
+    firsts = [sigma[r] for r in roots]
+    for j, r in enumerate(roots):
+        sigma[r] = firsts[(j + 1) % len(roots)]
+    return RootedMap(len(sigma) // 2, tuple(sigma), roots[-1])
 
 
 def rho(m: RootedMap) -> LabeledTree:
@@ -513,24 +480,17 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     if m.n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)
-    pred = [0] * (2 * m.n)
-    for h, s in enumerate(succ):
-        pred[s] = h
-    vid = [0] * (2 * m.n)
-    cycles = vertex_cycles(m)
-    for v, cyc in enumerate(cycles):
-        for h in cyc:
-            vid[h] = v
-    nv = len(cycles)
+    pred = _inverse(succ)
+    vid, nv = _orbits(succ)
     seen_at = [-1] * nv  # vertex -> last step that counted it
-    labels: dict[int, int] = {}
-    visited: set[int] = set()
+    labels = [0] * (2 * m.n)  # far half of a first-traversed edge -> label of its end
+    visited = [False] * m.n  # edge -> already traversed
     cur = m.root
     for step in range(2 * m.n):
-        if cur >> 1 in visited:
+        if visited[cur >> 1]:
             cur = pred[cur ^ 1]
             continue
-        visited.add(cur >> 1)
+        visited[cur >> 1] = True
         h = cur
         v = vid[h]
         value = 0
@@ -554,7 +514,7 @@ def rho_direct(m: RootedMap) -> LabeledTree:
             nv += 1
         labels[h ^ 1] = value
         cur = pred[h ^ 1]
-    assert cur == m.root and len(visited) == m.n
+    assert cur == m.root and all(visited)
 
     def read(q: int) -> tuple[LabeledTree, ...]:
         kids = []

@@ -101,6 +101,21 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+def test_stats_map_with_huge_edge_count(capsys):
+    # Rejected before sigma is allocated: the text lists one half-edge only.
+    assert main(["stats", "map n=1000000000000000000 sigma=(0) root=0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # Omitted half-edges are fixed points, so these short texts stay valid.
+    for text, edges, canonical in (("map n=3 sigma=(0 2 4) root=0", "3", "03020104030005"),
+                                   ("map n=1 sigma=() root=0", "1", "010001")):
+        assert main(["stats", text]) == 0
+        record = dict(line.split("\t") for line in capsys.readouterr()[0].splitlines())
+        assert record["edges"] == edges
+        assert record["canonical"] == canonical
+
+
 def test_stats_output():
     lines = stats_lines("map n=1 sigma=(0)(1) root=0", None)
     record = dict(line.split("\t") for line in lines)

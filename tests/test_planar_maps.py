@@ -11,6 +11,7 @@ from lambdamaps.planar_maps import (
     IndexOutOfRange,
     InvalidInput,
     RootedMap,
+    WouldDisconnect,
     attach_root_edge,
     canonical_form,
     canonical_map,
@@ -133,6 +134,15 @@ def test_pi_examples():
     assert canonical_form(pi(two_path)) == canonical_form(EDGE)
     with pytest.raises(EmptyMapError):
         pi(EMPTY_MAP)
+
+
+def test_pi_would_disconnect():
+    # Root 1 ends at a leaf: the far end 0 of the root edge is alone.
+    with pytest.raises(WouldDisconnect, match="^far end of the root edge carries no other edge$"):
+        pi(RootedMap(2, (0, 2, 1, 3), 1))
+    # The root edge 2-3 is a bridge between the edges 0-1 and 4-5.
+    with pytest.raises(WouldDisconnect, match="^deleting the root edge disconnects the map$"):
+        pi(RootedMap(3, (0, 2, 1, 4, 3, 5), 2))
 
 
 def test_attach_examples():
