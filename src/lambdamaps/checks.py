@@ -17,7 +17,7 @@ from .enumeration import (MAX_SKELETON_SIZE, SizeTooLarge, bipartite_maps_formul
                           compare_stat_multisets, gen_bipartite_maps, gen_loopless_maps,
                           gen_maps, gen_reduced_skeletons, gen_skeletons, gen_trees,
                           maps_formula)
-from .labeled_trees import InvalidInput, render_labeled_tree
+from .labeled_trees import InvalidInput, LabeledTree, render_labeled_tree
 from .lambda_core import (Skeleton, alpha_equal, diagram_of, parse_term, render_term,
                           term_of_skeleton)
 from .planar_maps import (RootedMap, attach_root_edge, canonical_form, is_one_corner, outv,
@@ -35,9 +35,16 @@ def _skeletons(nmax: int) -> list[Skeleton]:
     return [s for n in range(1, nmax + 1) for s in gen_skeletons(n, 1)]
 
 
-def _maps(emax: int) -> list[RootedMap]:
-    """Every rooted planar map with 0..emax edges."""
-    return [m for e in range(emax + 1) for m in gen_maps(e)]
+@lru_cache(maxsize=None)
+def _rho_images(e: int) -> tuple[LabeledTree, ...]:
+    """rho of every map in gen_maps(e), in the same order, computed once
+    for the three checks that read it."""
+    return tuple(map(rho, gen_maps(e)))
+
+
+def _maps(emax: int) -> list[tuple[RootedMap, LabeledTree]]:
+    """Every rooted planar map with 0..emax edges, with its rho image."""
+    return [pair for e in range(emax + 1) for pair in zip(gen_maps(e), _rho_images(e))]
 
 
 def _term_text(nmax: int) -> tuple[bool, str]:
@@ -60,9 +67,9 @@ def _psi_roundtrip(nmax: int) -> tuple[bool, str]:
 
 
 def _rho_roundtrip(nmax: int) -> tuple[bool, str]:
-    maps = _maps(min(nmax, 5))
-    bad = sum(canonical_form(rho_inv(rho(m))) != canonical_form(m) for m in maps)
-    return bad == 0, f"edges<={min(nmax, 5)} ({len(maps)} maps)"
+    pairs = _maps(min(nmax, 5))
+    bad = sum(canonical_form(rho_inv(t)) != canonical_form(m) for m, t in pairs)
+    return bad == 0, f"edges<={min(nmax, 5)} ({len(pairs)} maps)"
 
 
 def _term_map_term(nmax: int) -> tuple[bool, str]:
@@ -91,12 +98,9 @@ def _connectivity(nmax: int) -> tuple[bool, str]:
 
 def _rho_direct(nmax: int) -> tuple[bool, str]:
     """rho_direct equals rho, and the root label is the outer vertex count."""
-    maps = _maps(min(nmax, 5))
-    bad = 0
-    for m in maps:
-        t = rho(m)
-        bad += rho_direct(m) != t or t.label != outv(m)
-    return bad == 0, f"edges<={min(nmax, 5)} ({len(maps)} maps)"
+    pairs = _maps(min(nmax, 5))
+    bad = sum(rho_direct(m) != t or t.label != outv(m) for m, t in pairs)
+    return bad == 0, f"edges<={min(nmax, 5)} ({len(pairs)} maps)"
 
 
 def _preimages(nmax: int) -> tuple[bool, str]:
@@ -106,7 +110,7 @@ def _preimages(nmax: int) -> tuple[bool, str]:
     emax = min(nmax - 1, 4)
     bad = total = 0
     for e in range(emax + 1):
-        preimages: dict[bytes, list[bytes]] = {}
+        preimages: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for u in gen_maps(e + 1):
             if is_one_corner(u):
                 preimages.setdefault(canonical_form(pi(u)), []).append(canonical_form(u))
@@ -158,8 +162,13 @@ def _psi_image(nmax: int) -> tuple[bool, str]:
 def _rho_image(nmax: int) -> tuple[bool, str]:
     """rho sends the loopless maps onto the positive v-trees."""
     emax = min(nmax - 1, 5)
-    bad = sum(_positive_vtrees(e) != {render_labeled_tree(rho(m)) for m in gen_loopless_maps(e)}
-              for e in range(emax + 1))
+    bad = 0
+    for e in range(emax + 1):
+        # gen_loopless_maps(e) keeps the very objects of gen_maps(e)
+        loopless = set(map(id, gen_loopless_maps(e)))
+        image = {render_labeled_tree(t) for m, t in zip(gen_maps(e), _rho_images(e))
+                 if id(m) in loopless}
+        bad += image != _positive_vtrees(e)
     return bad == 0, f"edges<={emax}"
 
 

@@ -133,7 +133,9 @@ def stats_lines(text: str, kind: str | None) -> list[str]:
             out.append(f"outdeg\t{st.outdeg}")
             out.append(f"face\t{dict(st.face)}")
         out.append(f"one-corner\t{'yes' if is_one_corner(m) else 'no'}")
-        out.append(f"canonical\t{canonical_form(m).hex()}")
+        # Two lowercase hex digits per field up to 128 edges, wider above.
+        width = max(2, len(f"{2 * m.n - 1:x}"))
+        out.append(f"canonical\t{''.join(f'{x:0{width}x}' for x in canonical_form(m))}")
         return out
     if kind in ("term", "skeleton"):
         s = to_skeleton(kind, text)

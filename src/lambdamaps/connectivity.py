@@ -134,50 +134,50 @@ def is_three_connected_skeleton(s: Skeleton) -> bool:
 # ---------------------------------------------------------------------------
 # Brute-force diagram oracle
 
-def _connected(nvert: int, index_of: dict[int, int], edges, skip: frozenset[int]) -> bool:
-    if nvert == 0:
-        return True
-    adj: list[list[int]] = [[] for _ in range(nvert)]
-    for i, (u, v) in enumerate(edges):
-        if i in skip:
-            continue
-        ui, vi = index_of[u], index_of[v]
-        adj[ui].append(vi)
-        adj[vi].append(ui)
-    seen = [False] * nvert
-    stack = [0]
+def _connected(adj: list[list[tuple[int, int]]], skip_a: int = -1, skip_b: int = -1) -> bool:
+    """Whether the graph with adjacency lists of (neighbour, edge id) stays
+    connected without the edges skip_a and skip_b."""
+    n = len(adj)
+    seen = [False] * n
     seen[0] = True
+    stack = [0]
     count = 1
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
+        for y, i in adj[stack.pop()]:
+            if not seen[y] and i != skip_a and i != skip_b:
                 seen[y] = True
                 count += 1
+                if count == n:
+                    return True
                 stack.append(y)
-    return count == nvert
+    return count == n
 
 
 def edge_connectivity_class(d: Diagram) -> ConnectivityClass:
     """Brute-force edge connectivity of a diagram.
 
+    The adjacency lists of (neighbour, edge id) are built once; then the
+    diagram itself, every single-edge removal and every edge-pair removal
+    is tested by one depth-first search that skips the removed edge ids.
     Pairs with both edges incident to the root vertex are exempt from the
-    3-connectedness test.  Single-vertex diagrams are vacuously ThreePlus.
+    3-connectedness test.  Diagrams with at most one vertex are vacuously
+    ThreePlus.
     """
-    if len(d.vertices) == 1:
+    if len(d.vertices) <= 1:
         return ConnectivityClass.ThreePlus
     index_of = {v: i for i, v in enumerate(d.vertices)}
-    n = len(d.vertices)
-    conn = lambda skip: _connected(n, index_of, d.edges, skip)
-    if not conn(frozenset()):
+    adj: list[list[tuple[int, int]]] = [[] for _ in d.vertices]
+    for i, (u, v) in enumerate(d.edges):
+        adj[index_of[u]].append((index_of[v], i))
+        adj[index_of[v]].append((index_of[u], i))
+    if not _connected(adj):
         return ConnectivityClass.Disconnected
     m = len(d.edges)
-    if any(not conn(frozenset({i})) for i in range(m)):
+    if not all(_connected(adj, i) for i in range(m)):
         return ConnectivityClass.One
+    at_root = [d.root in e for e in d.edges]
     for i in range(m):
         for j in range(i + 1, m):
-            if d.root in d.edges[i] and d.root in d.edges[j]:
-                continue
-            if not conn(frozenset({i, j})):
+            if not (at_root[i] and at_root[j]) and not _connected(adj, i, j):
                 return ConnectivityClass.Two
     return ConnectivityClass.ThreePlus

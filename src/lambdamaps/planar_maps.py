@@ -276,10 +276,11 @@ def canonical_map(m: RootedMap) -> RootedMap:
     return _extract(m.sigma, [m.root])[0]
 
 
-def canonical_form(m: RootedMap) -> bytes:
-    """Equal byte strings exactly for root-preserving isomorphic maps."""
+def canonical_form(m: RootedMap) -> tuple[int, ...]:
+    """Equal tuples exactly for root-preserving isomorphic maps: the edge
+    count, then the rotation in canonical labelling."""
     c = canonical_map(m)
-    return bytes([c.n]) + bytes(c.sigma)
+    return (c.n, *c.sigma)
 
 
 def render_map(m: RootedMap) -> str:

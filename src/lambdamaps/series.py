@@ -169,9 +169,19 @@ def solve_zu(n: int, kmax: int, x_symbolic: bool = True
     return z, u
 
 
+MAX_GF_ORDER = 8
+
+
 def f_bipartite(n: int, kmax: int) -> TruncatedSeries:
     """The printed closed form for the bipartite generating function,
-    evaluated verbatim (the inner sum runs over l = 1..k-1)."""
+    evaluated verbatim (the inner sum runs over l = 1..k-1), for n in
+    1..MAX_GF_ORDER and kmax in 0..MAX_GF_ORDER (n = kmax = 8 takes about a
+    second)."""
+    from .enumeration import SizeTooLarge
+
+    if not (1 <= n <= MAX_GF_ORDER and 0 <= kmax <= MAX_GF_ORDER):
+        raise SizeTooLarge(f"N must be in 1..{MAX_GF_ORDER} and K in 0..{MAX_GF_ORDER}, "
+                           f"got N={n}, K={kmax}")
     z, u = solve_zu(n, kmax)
     inner = zero(n, kmax)
     for k in range(1, kmax + 1):

@@ -116,6 +116,34 @@ def test_stats_map_with_huge_edge_count(capsys):
         assert record["canonical"] == canonical
 
 
+def test_stats_map_with_200_edges(capsys):
+    # A star: one vertex with the 200 even half-edges, the odd ones are
+    # leaves.  Above 128 edges each canonical field takes the hex width of
+    # 2n - 1 = 399, three digits.
+    text = "map n=200 sigma=(" + " ".join(str(2 * i) for i in range(200)) + ") root=0"
+    assert main(["stats", text]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    record = dict(line.split("\t") for line in out.splitlines())
+    assert record["edges"] == "200"
+    assert len(record["canonical"]) == 3 * 401
+    assert record["canonical"].startswith("0c8" + "002")
+    # At 128 edges, 2n - 1 = 255 still takes two digits.
+    assert main(["stats", "map n=128 sigma=(" + " ".join(str(2 * i) for i in range(128)) + ") root=0"]) == 0
+    record = dict(line.split("\t") for line in capsys.readouterr()[0].splitlines())
+    assert len(record["canonical"]) == 2 * 257
+
+
+def test_gf_rejects_orders_out_of_range(capsys):
+    for n, k in (("0", "1"), ("9", "1"), ("1", "9"), ("100000000000000", "100000000000000")):
+        assert main(["gf", "--N", n, "--K", k]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["gf", "--N", "1", "--K", "0"]) == 0
+    assert capsys.readouterr().out.startswith("t_deg\tx_deg\tp_multidegree\tcoefficient\n")
+
+
 def test_stats_output():
     lines = stats_lines("map n=1 sigma=(0)(1) root=0", None)
     record = dict(line.split("\t") for line in lines)

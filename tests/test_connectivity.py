@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from lambdamaps.connectivity import (
@@ -12,8 +15,9 @@ from lambdamaps.connectivity import (
     reduce_skeleton,
     unreduce,
 )
-from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
-from lambdamaps.lambda_core import diagram_of, parse_skeleton, render_skeleton
+from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons, iter_unary_binary
+from lambdamaps.lambda_core import (Diagram, MatchFailure, diagram_of, parse_skeleton,
+                                    render_skeleton)
 
 
 def sk(text):
@@ -140,3 +144,86 @@ def test_mirror_matters_only_at_level3():
     mirror = Diagram(tuple(vertices), tuple(edges), 0)
     assert edge_connectivity_class(mirror) == ConnectivityClass.Two
     assert edge_connectivity_class(diagram_of(s)) == ConnectivityClass.ThreePlus
+
+
+# ---------------------------------------------------------------------------
+# The edge-set oracle that the flat one replaced, kept as its reference
+
+def _old_connected(nvert, index_of, edges, skip):
+    if nvert == 0:
+        return True
+    adj = [[] for _ in range(nvert)]
+    for i, (u, v) in enumerate(edges):
+        if i in skip:
+            continue
+        ui, vi = index_of[u], index_of[v]
+        adj[ui].append(vi)
+        adj[vi].append(ui)
+    seen = [False] * nvert
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                count += 1
+                stack.append(y)
+    return count == nvert
+
+
+def _old_edge_connectivity_class(d):
+    if len(d.vertices) == 1:
+        return ConnectivityClass.ThreePlus
+    index_of = {v: i for i, v in enumerate(d.vertices)}
+    n = len(d.vertices)
+    conn = lambda skip: _old_connected(n, index_of, d.edges, skip)
+    if not conn(frozenset()):
+        return ConnectivityClass.Disconnected
+    m = len(d.edges)
+    if any(not conn(frozenset({i})) for i in range(m)):
+        return ConnectivityClass.One
+    for i in range(m):
+        for j in range(i + 1, m):
+            if d.root in d.edges[i] and d.root in d.edges[j]:
+                continue
+            if not conn(frozenset({i, j})):
+                return ConnectivityClass.Two
+    return ConnectivityClass.ThreePlus
+
+
+def _matchable_diagrams(nleaf):
+    """Diagrams of every unary-binary tree with nleaf leaves and as many
+    unary nodes that matches, inside the connected family or not."""
+    for s in iter_unary_binary(nleaf, nleaf):
+        try:
+            yield diagram_of(s)
+        except MatchFailure:
+            pass
+
+
+def _random_diagrams(count, seed):
+    """Small multigraphs with loops and parallel edges, some of them
+    disconnected, on vertex names that are not 0..n-1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vertices = tuple(rng.sample(range(100), rng.randint(0, 6)))
+        if not vertices:
+            yield Diagram((), (), 0)
+            continue
+        edges = tuple((rng.choice(vertices), rng.choice(vertices))
+                      for _ in range(rng.randint(0, 9)))
+        yield Diagram(vertices, edges, rng.choice(vertices))
+
+
+def test_edge_connectivity_class_equals_old_oracle():
+    diagrams = [diagram_of(s) for n in range(1, 8) for s in gen_skeletons(n, 1)]
+    diagrams += [d for n in range(1, 6) for d in _matchable_diagrams(n)]
+    diagrams += _random_diagrams(3000, seed=7)
+    seen = Counter()
+    for d in diagrams:
+        want = _old_edge_connectivity_class(d)
+        assert edge_connectivity_class(d) == want, d
+        seen[want] += 1
+    assert set(seen) == set(ConnectivityClass)

@@ -4,6 +4,7 @@ import pytest
 
 from lambdamaps.connectivity import check_family, is_three_connected_skeleton
 from lambdamaps.enumeration import (
+    MAX_MAP_EDGES,
     SizeTooLarge,
     bipartite_maps_formula,
     compare_stat_multisets,
@@ -25,6 +26,7 @@ from lambdamaps.planar_maps import (
     RootedMap,
     canonical_form,
     canonical_map,
+    map_stats,
     rho_inv,
     validate_map,
 )
@@ -201,6 +203,21 @@ def test_gen_maps_six_edges_equals_vtree_image():
 def test_gen_maps_size_guard():
     with pytest.raises(SizeTooLarge):
         gen_maps(7)
+
+
+def test_gen_bipartite_maps_equals_map_stats_filter():
+    # the filter gen_bipartite_maps replaced, kept as its oracle
+    for n in range(0, 7):
+        got = [(m.n, m.sigma, m.root) for m in gen_bipartite_maps(n)]
+        want = [(m.n, m.sigma, m.root) for m in gen_maps(n) if map_stats(m).bipartite]
+        assert got == want, n
+
+
+def test_gen_bipartite_maps_size_guard():
+    with pytest.raises(SizeTooLarge):
+        gen_bipartite_maps(MAX_MAP_EDGES + 1)
+    with pytest.raises(SizeTooLarge):
+        gen_bipartite_maps(-1)
 
 
 def test_loopless_and_bipartite_counts():
