@@ -27,10 +27,7 @@ from .enumeration import (
     gen_trees,
 )
 from .labeled_trees import (
-    EdgeLabeledTree,
     LabeledTree,
-    edge_labels_from_node_labels,
-    node_labels_from_edge_labels,
     parse_labeled_tree,
     render_labeled_tree,
     validate_degree_tree,

@@ -1,20 +1,23 @@
 """Tree-level bijections between skeletons and labeled plane trees.
 
-Both maps share the rotation correspondence for unary-binary trees with
+phi and psi are one rotation correspondence for unary-binary trees with
 unary chains confined to right branches: the right child of a binary node
 becomes its leftmost child in the plane tree, the left child becomes its
 next-right sibling, and a fresh plane-tree root is added above the left
-spine of the binary structure.
+spine of the binary structure.  The plane-tree node of binary node b is
+labeled with the leaf/unary deficit of b's right subtree minus a shift; the
+inverse rebuilds the unary chain above that subtree's core from the label.
 
-phi sends a reduced skeleton to a degree tree: the unary chain directly
-above each binary node becomes the label of the edge to its plane-tree
-parent (the leading chain labels the root's leftmost edge), and node labels
-follow from the edge labels.
+psi (shift 0) sends a connected-family skeleton to a v-tree; the root gets
+the length of the leading unary chain (one plus the sum of its children's
+labels).
 
-psi sends any connected-family skeleton to a v-tree: each binary node is
-labeled with the leaf/unary deficit of its right subtree, and the added
-root gets the length of the leading unary chain (which equals one plus the
-sum of its children's labels).
+phi (shift 1) sends a reduced skeleton R to a degree tree; the root gets
+deficit(R) - 1.  Proof that this is the degree tree whose edge labels are
+the unary chains: a degree-tree label is the number of edges in its subtree
+minus the sum of their edge labels; under the rotation those edges are the
+binary nodes of the right subtree and their labels sum to its unary nodes,
+so the label is nleaf - 1 - nunary = deficit - 1.
 """
 
 from __future__ import annotations
@@ -24,96 +27,67 @@ from dataclasses import dataclass
 from .connectivity import check_family, check_reduced, leading_chain, unreduce
 from .lambda_core import Binary, LEAF, Leaf, Skeleton, Unary, wrap_unary
 from .labeled_trees import (
-    EdgeLabeledTree,
     InvalidInput,
     LabeledTree,
-    edge_labels_from_node_labels,
-    node_labels_from_edge_labels,
     validate_degree_tree,
     validate_vtree,
 )
 
 
 # ---------------------------------------------------------------------------
-# phi: reduced skeletons <-> degree trees
+# The rotation shared by phi and psi
 
-def _phi_spine(core: Skeleton, first_chain: int):
-    """Edge-labeled children list for the left spine starting at core."""
+def _spine(core: Skeleton, shift: int) -> tuple[LabeledTree, ...]:
+    """Plane-tree children for the left spine starting at core."""
     entries = []
-    chain = first_chain
     node = core
     while isinstance(node, Binary):
-        k, rcore = leading_chain(node.right)
-        if isinstance(rcore, Leaf) and k > 0:
-            raise InvalidInput("unary chain above a leaf in a reduced skeleton")
-        entries.append((chain, EdgeLabeledTree(_phi_spine(rcore, k))))
+        _k, rcore = leading_chain(node.right)
+        entries.append(LabeledTree(node.right.deficit() - shift, _spine(rcore, shift)))
         node = node.left
-        chain = 0
-    if isinstance(node, Unary):
-        raise InvalidInput("unary node on a left branch")
     return tuple(entries)
 
+
+def _unspine(children: tuple[LabeledTree, ...], shift: int) -> Skeleton:
+    """Left spine of binary nodes for children; inverse of _spine."""
+    if not children:
+        return LEAF
+    u, rest = children[0], children[1:]
+    left = _unspine(rest, shift)
+    rcore = _unspine(u.children, shift)
+    j = rcore.deficit() - shift - u.label
+    if j < 0:
+        raise InvalidInput("label exceeds attainable deficit")
+    return Binary(left, wrap_unary(rcore, j))
+
+
+# ---------------------------------------------------------------------------
+# phi: reduced skeletons <-> degree trees
 
 def phi(r: Skeleton) -> LabeledTree:
     """Degree tree of a reduced skeleton."""
     if not check_reduced(r):
         raise InvalidInput("not a valid reduced skeleton")
-    m, core = leading_chain(r)
-    return node_labels_from_edge_labels(EdgeLabeledTree(_phi_spine(core, m)))
-
-
-def _phi_inv_spine(entries) -> Skeleton:
-    if not entries:
-        return LEAF
-    (_own_chain, node), rest = entries[0], entries[1:]
-    left = _phi_inv_spine(rest)
-    kids = node.children
-    right = wrap_unary(_phi_inv_spine(kids), kids[0][0] if kids else 0)
-    return Binary(left, right)
+    return LabeledTree(r.deficit() - 1, _spine(leading_chain(r)[1], 1))
 
 
 def phi_inv(d: LabeledTree) -> Skeleton:
     """Reduced skeleton of a degree tree."""
     if not validate_degree_tree(d):
         raise InvalidInput("not a valid degree tree")
-    et = edge_labels_from_node_labels(d)
-    kids = et.children
-    return wrap_unary(_phi_inv_spine(kids), kids[0][0] if kids else 0)
+    core = _unspine(d.children, 1)
+    return wrap_unary(core, core.deficit() - 1 - d.label)
 
 
 # ---------------------------------------------------------------------------
 # psi: connected-family skeletons <-> v-trees
-
-def _psi_spine(core: Skeleton):
-    entries = []
-    node = core
-    while isinstance(node, Binary):
-        _k, rcore = leading_chain(node.right)
-        entries.append(LabeledTree(node.right.deficit(), _psi_spine(rcore)))
-        node = node.left
-    if isinstance(node, Unary):
-        raise InvalidInput("unary node on a left branch")
-    return tuple(entries)
-
 
 def psi(s: Skeleton) -> LabeledTree:
     """V-tree of a skeleton in the connected family."""
     if not check_family(s, 1):
         raise InvalidInput("skeleton is not planar linear normal")
     m, core = leading_chain(s)
-    return LabeledTree(m, _psi_spine(core))
-
-
-def _psi_inv_spine(entries) -> Skeleton:
-    if not entries:
-        return LEAF
-    u, rest = entries[0], entries[1:]
-    left = _psi_inv_spine(rest)
-    rcore = _psi_inv_spine(u.children)
-    j = rcore.deficit() - u.label
-    if j < 0:
-        raise InvalidInput("label exceeds attainable deficit")
-    return Binary(left, wrap_unary(rcore, j))
+    return LabeledTree(m, _spine(core, 0))
 
 
 def psi_inv(v: LabeledTree) -> Skeleton:
@@ -121,7 +95,7 @@ def psi_inv(v: LabeledTree) -> Skeleton:
     bottom up; the root label becomes the leading chain)."""
     if not validate_vtree(v).valid:
         raise InvalidInput("not a valid v-tree")
-    return wrap_unary(_psi_inv_spine(v.children), v.label)
+    return wrap_unary(_unspine(v.children, 0), v.label)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .labeled_trees import InvalidInput, LabeledTree, render_labeled_tree
 from .lambda_core import (Skeleton, alpha_equal, diagram_of, parse_term, render_term,
                           term_of_skeleton)
 from .planar_maps import (RootedMap, attach_root_edge, canonical_form, is_one_corner, outv,
-                          outv_except_root, pi, rho, rho_direct, rho_inv)
+                          pi, rho, rho_direct, rho_inv)
 from .series import check_gf_relation, limit_pmf, pmf_diagnostics
 
 # Connected terms of size 1..7 (= rooted maps with 0..6 edges) and
@@ -120,7 +120,7 @@ def _preimages(nmax: int) -> tuple[bool, str]:
             built = sorted(canonical_form(u) for u in attached)
             bad += (built != sorted(preimages.get(canonical_form(m), []))
                     or len(set(built)) != len(attached))
-            bad += sum(outv_except_root(u) != i or not is_one_corner(u)
+            bad += sum(outv(u) - 1 != i or not is_one_corner(u)
                        for i, u in enumerate(attached))
     return bad == 0, f"edges<={emax} ({total} maps)"
 

@@ -1,13 +1,14 @@
-"""Plane trees with integer node or edge labels.
+"""Plane trees with integer node labels.
 
 Two labeled families are used: degree trees (every leaf labeled 0, and at
 every internal node with children v1..vk and s(u) = k + sum of child labels,
 s(u) - l(v1) <= l(u) <= s(u)) and v-trees (leaves labeled 0 or 1, non-root
 nodes u with 0 <= l(u) <= 1 + sum of child labels, root label exactly
-1 + sum of child labels).  Degree trees carry an equivalent edge labeling:
-s(u) - l(u) sits on the leftmost descending edge of u, all other edges carry
-0; node labels are recovered as the subtree edge count minus the sum of the
-subtree's edge labels.
+1 + sum of child labels).  Degree trees are defined through an edge
+labelling: s(u) - l(u) sits on the leftmost descending edge of u, all other
+edges carry 0, and each node label is the number of edges in its subtree
+minus the sum of their edge labels.  degree_tree_stats counts these edge
+labels; no edge-labelled tree type is built.
 
 Text format: ``<label>[child,child,...]`` with brackets omitted on leaves,
 e.g. ``2[1[0],0]``.
@@ -38,15 +39,6 @@ class LabeledTree:
 
     def __repr__(self):
         return render_labeled_tree(self)
-
-
-@dataclass(frozen=True)
-class EdgeLabeledTree:
-    """Plane tree with a nonnegative label on each edge to a child."""
-    children: tuple[tuple[int, "EdgeLabeledTree"], ...] = ()
-
-    def edge_count(self) -> int:
-        return sum(1 + c.edge_count() for _lbl, c in self.children)
 
 
 def render_labeled_tree(t: LabeledTree) -> str:
@@ -87,28 +79,6 @@ def parse_labeled_tree(text: str) -> LabeledTree:
     if pos != len(s):
         raise ParseError(f"trailing input {s[pos:]!r}", pos)
     return t
-
-
-def node_labels_from_edge_labels(t: EdgeLabeledTree) -> LabeledTree:
-    """l(v) = (edges in the subtree at v) - (sum of edge labels in it)."""
-    kids = []
-    label = 0
-    for elbl, child in t.children:
-        sub = node_labels_from_edge_labels(child)
-        kids.append(sub)
-        label += sub.label + 1 - elbl
-    return LabeledTree(label, tuple(kids))
-
-
-def edge_labels_from_node_labels(t: LabeledTree) -> EdgeLabeledTree:
-    """s(u) - l(u) on the leftmost descending edge, 0 elsewhere."""
-    if not t.children:
-        return EdgeLabeledTree()
-    s = len(t.children) + sum(c.label for c in t.children)
-    kids = []
-    for i, c in enumerate(t.children):
-        kids.append((s - t.label if i == 0 else 0, edge_labels_from_node_labels(c)))
-    return EdgeLabeledTree(tuple(kids))
 
 
 def validate_degree_tree(t: LabeledTree) -> bool:

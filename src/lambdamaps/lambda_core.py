@@ -216,8 +216,8 @@ def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str]]:
     return binders, counts, free
 
 
-def free_variables(t: LambdaTerm, bound: frozenset[str] = frozenset()) -> set[str]:
-    return _binding_scan(t)[2] - bound
+def free_variables(t: LambdaTerm) -> set[str]:
+    return _binding_scan(t)[2]
 
 
 def linearity_defect(t: LambdaTerm) -> str | None:

@@ -60,10 +60,6 @@ class RootedMap:
         self.sigma = sigma
         self.root = root
 
-    @property
-    def is_empty(self) -> bool:
-        return self.n == 0
-
     def __eq__(self, other):
         if not isinstance(other, RootedMap):
             return NotImplemented
@@ -167,10 +163,6 @@ def outv(m: RootedMap) -> int:
     return len({vid[h] for h in outer_walk(m)})
 
 
-def outv_except_root(m: RootedMap) -> int:
-    return outv(m) - 1
-
-
 def _root_corners(m: RootedMap) -> list[int]:
     """The outer corners of the root vertex in ccw contour order, ending at
     the root corner."""
@@ -209,8 +201,8 @@ class MapStats:
 
 
 def map_stats(m: RootedMap) -> MapStats:
-    if not validate_map(m):
-        raise InvalidMap(map_defect(m))
+    if defect := map_defect(m):
+        raise InvalidMap(defect)
     if m.n == 0:
         return MapStats(1, True, 0, 1, True, 0, ())
     vid, nv = _orbits(m.sigma)
@@ -319,8 +311,7 @@ def parse_map(text: str) -> RootedMap:
                 raise InvalidMap(f"half-edge {h} out of range")
             sigma[h] = vals[(i + 1) % len(vals)]
     m = RootedMap(n, tuple(sigma), int(ms.group(2)))
-    defect = map_defect(m)
-    if defect:
+    if defect := map_defect(m):
         raise InvalidMap(defect)
     return m
 
@@ -427,8 +418,8 @@ def rho(m: RootedMap) -> LabeledTree:
     The root is labeled outv(m); each component contributes a child whose
     root label is overridden by the component's outer vertex count without
     the root vertex."""
-    if not validate_map(m):
-        raise InvalidMap(map_defect(m))
+    if defect := map_defect(m):
+        raise InvalidMap(defect)
     return _rho_rec(m)
 
 
@@ -438,7 +429,7 @@ def _rho_rec(m: RootedMap) -> LabeledTree:
     kids = []
     for u in decompose(m):
         sub = _rho_rec(pi(u))
-        kids.append(LabeledTree(outv_except_root(u), sub.children))
+        kids.append(LabeledTree(outv(u) - 1, sub.children))
     return LabeledTree(outv(m), tuple(kids))
 
 
@@ -476,8 +467,8 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     v-tree labels.  Each step costs the length of its walk and of its
     detached arc; no copy of the map is made.
     """
-    if not validate_map(m):
-        raise InvalidMap(map_defect(m))
+    if defect := map_defect(m):
+        raise InvalidMap(defect)
     if m.n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)

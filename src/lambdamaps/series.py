@@ -103,12 +103,6 @@ class TruncatedSeries:
         key = (t_deg, x_deg, p_deg if p_deg is not None else (0,) * self.kmax)
         return self.coeffs.get(key, Fraction(0))
 
-    def substitute_p_zero(self) -> "TruncatedSeries":
-        zero_p = (0,) * self.kmax
-        return TruncatedSeries(
-            self.trunc, self.kmax,
-            {k: c for k, c in self.coeffs.items() if k[2] == zero_p})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -148,15 +142,14 @@ def _p_var(trunc: int, kmax: int, k: int) -> TruncatedSeries:
     return monomial(trunc, kmax, 1, 0, 0, pd)
 
 
-def solve_zu(n: int, kmax: int, x_symbolic: bool = True
-             ) -> tuple[TruncatedSeries, TruncatedSeries]:
+def solve_zu(n: int, kmax: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Fixed-point solutions of z = t(1 + sum_k C(2k-1,k) p_k z^k) and
     u = x(1 + u z), truncated at t-degree n.  Each iteration gains one
     t-order, so n iterations reach the fixed point."""
     if n < 1 or kmax < 0:
         raise ValueError("need n >= 1 and kmax >= 0")
     t = monomial(n, kmax, 1, 1)
-    x = monomial(n, kmax, 1, 0, 1) if x_symbolic else one(n, kmax)
+    x = monomial(n, kmax, 1, 0, 1)
     z = zero(n, kmax)
     for _ in range(n):
         acc = one(n, kmax)

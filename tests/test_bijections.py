@@ -9,14 +9,16 @@ from lambdamaps.bijections import (
     psi_inv,
     skeleton_stats,
 )
+from lambdamaps.connectivity import leading_chain, reduce_skeleton
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import (
+    LabeledTree,
     parse_labeled_tree,
     render_labeled_tree,
     validate_degree_tree,
     validate_vtree,
 )
-from lambdamaps.lambda_core import parse_skeleton
+from lambdamaps.lambda_core import LEAF, Binary, parse_skeleton, wrap_unary
 
 
 def sk(text):
@@ -69,6 +71,76 @@ def test_phi_bijection_exhaustive():
         assert images == {render_labeled_tree(t) for t in trees}
 
 
+# Reference phi/phi_inv through an edge-labelled plane tree, written as the
+# tuple of (edge label, child) pairs below a node.  The unary chain above
+# each binary node labels the edge to its plane-tree parent, and node labels
+# follow as (edges in the subtree) - (sum of edge labels in it).
+
+def _edge_phi_spine(core, first_chain):
+    entries = []
+    chain = first_chain
+    node = core
+    while isinstance(node, Binary):
+        k, rcore = leading_chain(node.right)
+        entries.append((chain, _edge_phi_spine(rcore, k)))
+        node = node.left
+        chain = 0
+    return tuple(entries)
+
+
+def _node_labels_from_edge_labels(children):
+    kids = []
+    label = 0
+    for elbl, child in children:
+        sub = _node_labels_from_edge_labels(child)
+        kids.append(sub)
+        label += sub.label + 1 - elbl
+    return LabeledTree(label, tuple(kids))
+
+
+def _edge_labels_from_node_labels(t):
+    s = len(t.children) + sum(c.label for c in t.children)
+    return tuple((s - t.label if i == 0 else 0, _edge_labels_from_node_labels(c))
+                 for i, c in enumerate(t.children))
+
+
+def _edge_phi_inv_spine(entries):
+    if not entries:
+        return LEAF
+    (_own_chain, kids), rest = entries[0], entries[1:]
+    right = wrap_unary(_edge_phi_inv_spine(kids), kids[0][0] if kids else 0)
+    return Binary(_edge_phi_inv_spine(rest), right)
+
+
+def edge_phi(r):
+    m, core = leading_chain(r)
+    return _node_labels_from_edge_labels(_edge_phi_spine(core, m))
+
+
+def edge_phi_inv(d):
+    kids = _edge_labels_from_node_labels(d)
+    return wrap_unary(_edge_phi_inv_spine(kids), kids[0][0] if kids else 0)
+
+
+def test_phi_equals_edge_labelled_reference():
+    for n in range(2, 8):
+        for r in gen_reduced_skeletons(n):
+            assert phi(r) == edge_phi(r)
+    for e in range(0, 7):
+        for d in gen_trees(e, "degree"):
+            assert phi_inv(d) == edge_phi_inv(d)
+
+
+def test_degree_tree_is_shifted_vtree_child():
+    def minus_one(t):
+        return LabeledTree(t.label - 1, tuple(minus_one(c) for c in t.children))
+
+    for n in range(2, 8):
+        for s in gen_skeletons(n, 3):
+            (child,) = psi(s).children
+            assert phi(reduce_skeleton(s)) == minus_one(child)
+
+
 # ---------------------------------------------------------------------------
 # psi
 
@@ -114,8 +186,6 @@ def test_psi_2connected_restriction():
 
 
 def test_psi_root_label_is_leading_chain():
-    from lambdamaps.connectivity import leading_chain
-
     for n in range(1, 7):
         for s in gen_skeletons(n, 1):
             assert psi(s).label == leading_chain(s)[0]

@@ -1,10 +1,7 @@
 import pytest
 
 from lambdamaps.labeled_trees import (
-    EdgeLabeledTree,
     LabeledTree,
-    edge_labels_from_node_labels,
-    node_labels_from_edge_labels,
     parse_labeled_tree,
     render_labeled_tree,
     validate_degree_tree,
@@ -26,37 +23,6 @@ def test_text_rejects_garbage():
     for bad in ["", "[0]", "1[", "1[0", "1[0,]", "1]", "x"]:
         with pytest.raises(ParseError):
             parse_labeled_tree(bad)
-
-
-def test_node_labels_from_edge_labels_examples():
-    # single edge labeled 0
-    t = EdgeLabeledTree(((0, EdgeLabeledTree()),))
-    assert node_labels_from_edge_labels(t) == lt("1[0]")
-    # path with labels 1 then 0
-    t = EdgeLabeledTree(((1, EdgeLabeledTree(((0, EdgeLabeledTree()),))),))
-    assert node_labels_from_edge_labels(t) == lt("1[1[0]]")
-    # single node
-    assert node_labels_from_edge_labels(EdgeLabeledTree()) == lt("0")
-
-
-def test_edge_labels_from_node_labels_examples():
-    # root labeled 2 over two leaves: both edges 0
-    e = edge_labels_from_node_labels(lt("2[0,0]"))
-    assert e == EdgeLabeledTree(((0, EdgeLabeledTree()), (0, EdgeLabeledTree())))
-    # path 1-1-0: edge labels 1 then 0
-    e = edge_labels_from_node_labels(lt("1[1[0]]"))
-    assert e == EdgeLabeledTree(((1, EdgeLabeledTree(((0, EdgeLabeledTree()),))),))
-    # root(1) with one leaf child: edge label 0
-    e = edge_labels_from_node_labels(lt("1[0]"))
-    assert e == EdgeLabeledTree(((0, EdgeLabeledTree()),))
-
-
-def test_label_conversion_roundtrip():
-    from lambdamaps.enumeration import gen_trees
-
-    for n in range(0, 6):
-        for d in gen_trees(n, "degree"):
-            assert node_labels_from_edge_labels(edge_labels_from_node_labels(d)) == d
 
 
 def test_validate_degree_tree_examples():

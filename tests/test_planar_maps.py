@@ -20,7 +20,6 @@ from lambdamaps.planar_maps import (
     map_defect,
     map_stats,
     outv,
-    outv_except_root,
     parse_map,
     pi,
     render_map,
@@ -152,7 +151,7 @@ def test_attach_examples():
     assert canonical_form(u1) == canonical_form(DOUBLE)
     for i, u in [(2, u2), (1, u1), (0, u0)]:
         assert is_one_corner(u)
-        assert outv_except_root(u) == i
+        assert outv(u) - 1 == i
         assert canonical_form(pi(u)) == canonical_form(EDGE)
     with pytest.raises(IndexOutOfRange):
         attach_root_edge(EDGE, 3)
@@ -181,7 +180,7 @@ def test_decompose_conservation():
         for m in gen_maps(n):
             comps = decompose(m)
             assert sum(u.n for u in comps) == m.n
-            assert outv(m) == 1 + sum(outv_except_root(u) for u in comps)
+            assert outv(m) == 1 + sum(outv(u) - 1 for u in comps)
             assert all(is_one_corner(u) for u in comps)
 
 

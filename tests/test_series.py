@@ -45,19 +45,13 @@ def test_z_has_no_constant_term():
     assert all(key[0] >= 1 for key in z.coeffs)
 
 
-def test_solve_zu_x_numeric():
-    n = 3
-    _z, u = solve_zu(n, 0, x_symbolic=False)
-    assert all(key[1] == 0 for key in u.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # The printed closed form
 
 def test_f_bipartite_low_orders():
     f = f_bipartite(4, 2)
     assert f.coefficient(0, 0) == 1
-    assert f.substitute_p_zero().coefficient(1, 1) == 1  # one map with one edge
+    assert f.coefficient(1, 1) == 1  # one map with one edge
     # the printed system undercounts from t^2 on: 1 against the 2 rooted
     # 2-edge paths
     assert f.coefficient(2, 2) == 1
