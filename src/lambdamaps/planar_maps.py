@@ -16,11 +16,16 @@ backwards, and the orbit ids of `_orbits`: `_orbits(sigma)` numbers the
 vertices and `_orbits([s ^ 1 for s in sigma])` the faces, giving each
 half-edge the id of its vertex or face.
 
-The one-corner machinery lives here: deleting a root edge and re-rooting at
-the corner it stemmed from (pi), drawing a new root edge into a map at one
-of outv(M)+1 positions (attach_root_edge), splitting a map at the outer
-corners of its root vertex (decompose), and the resulting encodings of maps
-by v-trees (rho recursively, rho_direct by a contour exploration).
+The one-corner machinery lives here as three steps that rewire a rotation
+list in place: cutting the root vertex at its outer corners into one-corner
+components (`_cut`, which glues them back when run on their roots in
+reverse), deleting the root edge and re-rooting at the corner its far end
+stems from (`_delete_root_edge`), and drawing a new root edge to a chosen
+corner (`_attach`).  decompose, pi and attach_root_edge run one step on a
+copy of the map and relabel the result; rho (cut and delete) and rho_inv
+(glue and attach) run their whole recursion on one list, with no copy,
+relabelling or orbit count per level.  rho_direct computes rho's tree by a
+contour exploration instead.
 """
 
 from __future__ import annotations
@@ -293,6 +298,8 @@ def parse_map(text: str) -> RootedMap:
     n = int(mn.group(1))
     rest = mn.group(2)
     if n == 0:
+        if rest:
+            raise InvalidMap(f"unexpected text after n=0: {rest[:40]!r}")
         return EMPTY_MAP
     ms = re.match(r"sigma=((?:\([\d ]*\))+)\s+root=(\d+)$", rest)
     if not ms:
@@ -305,10 +312,14 @@ def parse_map(text: str) -> RootedMap:
     if listed < n - 1:
         raise InvalidMap(f"n={n} needs at least {n - 1} half-edges in sigma, got {listed}")
     sigma = list(range(2 * n))
+    listed_at = bytearray(2 * n)
     for vals in cycles:
         for i, h in enumerate(vals):
             if not 0 <= h < 2 * n:
                 raise InvalidMap(f"half-edge {h} out of range")
+            if listed_at[h]:
+                raise InvalidMap(f"half-edge {h} listed twice in sigma")
+            listed_at[h] = 1
             sigma[h] = vals[(i + 1) % len(vals)]
     m = RootedMap(n, tuple(sigma), int(ms.group(2)))
     if defect := map_defect(m):
@@ -326,6 +337,39 @@ def _inverse(succ: list[int]) -> list[int]:
     return pred
 
 
+def _cut(succ: list[int], hs: list[int]) -> None:
+    """Give each hs[j] the successor hs[j - 1] had.  On the outer corners of
+    one vertex in contour order, ending at the root, this cuts the vertex
+    into one vertex per arc of its rotation, the arc ending at each corner;
+    on the roots of components in reverse order it glues their root
+    vertices into one, the root corner between the last and the first."""
+    firsts = [succ[h] for h in hs]
+    for j, h in enumerate(hs):
+        succ[h] = firsts[j - 1]
+
+
+def _delete_root_edge(succ: list[int], pred: list[int], r: int) -> int:
+    """Unlink the edge r, r ^ 1 from the rotation and return the corner its
+    far end stems from: the half-edge before r ^ 1, looking past r on a
+    loop.  That is r ^ 1 itself when the far end carries no other edge."""
+    a = r ^ 1
+    stem = pred[a]
+    if stem == r:
+        stem = pred[r]
+    for h in (r, a):
+        p, nx = pred[h], succ[h]
+        succ[p], pred[nx] = nx, p
+    return stem
+
+
+def _attach(succ: list[int], r: int, a: int, t: int) -> None:
+    """Draw the edge a, a ^ 1 with a right after r in its rotation and
+    a ^ 1 right after t.  r == a starts a vertex for a, t == a ^ 1 one for
+    a ^ 1; succ must already hold entries at a and a ^ 1."""
+    succ[a], succ[r] = succ[r], a
+    succ[a ^ 1], succ[t] = succ[t], a ^ 1
+
+
 def pi(u: RootedMap) -> RootedMap:
     """Delete the root edge and re-root at the corner its far end stems
     from; an isolated old root vertex disappears."""
@@ -334,18 +378,10 @@ def pi(u: RootedMap) -> RootedMap:
     if u.n == 1:
         return EMPTY_MAP
     succ = list(u.sigma)
-    pred = _inverse(succ)
-    r = u.root
-    a = r ^ 1
-    cand = pred[a]
-    if cand == r:  # a loop: look past its other half
-        cand = pred[r]
-    if cand == a:
+    stem = _delete_root_edge(succ, _inverse(succ), u.root)
+    if stem == u.root ^ 1:
         raise WouldDisconnect("far end of the root edge carries no other edge")
-    for h in (r, a):
-        p, nx = pred[h], succ[h]
-        succ[p], pred[nx] = nx, p
-    out = _extract(succ, [cand])[0]
+    out = _extract(succ, [stem])[0]
     if out.n != u.n - 1:
         raise WouldDisconnect("deleting the root edge disconnects the map")
     return out
@@ -353,7 +389,8 @@ def pi(u: RootedMap) -> RootedMap:
 
 def attach_root_edge(m: RootedMap, i: int) -> RootedMap:
     """The unique one-corner preimage of m under pi with i outer vertices
-    besides the root (0 <= i <= outv(m)).
+    besides the root (0 <= i <= outv(m)); the new edge is 2n, 2n + 1 and
+    the new root 2n + 1.
 
     i = outv(m) attaches a new pendant root vertex into the root corner;
     smaller i draws the new edge through the outer face to the last outer
@@ -364,20 +401,17 @@ def attach_root_edge(m: RootedMap, i: int) -> RootedMap:
     k = outv(m)
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"i must be in 0..{k}, got {i}")
-    if m.n == 0:
-        if i == 1:
-            return RootedMap(1, (0, 1), 1)  # single edge, pendant root
-        return RootedMap(1, (1, 0), 1)      # loop at the lone vertex
-    a, b = 2 * m.n, 2 * m.n + 1
-    succ = list(m.sigma) + [m.sigma[m.root], b]
+    a = 2 * m.n
+    succ = list(m.sigma) + [a, a + 1]
+    r = m.root if m.n else a
     if i == k:
-        succ[m.root] = a
+        t = a + 1
     elif i == 0:
-        succ[m.root], succ[b] = b, a
+        t = r
     else:
         t = _last_outer_corners(m)[k - i - 1]
-        succ[b], succ[t], succ[m.root] = succ[t], b, a
-    return RootedMap(m.n + 1, tuple(succ), b)
+    _attach(succ, r, a, t)
+    return RootedMap(m.n + 1, tuple(succ), a + 1)
 
 
 def decompose(m: RootedMap) -> list[RootedMap]:
@@ -386,68 +420,131 @@ def decompose(m: RootedMap) -> list[RootedMap]:
     if m.n == 0:
         raise EmptyMapError("cannot decompose the empty map")
     cuts = _root_corners(m)
-    # Each cut o closes the arc of the root rotation that runs from after
-    # the previous cut up to o into a vertex of its own.  The arcs are
-    # disjoint, so one list holds every closed arc at once.
     succ = list(m.sigma)
-    for prev, o in zip([m.root] + cuts, cuts):
-        succ[o] = m.sigma[prev]
+    _cut(succ, cuts)
     comps = _extract(succ, cuts)
     assert sum(c.n for c in comps) == m.n
     return comps
 
 
-def _glue(comps: list[RootedMap]) -> RootedMap:
-    """Merge one-corner components around a shared root vertex,
-    counterclockwise, the root corner between the last and the first."""
-    sigma: list[int] = []
-    roots = []
-    for c in comps:
-        offset = len(sigma)
-        sigma.extend(s + offset for s in c.sigma)
-        roots.append(c.root + offset)
-    firsts = [sigma[r] for r in roots]
-    for j, r in enumerate(roots):
-        sigma[r] = firsts[(j + 1) % len(roots)]
-    return RootedMap(len(sigma) // 2, tuple(sigma), roots[-1])
-
-
 def rho(m: RootedMap) -> LabeledTree:
     """Recursive one-corner decomposition tree of a map.
 
-    The root is labeled outv(m); each component contributes a child whose
-    root label is overridden by the component's outer vertex count without
-    the root vertex."""
+    The root is labeled outv(m); each component u of decompose(m)
+    contributes a child labeled outv(u) - 1 whose children are those of
+    rho(pi(u)).  One outer walk of a map gives its cuts and its components'
+    labels, since it passes through the components in turn, each part
+    ending at its root corner.  A cut arc keeps its vertex id: each arc
+    lands in a different component, and an id need only tell apart the
+    vertices of one.  Nodes are numbered as found and the tree is built
+    bottom-up, without recursion.
+    """
     if defect := map_defect(m):
         raise InvalidMap(defect)
-    return _rho_rec(m)
-
-
-def _rho_rec(m: RootedMap) -> LabeledTree:
     if m.n == 0:
         return LabeledTree(1)
-    kids = []
-    for u in decompose(m):
-        sub = _rho_rec(pi(u))
-        kids.append(LabeledTree(outv(u) - 1, sub.children))
-    return LabeledTree(outv(m), tuple(kids))
+    succ = list(m.sigma)
+    pred = _inverse(succ)
+    vid, nv = _orbits(succ)
+    seen_at = [-1] * nv  # vertex -> the last node whose walk counted it
+    labels = [0]
+    lo = [0] * (m.n + 1)  # node -> its children's node numbers, lo..hi-1
+    hi = [0] * (m.n + 1)
+    todo = [(m.root, 0)]  # (root of a map still to decompose, its node)
+    while todo:
+        r, node = todo.pop()
+        v = vid[r]
+        cuts = []
+        lo[node] = len(labels)
+        count = 0
+        h = succ[r] ^ 1
+        while True:
+            if vid[h] == v:
+                cuts.append(h)
+                labels.append(count)
+                if h == r:
+                    break
+                count = 0
+            elif seen_at[vid[h]] != node:
+                seen_at[vid[h]] = node
+                count += 1
+            h = succ[h] ^ 1
+        hi[node] = len(labels)
+        _cut(succ, cuts)
+        for o in cuts:
+            pred[succ[o]] = o
+        for child, o in enumerate(cuts, lo[node]):
+            stem = _delete_root_edge(succ, pred, o)
+            if stem != o ^ 1:
+                todo.append((stem, child))
+    assert len(labels) == m.n + 1  # one root edge deleted per edge of m
+    labels[0] = 1 + sum(labels[lo[0]:hi[0]])
+    built: list = [None] * len(labels)
+    for x in range(len(labels) - 1, -1, -1):
+        built[x] = LabeledTree(labels[x], tuple(built[lo[x]:hi[x]]))
+    return built[0]
 
 
 def rho_inv(v: LabeledTree) -> RootedMap:
-    """Inverse of rho: rebuild components by attach_root_edge and glue them."""
+    """Inverse of rho.
+
+    Each non-root node u, in post-order, becomes the component
+    attach_root_edge(M, label(u)), M being the glue of its children's
+    components; the root glues its children's components.  Edges get the
+    numbers the recursive construction gives them: post-order.  With L the
+    last outer corners of M's outer vertices in contour order (M's root
+    last) and k = len(L), the attach draws its edge to t = L[k-i-1] and the
+    component's list is L[k-i:] plus its new root; a glue's list joins its
+    components' lists without their roots, then adds the last root.  The
+    lists are links in one array `nxt`, so an attach walks only the prefix
+    it drops, and the pass is linear.
+    """
     if not validate_vtree(v).valid:
         raise InvalidInput("not a valid v-tree")
-    return _rho_inv_rec(v)
-
-
-def _rho_inv_rec(v: LabeledTree) -> RootedMap:
     if not v.children:
         return EMPTY_MAP
-    comps = []
-    for child in v.children:
-        sub = LabeledTree(1 + sum(g.label for g in child.children), child.children)
-        comps.append(attach_root_edge(_rho_inv_rec(sub), child.label))
-    return _glue(comps)
+    succ: list[int] = []
+    nxt: list[int] = []
+    # per component built: root, head and tail of its list without the
+    # root, and its label, the length of that list
+    done: list[tuple[int, int, int, int]] = []
+    stack = [(v, iter(v.children))]
+    while True:
+        node, pending = stack[-1]
+        child = next(pending, None)
+        if child is not None:
+            stack.append((child, iter(child.children)))
+            continue
+        stack.pop()
+        a = len(succ)
+        split = len(done) - len(node.children)
+        comps = done[split:]
+        del done[split:]
+        if comps:
+            _cut(succ, [c[0] for c in reversed(comps)])
+            r = comps[-1][0]
+        else:
+            r = a  # M is empty: its lone vertex becomes the vertex of a
+        if not stack:
+            return RootedMap(len(succ) // 2, tuple(succ), r)
+        head, k = r, 1
+        for _, first, last, label in reversed(comps):
+            if label:
+                nxt[last] = head
+                head = first
+                k += label
+        i = node.label
+        succ += [a, a + 1]
+        nxt += [-1, -1]
+        if i == k:
+            t = a + 1
+        else:
+            t = head
+            for _ in range(k - i - 1):
+                t = nxt[t]
+            head = nxt[t]
+        _attach(succ, r, a, t)
+        done.append((a + 1, head, r, i))
 
 
 def rho_direct(m: RootedMap) -> LabeledTree:
@@ -507,20 +604,23 @@ def rho_direct(m: RootedMap) -> LabeledTree:
         labels[h ^ 1] = value
         cur = pred[h ^ 1]
     assert cur == m.root and all(visited)
-
-    def read(q: int) -> tuple[LabeledTree, ...]:
-        kids = []
-        x = succ[q]
-        while x != q:
-            kids.append(LabeledTree(labels[x ^ 1], read(x ^ 1)))
-            x = succ[x]
-        return tuple(kids)
-
     kids = []
     x = succ[m.root]
     while True:
-        kids.append(LabeledTree(labels[x ^ 1], read(x ^ 1)))
+        kids.append(LabeledTree(labels[x ^ 1], _read_kids(succ, labels, x ^ 1)))
         if x == m.root:
             break
         x = succ[x]
     return LabeledTree(outv(m), tuple(kids))
+
+
+def _read_kids(succ: list[int], labels: list[int], q: int) -> tuple[LabeledTree, ...]:
+    """The subtrees hanging below the far end q of a tree edge once
+    rho_direct has opened the map into a tree: one per other half-edge at
+    q's vertex, in rotation order."""
+    kids = []
+    x = succ[q]
+    while x != q:
+        kids.append(LabeledTree(labels[x ^ 1], _read_kids(succ, labels, x ^ 1)))
+        x = succ[x]
+    return tuple(kids)

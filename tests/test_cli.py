@@ -116,6 +116,19 @@ def test_stats_map_with_huge_edge_count(capsys):
         assert record["canonical"] == canonical
 
 
+def test_map_text_with_trailing_or_repeated_fields_exits_2(capsys):
+    # Text after n=0 used to be ignored, and a half-edge listed twice kept
+    # its last successor; both parsed as valid maps.
+    for argv in (["stats", "map n=0 junk"],
+                 ["stats", "map n=0 sigma=(0 1) root=0"],
+                 ["convert", "--from", "map", "--to", "vtree", "map n=1 sigma=(0 1)(1 0) root=1"],
+                 ["convert", "--from", "map", "--to", "vtree", "map n=1 sigma=(0 0) root=1"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_stats_map_with_200_edges(capsys):
     # A star: one vertex with the 200 even half-edges, the odd ones are
     # leaves.  Above 128 edges each canonical field takes the hex width of

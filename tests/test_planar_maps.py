@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -12,6 +13,10 @@ from lambdamaps.planar_maps import (
     InvalidInput,
     RootedMap,
     WouldDisconnect,
+    _extract,
+    _inverse,
+    _orbits,
+    _root_corners,
     attach_root_edge,
     canonical_form,
     canonical_map,
@@ -19,6 +24,7 @@ from lambdamaps.planar_maps import (
     is_one_corner,
     map_defect,
     map_stats,
+    outer_walk,
     outv,
     parse_map,
     pi,
@@ -242,8 +248,8 @@ def _random_vtree(n: int, reach: int, rng: random.Random) -> LabeledTree:
 
 
 def test_rho_direct_on_large_maps():
-    # sizes stay well inside the default recursion limit, which the
-    # recursive rho, rho_inv and the text renderers still need
+    # sizes stay well inside the default recursion limit, which the tree
+    # reading of rho_direct and the text renderers still need
     rng = random.Random(2022)
     trees = [_random_vtree(rng.randint(200, 300), reach, rng)
              for reach in (2, 8, 300) for _ in range(2)]
@@ -270,7 +276,7 @@ def test_loopless_law():
 
 def test_preimage_completeness():
     for n in range(0, 4):
-        preimages: dict[bytes, list[bytes]] = {}
+        preimages: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for u in gen_maps(n + 1):
             if is_one_corner(u):
                 preimages.setdefault(canonical_form(pi(u)), []).append(
@@ -280,3 +286,161 @@ def test_preimage_completeness():
                 canonical_form(attach_root_edge(m, i)) for i in range(outv(m) + 1))
             assert built == sorted(preimages.get(canonical_form(m), []))
             assert len(set(built)) == outv(m) + 1
+
+
+# ---------------------------------------------------------------------------
+# Reference: the one-corner kernels as they were before rho and rho_inv ran
+# in place, each step on a fresh copy of the map, relabelled at every level.
+
+def _ref_decompose(m):
+    cuts = _root_corners(m)
+    succ = list(m.sigma)
+    for prev, o in zip([m.root] + cuts, cuts):
+        succ[o] = m.sigma[prev]
+    return _extract(succ, cuts)
+
+
+def _ref_pi(u):
+    if u.n == 1:
+        return EMPTY_MAP
+    succ = list(u.sigma)
+    pred = _inverse(succ)
+    r = u.root
+    a = r ^ 1
+    cand = pred[a]
+    if cand == r:
+        cand = pred[r]
+    if cand == a:
+        raise WouldDisconnect("far end of the root edge carries no other edge")
+    for h in (r, a):
+        p, nx = pred[h], succ[h]
+        succ[p], pred[nx] = nx, p
+    out = _extract(succ, [cand])[0]
+    if out.n != u.n - 1:
+        raise WouldDisconnect("deleting the root edge disconnects the map")
+    return out
+
+
+def _ref_last_outer_corners(m):
+    vid, nv = _orbits(m.sigma)
+    met = [False] * nv
+    last = []
+    for h in reversed(outer_walk(m)):
+        if not met[vid[h]]:
+            met[vid[h]] = True
+            last.append(h)
+    last.reverse()
+    return last
+
+
+def _ref_attach_root_edge(m, i):
+    k = outv(m)
+    if m.n == 0:
+        if i == 1:
+            return RootedMap(1, (0, 1), 1)
+        return RootedMap(1, (1, 0), 1)
+    a, b = 2 * m.n, 2 * m.n + 1
+    succ = list(m.sigma) + [m.sigma[m.root], b]
+    if i == k:
+        succ[m.root] = a
+    elif i == 0:
+        succ[m.root], succ[b] = b, a
+    else:
+        t = _ref_last_outer_corners(m)[k - i - 1]
+        succ[b], succ[t], succ[m.root] = succ[t], b, a
+    return RootedMap(m.n + 1, tuple(succ), b)
+
+
+def _ref_glue(comps):
+    sigma = []
+    roots = []
+    for c in comps:
+        offset = len(sigma)
+        sigma.extend(s + offset for s in c.sigma)
+        roots.append(c.root + offset)
+    firsts = [sigma[r] for r in roots]
+    for j, r in enumerate(roots):
+        sigma[r] = firsts[(j + 1) % len(roots)]
+    return RootedMap(len(sigma) // 2, tuple(sigma), roots[-1])
+
+
+def _ref_rho(m):
+    if m.n == 0:
+        return LabeledTree(1)
+    kids = []
+    for u in _ref_decompose(m):
+        sub = _ref_rho(_ref_pi(u))
+        kids.append(LabeledTree(outv(u) - 1, sub.children))
+    return LabeledTree(outv(m), tuple(kids))
+
+
+def _ref_rho_inv(v):
+    if not v.children:
+        return EMPTY_MAP
+    comps = []
+    for child in v.children:
+        sub = LabeledTree(1 + sum(g.label for g in child.children), child.children)
+        comps.append(_ref_attach_root_edge(_ref_rho_inv(sub), child.label))
+    return _ref_glue(comps)
+
+
+def _fields(m):
+    return m.n, m.sigma, m.root
+
+
+def test_rho_and_rho_inv_equal_the_reference_to_six_edges():
+    total = 0
+    for n in range(0, 7):
+        for m in gen_maps(n):
+            t = rho(m)
+            assert t == _ref_rho(m)
+            assert _fields(rho_inv(t)) == _fields(_ref_rho_inv(t))
+            total += 1
+    assert total == 27417
+
+
+def test_one_corner_steps_equal_the_reference_to_five_edges():
+    for n in range(0, 6):
+        for m in gen_maps(n):
+            for i in range(outv(m) + 1):
+                assert _fields(attach_root_edge(m, i)) == _fields(_ref_attach_root_edge(m, i))
+            if n == 0:
+                continue
+            assert [_fields(u) for u in decompose(m)] == [_fields(u) for u in _ref_decompose(m)]
+            try:
+                want = _fields(_ref_pi(m))
+            except WouldDisconnect as exc:
+                with pytest.raises(WouldDisconnect, match=f"^{exc}$"):
+                    pi(m)
+            else:
+                assert _fields(pi(m)) == want
+
+
+def test_rho_roundtrip_on_large_vtrees():
+    rng = random.Random(9)
+    trees = [_random_vtree(n, 300, rng) for n in (2000, 5000, 10000)]
+    trees.append(LabeledTree(3001, (LabeledTree(1),) * 3000))
+    for t in trees:
+        m = rho_inv(t)
+        assert rho(m) == rho_direct(m) == t
+
+
+def _cyclic_garbage(fn, objects) -> int:
+    """Objects left in reference cycles by calling fn on each object, with
+    the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        for x in objects:
+            fn(x)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_rho_kernels_leave_no_reference_cycles():
+    maps = [m for n in range(0, 6) for m in gen_maps(n)]
+    trees = [rho(m) for m in maps]
+    assert _cyclic_garbage(rho, maps) == 0
+    assert _cyclic_garbage(rho_direct, maps) == 0
+    assert _cyclic_garbage(rho_inv, trees) <= _cyclic_garbage(validate_vtree, trees)
