@@ -45,12 +45,12 @@ from .labeled_trees import (
 from .lambda_core import (
     Skeleton,
     is_normal,
-    linearity_defect,
     parse_skeleton,
     parse_term,
     render_skeleton,
     render_term,
     skeleton_of,
+    term_defect,
     term_of_skeleton,
 )
 from .planar_maps import (
@@ -71,7 +71,7 @@ from .planar_maps import (
 def to_skeleton(kind: str, text: str) -> Skeleton:
     if kind == "term":
         term = parse_term(text)
-        if defect := linearity_defect(term):
+        if defect := term_defect(term):
             raise InvalidInput(defect)
         return skeleton_of(term)
     if kind == "skeleton":

@@ -3,8 +3,9 @@
 Membership in the connected / 2-connected / 3-connected families is decided
 two ways: structurally on the skeleton (counting conditions on subtree
 leaf/unary deficits against the unary chain above each node) and by brute
-force on the syntactic diagram (removing single edges and edge pairs).  The
-two routes are cross-checked exhaustively in the tests.
+force on the syntactic diagram (bridges of the diagram, and of the diagram
+less each single edge, which find every disconnecting edge pair).  The two
+routes are cross-checked exhaustively in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .lambda_core import (
     Leaf,
     Skeleton,
     Unary,
-    is_normal,
     wrap_unary,
 )
 
@@ -51,9 +51,10 @@ def check_family(s: Skeleton, level: int) -> bool:
     """Structural membership test for the connected (level 1) and
     2-connected (level 2) families.
 
-    Level 1: leaf count equals unary count, no binary node has a unary left
-    child, and every binary node or leaf u satisfies
-    deficit(subtree at u) >= length of the unary chain directly above u.
+    One walk of the skeleton.  Level 1: leaf count equals unary count, no
+    binary node has a unary left child, and every binary node or leaf u
+    satisfies deficit(subtree at u) >= length of the unary chain directly
+    above u.
     Level 2 strengthens the inequality to strict, except at nodes whose
     unary chain reaches the skeleton root (the whole term is closed, so the
     top chain is exempt; this also classifies the one-atom term as
@@ -61,22 +62,22 @@ def check_family(s: Skeleton, level: int) -> bool:
     """
     if level not in (1, 2):
         raise ValueError(f"level must be 1 or 2, got {level}")
-    if s.nleaf != s.nunary or not is_normal(s):
+    if s.nleaf != s.nunary:
         return False
-
-    def walk(node: Skeleton, chain: int, on_root_chain: bool) -> bool:
-        if isinstance(node, Unary):
-            return walk(node.child, chain + 1, on_root_chain)
-        d = node.deficit()
-        if d < chain:
-            return False
-        if level == 2 and not on_root_chain and d == chain:
+    strict = level == 2
+    stack: list[tuple[Skeleton, bool]] = [(s, True)]  # (node, on the root chain)
+    while stack:
+        node, on_root_chain = stack.pop()
+        chain, node = leading_chain(node)
+        d = node.nleaf - node.nunary
+        if d < chain or (strict and not on_root_chain and d == chain):
             return False
         if isinstance(node, Binary):
-            return walk(node.left, 0, False) and walk(node.right, 0, False)
-        return True
-
-    return walk(s, 0, True)
+            if isinstance(node.left, Unary):
+                return False
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+    return True
 
 
 def check_reduced(s: Skeleton) -> bool:
@@ -87,19 +88,17 @@ def check_reduced(s: Skeleton) -> bool:
     directly above u.  The single leaf is admitted (the size-2 degenerate
     case); a bare unary chain is not, which the deficit condition enforces.
     """
-    if not is_normal(s) or s.deficit() < 1:
+    if s.deficit() < 1:
         return False
-
-    def walk(node: Skeleton, chain: int) -> bool:
-        if isinstance(node, Unary):
-            return walk(node.child, chain + 1)
-        if isinstance(node, Leaf):
-            return True
-        if node.right.deficit() <= chain:
-            return False
-        return walk(node.left, 0) and walk(node.right, 0)
-
-    return walk(s, 0)
+    stack = [s]
+    while stack:
+        chain, node = leading_chain(stack.pop())
+        if isinstance(node, Binary):
+            if isinstance(node.left, Unary) or node.right.deficit() <= chain:
+                return False
+            stack.append(node.right)
+            stack.append(node.left)
+    return True
 
 
 def reduce_skeleton(s: Skeleton) -> Skeleton:
@@ -134,34 +133,59 @@ def is_three_connected_skeleton(s: Skeleton) -> bool:
 # ---------------------------------------------------------------------------
 # Brute-force diagram oracle
 
-def _connected(adj: list[list[tuple[int, int]]], skip_a: int = -1, skip_b: int = -1) -> bool:
-    """Whether the graph with adjacency lists of (neighbour, edge id) stays
-    connected without the edges skip_a and skip_b."""
+def _bridges(adj: list[list[tuple[int, int]]], skip: int = -1) -> tuple[bool, list[int]]:
+    """Whether the graph with adjacency lists of (neighbour, edge id), less
+    the edge skip, is connected, and its bridges.
+
+    One lowlink depth-first search from vertex 0, by an explicit stack.  A
+    tree edge is a bridge when nothing below it reaches back above it; the
+    search leaves a vertex by the edge id it came in on, not by its parent
+    vertex, so a parallel edge is a back edge and self-loops are inert.
+    """
     n = len(adj)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
+    disc = [-1] * n
+    low = [0] * n
+    via = [-1] * n  # edge id that reached the vertex
+    nxt = [0] * n  # next position in its adjacency list
+    disc[0] = 0
     count = 1
+    bridges: list[int] = []
+    stack = [0]
     while stack:
-        for y, i in adj[stack.pop()]:
-            if not seen[y] and i != skip_a and i != skip_b:
-                seen[y] = True
+        x = stack[-1]
+        k = nxt[x]
+        if k < len(adj[x]):
+            nxt[x] = k + 1
+            y, i = adj[x][k]
+            if i == skip or i == via[x]:
+                continue
+            if disc[y] < 0:
+                disc[y] = low[y] = count
                 count += 1
-                if count == n:
-                    return True
+                via[y] = i
                 stack.append(y)
-    return count == n
+            elif disc[y] < low[x]:
+                low[x] = disc[y]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                if low[x] > disc[p]:
+                    bridges.append(via[x])
+                elif low[x] < low[p]:
+                    low[p] = low[x]
+    return count == n, bridges
 
 
 def edge_connectivity_class(d: Diagram) -> ConnectivityClass:
     """Brute-force edge connectivity of a diagram.
 
-    The adjacency lists of (neighbour, edge id) are built once; then the
-    diagram itself, every single-edge removal and every edge-pair removal
-    is tested by one depth-first search that skips the removed edge ids.
-    Pairs with both edges incident to the root vertex are exempt from the
-    3-connectedness test.  Diagrams with at most one vertex are vacuously
-    ThreePlus.
+    The adjacency lists of (neighbour, edge id) are built once.  One bridge
+    search on the diagram gives Disconnected or One.  Otherwise an edge pair
+    {i, j} disconnects exactly when j is a bridge of the diagram less i, so
+    one bridge search per removed edge i decides Two.  Pairs with both edges
+    incident to the root vertex are exempt from the 3-connectedness test.
+    Diagrams with at most one vertex are vacuously ThreePlus.
     """
     if len(d.vertices) <= 1:
         return ConnectivityClass.ThreePlus
@@ -170,14 +194,14 @@ def edge_connectivity_class(d: Diagram) -> ConnectivityClass:
     for i, (u, v) in enumerate(d.edges):
         adj[index_of[u]].append((index_of[v], i))
         adj[index_of[v]].append((index_of[u], i))
-    if not _connected(adj):
+    connected, bridges = _bridges(adj)
+    if not connected:
         return ConnectivityClass.Disconnected
-    m = len(d.edges)
-    if not all(_connected(adj, i) for i in range(m)):
+    if bridges:
         return ConnectivityClass.One
     at_root = [d.root in e for e in d.edges]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not (at_root[i] and at_root[j]) and not _connected(adj, i, j):
+    for i in range(len(d.edges)):
+        for j in _bridges(adj, i)[1]:
+            if not (at_root[i] and at_root[j]):
                 return ConnectivityClass.Two
     return ConnectivityClass.ThreePlus

@@ -101,12 +101,22 @@ def has_zero(t: LabeledTree) -> bool:
 
 
 def validate_vtree(t: LabeledTree) -> VTreeCheck:
-    """Check the v-tree conditions; positive additionally forbids label 0."""
-    def nonroot_ok(u: LabeledTree) -> bool:
-        if not (0 <= u.label <= 1 + sum(c.label for c in u.children)):
-            return False
-        return all(nonroot_ok(c) for c in u.children)
+    """Check the v-tree conditions; positive additionally forbids label 0.
 
-    valid = (t.label == 1 + sum(c.label for c in t.children)
-             and all(nonroot_ok(c) for c in t.children))
-    return VTreeCheck(valid, valid and not has_zero(t))
+    One walk by an explicit stack; a valid root is never labeled 0.
+    """
+    if t.label != 1 + sum(c.label for c in t.children):
+        return VTreeCheck(False, False)
+    positive = True
+    stack = list(t.children)
+    while stack:
+        u = stack.pop()
+        total = 1
+        for c in u.children:
+            total += c.label
+            stack.append(c)
+        if not 0 <= u.label <= total:
+            return VTreeCheck(False, False)
+        if u.label == 0:
+            positive = False
+    return VTreeCheck(True, positive)

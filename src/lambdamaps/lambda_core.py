@@ -6,6 +6,14 @@ node per abstraction and a binary node per application.  For linear planar
 terms the binding structure is recovered from the skeleton alone: reading the
 pre-order word with unary nodes as opening parentheses and leaves as closing
 ones, the stack discipline pairs each abstraction with the atom it binds.
+
+One stack matcher, ``_match``, does that pairing in one walk of the
+skeleton and lists the nodes by pre-order id with their parent and binder
+ids; ``planar_match``, ``term_of_skeleton`` and ``diagram_of`` read its
+lists.  The term parser, the binding and alpha-equivalence scans and the
+skeleton kernels walk their input by an explicit stack, so their depth is
+not bounded by the recursion limit; the printers, ``parse_skeleton``,
+``parenthesis_word`` and ``has_beta_redex`` still recurse.
 """
 
 from __future__ import annotations
@@ -71,92 +79,85 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def _eof_offset(self) -> int:
-        # report unexpected EOF at the start of the last consumed token
-        if self.toks:
-            return self.toks[min(self.pos, len(self.toks)) - 1][2]
-        return 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def parse(self) -> LambdaTerm:
-        t = self.term()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return t
-
-    def term(self) -> LambdaTerm:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._eof_offset())
-        if tok[0] == "\\":
-            return self.abstraction()
-        return self.application()
-
-    def abstraction(self) -> LambdaTerm:
-        self.pos += 1  # consume backslash
-        tok = self.peek()
-        if tok is None or tok[0] != "id":
-            raise ParseError("expected variable after '\\'",
-                             tok[2] if tok else self._eof_offset())
-        name = tok[1]
-        self.pos += 1
-        tok = self.peek()
-        if tok is None or tok[0] != ".":
-            raise ParseError("expected '.' after abstraction variable",
-                             tok[2] if tok else self._eof_offset())
-        self.pos += 1
-        return Abs(name, self.term())
-
-    def application(self) -> LambdaTerm:
-        t = self.atom()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] in (")",):
-                return t
-            if tok[0] == "\\":
-                # a trailing abstraction extends maximally to the right
-                return App(t, self.abstraction())
-            if tok[0] in ("id", "("):
-                t = App(t, self.atom())
-                continue
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-
-    def atom(self) -> LambdaTerm:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._eof_offset())
-        if tok[0] == "id":
-            self.pos += 1
-            return Var(tok[1])
-        if tok[0] == "(":
-            self.pos += 1
-            t = self.term()
-            tok = self.peek()
-            if tok is None:
-                raise ParseError("unbalanced parenthesis", self._eof_offset())
-            if tok[0] != ")":
-                raise ParseError(f"expected ')', got {tok[1]!r}", tok[2])
-            self.pos += 1
-            return t
-        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+# Frames of parse_term: an abstraction awaiting its body, an application
+# awaiting its trailing abstraction, an open parenthesis.
+_ABS, _APP, _PAREN = 0, 1, 2
 
 
 def parse_term(text: str) -> LambdaTerm:
     """Parse ``\\x.t`` / juxtaposition / parenthesis syntax into a term.
 
-    Free variables are allowed; closedness is checked separately with
-    :func:`free_variables`.
+    Application associates to the left and a trailing abstraction extends
+    as far right as it can.  Free variables are allowed; closedness is
+    checked separately with :func:`free_variables`.
+
+    One loop over the tokens with an explicit stack of pending frames, so
+    nesting depth is bounded by memory, not by the recursion limit.
     """
-    return _Parser(text).parse()
+    toks = _tokenize(text)
+    n = len(toks)
+    eof = toks[-1][2] if toks else 0  # unexpected EOF is reported here
+    pos = 0
+    frames: list[tuple[int, object]] = []
+    while True:
+        # A term: abstraction headers, then an application whose first atom
+        # is a variable or an opening parenthesis.
+        while pos < n and toks[pos][0] == "\\":
+            pos += 1
+            tok = toks[pos] if pos < n else None
+            if tok is None or tok[0] != "id":
+                raise ParseError("expected variable after '\\'", tok[2] if tok else eof)
+            pos += 1
+            dot = toks[pos] if pos < n else None
+            if dot is None or dot[0] != ".":
+                raise ParseError("expected '.' after abstraction variable",
+                                 dot[2] if dot else eof)
+            pos += 1
+            frames.append((_ABS, tok[1]))
+        if pos == n:
+            raise ParseError("unexpected end of input", eof)
+        tok = toks[pos]
+        pos += 1
+        if tok[0] == "(":
+            frames.append((_PAREN, None))
+            continue
+        if tok[0] != "id":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        acc: LambdaTerm = Var(tok[1])
+        while True:
+            # The application loop: extend acc until ')' or the end, then
+            # hand the finished term to the frames it completes.
+            tok = toks[pos] if pos < n else None
+            if tok is None or tok[0] == ")":
+                while frames:
+                    frame, x = frames.pop()
+                    if frame == _ABS:
+                        acc = Abs(x, acc)
+                    elif frame == _APP:
+                        acc = App(x, acc)
+                    else:
+                        if tok is None:
+                            raise ParseError("unbalanced parenthesis", eof)
+                        pos += 1
+                        acc = acc if x is None else App(x, acc)
+                        break
+                else:
+                    if tok is not None:
+                        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+                    return acc
+                continue
+            if tok[0] == "id":
+                pos += 1
+                acc = App(acc, Var(tok[1]))
+            elif tok[0] == "(":
+                pos += 1
+                frames.append((_PAREN, acc))
+                break
+            elif tok[0] == "\\":
+                frames.append((_APP, acc))
+                break
+            else:
+                raise ParseError(f"unexpected {tok[1]!r}", tok[2])
 
 
 def render_term(t: LambdaTerm) -> str:
@@ -167,39 +168,49 @@ def render_term(t: LambdaTerm) -> str:
     final argument (nothing follows it); an application needs them exactly in
     argument position.
     """
-    def go(t, level: int, final: bool) -> str:
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Abs):
-            s = f"\\{t.var}.{go(t.body, 0, True)}"
-            if level == 0 or (level == 2 and final):
-                return s
-            return f"({s})"
-        s = f"{go(t.fun, 1, False)} {go(t.arg, 2, level == 2 or final)}"
-        return f"({s})" if level == 2 else s
-
-    return go(t, 0, True)
+    return _render(t, 0, True)
 
 
-def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str]]:
+def _render(t: LambdaTerm, level: int, final: bool) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Abs):
+        s = f"\\{t.var}.{_render(t.body, 0, True)}"
+        if level == 0 or (level == 2 and final):
+            return s
+        return f"({s})"
+    s = f"{_render(t.fun, 1, False)} {_render(t.arg, 2, level == 2 or final)}"
+    return f"({s})" if level == 2 else s
+
+
+def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str], str | None]:
     """One iterative pass over a term.
 
     Returns the variables of its abstractions in pre-order (function before
-    argument), the number of atoms each one binds, and the names of the free
-    atoms.  An atom is bound by the innermost open abstraction over its
-    name; with none open it is free.
+    argument), the number of atoms each one binds, the names of the free
+    atoms, and why the binding breaks the stack discipline, or None.  An
+    atom is bound by the innermost open abstraction over its name; with
+    none open it is free.  The stack discipline holds when each bound atom
+    is bound by the innermost abstraction that has bound no atom before it.
     """
     binders: list[str] = []
     counts: list[int] = []
     free: set[str] = set()
+    crossing: str | None = None
     open_binders: dict[str, list[int]] = {}
+    unmatched: list[int] = []
     stack: list[LambdaTerm | str] = [t]
     while stack:
         x = stack.pop()
         if isinstance(x, Var):
             scope = open_binders.get(x.name)
             if scope:
-                counts[scope[-1]] += 1
+                b = scope[-1]
+                counts[b] += 1
+                if unmatched and unmatched[-1] == b:
+                    unmatched.pop()
+                elif crossing is None and unmatched:
+                    crossing = f"{x.name} is used before {binders[unmatched[-1]]}"
             else:
                 free.add(x.name)
         elif isinstance(x, App):
@@ -207,17 +218,27 @@ def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str]]:
             stack.append(x.fun)
         elif isinstance(x, Abs):
             open_binders.setdefault(x.var, []).append(len(binders))
+            unmatched.append(len(binders))
             binders.append(x.var)
             counts.append(0)
             stack.append(x.var)  # popped once the body is done: closes the scope
             stack.append(x.body)
         else:
             open_binders[x].pop()
-    return binders, counts, free
+    return binders, counts, free, crossing
 
 
 def free_variables(t: LambdaTerm) -> set[str]:
     return _binding_scan(t)[2]
+
+
+def _linearity_message(binders: list[str], counts: list[int], free: set[str]) -> str | None:
+    if free:
+        return f"term is not closed: free {sorted(free)}"
+    for var, c in zip(binders, counts):
+        if c != 1:
+            return f"abstraction over {var} binds {c} atoms, not 1"
+    return None
 
 
 def linearity_defect(t: LambdaTerm) -> str | None:
@@ -227,29 +248,58 @@ def linearity_defect(t: LambdaTerm) -> str | None:
     first abstraction in pre-order that does not bind exactly one atom is
     reported.
     """
-    binders, counts, free = _binding_scan(t)
-    if free:
-        return f"term is not closed: free {sorted(free)}"
-    for var, c in zip(binders, counts):
-        if c != 1:
-            return f"abstraction over {var} binds {c} atoms, not 1"
-    return None
+    return _linearity_message(*_binding_scan(t)[:3])
 
 
-def _de_bruijn(t: LambdaTerm, env: tuple[str, ...]) -> object:
-    if isinstance(t, Var):
-        for i in range(len(env) - 1, -1, -1):
-            if env[i] == t.name:
-                return len(env) - 1 - i
-        return ("free", t.name)
-    if isinstance(t, Abs):
-        return ("abs", _de_bruijn(t.body, env + (t.var,)))
-    return ("app", _de_bruijn(t.fun, env), _de_bruijn(t.arg, env))
+def term_defect(t: LambdaTerm) -> str | None:
+    """Why a term is not closed, linear and planar, or None when it is.
+
+    A linearity defect is reported first, as by :func:`linearity_defect`.
+    Otherwise the first atom in pre-order that is not bound by the innermost
+    abstraction still without an atom is reported: such a term is not the
+    term of its own skeleton.
+    """
+    binders, counts, free, crossing = _binding_scan(t)
+    defect = _linearity_message(binders, counts, free)
+    if defect is None and crossing is not None:
+        defect = f"term is not planar: {crossing}"
+    return defect
 
 
 def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    return _de_bruijn(a, ()) == _de_bruijn(b, ())
+    """Equality up to consistent renaming of bound variables.
+
+    Both terms are walked in parallel.  Each side maps a name to the depth
+    of its innermost open binder, so two atoms agree when both are free
+    under the same name or both are bound at the same depth.
+    """
+    env_a: dict[str, int | None] = {}
+    env_b: dict[str, int | None] = {}
+    depth = 0
+    stack: list[tuple] = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        kind = type(x)
+        if kind is not type(y):
+            return False
+        if kind is Var:
+            dx = env_a.get(x.name)
+            if dx != env_b.get(y.name) or (dx is None and x.name != y.name):
+                return False
+        elif kind is App:
+            stack.append((x.arg, y.arg))
+            stack.append((x.fun, y.fun))
+        elif kind is Abs:
+            # popped once the bodies are done, to restore the shadowed depths
+            stack.append(((x.var, env_a.get(x.var)), (y.var, env_b.get(y.var))))
+            env_a[x.var] = env_b[y.var] = depth
+            depth += 1
+            stack.append((x.body, y.body))
+        else:
+            depth -= 1
+            env_a[x[0]] = x[1]
+            env_b[y[0]] = y[1]
+    return True
 
 
 def has_beta_redex(t: LambdaTerm) -> bool:
@@ -280,12 +330,18 @@ class Skeleton:
             return True
         if not isinstance(other, Skeleton):
             return NotImplemented
-        if self._hash != other._hash or type(self) is not type(other):
-            return False
-        if isinstance(self, Unary):
-            return self.child == other.child
-        if isinstance(self, Binary):
-            return self.left == other.left and self.right == other.right
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or type(a) is not type(b):
+                return False
+            if isinstance(a, Unary):
+                stack.append((a.child, b.child))
+            elif isinstance(a, Binary):
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
         return True
 
     def __hash__(self):
@@ -384,37 +440,61 @@ def parse_skeleton(text: str) -> Skeleton:
 
 
 def skeleton_of(t: LambdaTerm) -> Skeleton:
-    if isinstance(t, Var):
-        return LEAF
-    if isinstance(t, Abs):
-        return Unary(skeleton_of(t.body))
-    return Binary(skeleton_of(t.fun), skeleton_of(t.arg))
+    order: list[LambdaTerm] = []  # pre-order, function before argument
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        while type(x) is Abs:
+            order.append(x)
+            x = x.body
+        order.append(x)
+        if type(x) is App:
+            stack.append(x.arg)
+            stack.append(x.fun)
+    # Bottom up in reverse pre-order: a node's children are built before it,
+    # its function on top of its argument.
+    out: list[Skeleton] = []
+    for x in reversed(order):
+        kind = type(x)
+        if kind is Var:
+            out.append(LEAF)
+        elif kind is Abs:
+            out[-1] = Unary(out[-1])
+        else:
+            left = out.pop()
+            out[-1] = Binary(left, out[-1])
+    return out[0]
 
 
-def preorder(s: Skeleton):
-    """Yield (id, node, parent_id) with ids assigned in pre-order from 0."""
-    out = []
-
-    def rec(node, parent):
+def preorder(s: Skeleton) -> list[tuple[int, Skeleton, int]]:
+    """(id, node, parent_id) with ids assigned in pre-order from 0."""
+    out: list[tuple[int, Skeleton, int]] = []
+    stack = [(s, -1)]
+    while stack:
+        node, parent = stack.pop()
         nid = len(out)
         out.append((nid, node, parent))
         if isinstance(node, Unary):
-            rec(node.child, nid)
+            stack.append((node.child, nid))
         elif isinstance(node, Binary):
-            rec(node.left, nid)
-            rec(node.right, nid)
-
-    rec(s, -1)
+            stack.append((node.right, nid))
+            stack.append((node.left, nid))
     return out
 
 
 def is_normal(s: Skeleton) -> bool:
     """No binary node has a unary left child."""
-    if isinstance(s, Leaf):
-        return True
-    if isinstance(s, Unary):
-        return is_normal(s.child)
-    return (not isinstance(s.left, Unary)) and is_normal(s.left) and is_normal(s.right)
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Unary):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            if isinstance(node.left, Unary):
+                return False
+            stack.append(node.right)
+            stack.append(node.left)
+    return True
 
 
 def parenthesis_word(s: Skeleton) -> str:
@@ -435,67 +515,98 @@ def parenthesis_word(s: Skeleton) -> str:
     return "".join(out)
 
 
+def _match(s: Skeleton, right_first: bool = False
+           ) -> tuple[list[Skeleton], list[int], list[int]]:
+    """The stack matcher: pair unary nodes with leaves in one walk.
+
+    Walks s by an explicit stack, left subtrees first (the pre-order word)
+    or with right_first right subtrees first (the clockwise contour).  A
+    unary node is pushed when reached and popped by the next leaf.  Returns
+    three lists indexed by pre-order id: the nodes, their parent ids (-1 at
+    the root) and each leaf's binder id (-1 at internal nodes).  Raises
+    MatchFailure when a leaf finds an empty stack, unmatched unary nodes
+    remain, or a pairing crosses scopes (the popped unary node is not an
+    ancestor of the leaf, so it could not bind it).
+    """
+    size = _node_span(s)
+    nodes: list[Skeleton] = [s] * size
+    parent = [-1] * size
+    binder = [-1] * size
+    open_unary: list[tuple[int, int]] = []  # (id, end of its id span)
+    todo: list[tuple[int, Skeleton, int]] = [(0, s, -1)]
+    while todo:
+        nid, node, up = todo.pop()
+        while True:  # down the first branch, pushing the other one
+            nodes[nid] = node
+            parent[nid] = up
+            kind = type(node)
+            if kind is Unary:
+                open_unary.append((nid, nid + _node_span(node)))
+                up, nid, node = nid, nid + 1, node.child
+            elif kind is Binary:
+                left = node.left
+                right_id = nid + 1 + _node_span(left)
+                if right_first:
+                    todo.append((nid + 1, left, nid))
+                    up, nid, node = nid, right_id, node.right
+                else:
+                    todo.append((right_id, node.right, nid))
+                    up, nid, node = nid, nid + 1, left
+            else:
+                if not open_unary:
+                    raise MatchFailure(f"leaf {nid} has no enclosing unary node")
+                unary, end = open_unary.pop()
+                if not unary < nid < end:
+                    raise MatchFailure(
+                        f"nesting violated: unary {unary} paired with leaf {nid} "
+                        f"outside its subtree")
+                binder[nid] = unary
+                break
+    if open_unary:
+        raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
+    return nodes, parent, binder
+
+
 def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
     """Match unary nodes to leaves by stack discipline on the pre-order
     word, or with right_first on the clockwise contour, which descends into
     right subtrees first.  The two succeed alike on the connected family;
     outside it they can disagree.
 
-    Returns {unary id: leaf id} over pre-order node ids.  Raises MatchFailure
-    when a leaf finds an empty stack, unmatched unary nodes remain, or a
-    pairing crosses scopes (the popped unary node is not an ancestor of the
-    leaf, so it could not bind it).
+    Returns {unary id: leaf id} over pre-order node ids.  Raises
+    MatchFailure as :func:`_match` does.
     """
-    match: dict[int, int] = {}
-    open_unary: list[tuple[int, int]] = []  # (id, end of its id span)
-    todo: list[tuple[int, Skeleton]] = [(0, s)]
-    while todo:
-        nid, node = todo.pop()
-        if isinstance(node, Unary):
-            open_unary.append((nid, nid + _node_span(node)))
-            todo.append((nid + 1, node.child))
-        elif isinstance(node, Binary):
-            left = (nid + 1, node.left)
-            right = (nid + 1 + _node_span(node.left), node.right)
-            todo += (left, right) if right_first else (right, left)
-        else:
-            if not open_unary:
-                raise MatchFailure(f"leaf {nid} has no enclosing unary node")
-            unary, end = open_unary.pop()
-            if not unary < nid < end:
-                raise MatchFailure(
-                    f"nesting violated: unary {unary} paired with leaf {nid} "
-                    f"outside its subtree")
-            match[unary] = nid
-    if open_unary:
-        raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
-    return match
+    binder = _match(s, right_first)[2]
+    return {unary: leaf for leaf, unary in enumerate(binder) if unary >= 0}
 
 
 def term_of_skeleton(s: Skeleton) -> LambdaTerm:
     """The planar linear term of a skeleton, variables named x1, x2, ...
 
-    The binder of each atom is determined by planar_match.  Raises
-    MatchFailure when the skeleton admits no planar linear binding.
+    The i-th abstraction in pre-order binds xi; each atom is named after
+    the binder the stack matcher gives it.  Raises MatchFailure when the
+    skeleton admits no planar linear binding.
     """
-    match = planar_match(s)
-    leaf_binder = {leaf: unary for unary, leaf in match.items()}
-    names = {nid: f"x{i + 1}" for i, nid in enumerate(sorted(match))}
-    nodes = preorder(s)
-
-    def rec(i: int) -> tuple[LambdaTerm, int]:
-        nid, node, _ = nodes[i]
-        if isinstance(node, Leaf):
-            return Var(names[leaf_binder[nid]]), i + 1
-        if isinstance(node, Unary):
-            body, j = rec(i + 1)
-            return Abs(names[nid], body), j
-        fun, j = rec(i + 1)
-        arg, k = rec(j)
-        return App(fun, arg), k
-
-    term, _ = rec(0)
-    return term
+    nodes, _parent, binder = _match(s)
+    names = [""] * len(nodes)
+    k = 0
+    for nid, node in enumerate(nodes):
+        if type(node) is Unary:
+            k += 1
+            names[nid] = f"x{k}"
+    # Bottom up in reverse pre-order: a node's children are built before it,
+    # its function on top of its argument.
+    out: list[LambdaTerm] = []
+    for nid in range(len(nodes) - 1, -1, -1):
+        kind = type(nodes[nid])
+        if kind is Leaf:
+            out.append(Var(names[binder[nid]]))
+        elif kind is Unary:
+            out[-1] = Abs(names[nid], out[-1])
+        else:
+            fun = out.pop()
+            out[-1] = App(fun, out[-1])
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +638,14 @@ def _node_span(s: Skeleton) -> int:
 
 
 def diagram_of(s: Skeleton) -> Diagram:
-    match = planar_match(s, right_first=True)
-    leaf_binder = {leaf: unary for unary, leaf in match.items()}
+    _nodes, parent, binder = _match(s, right_first=True)
     vertices = []
     edges = []
-    for nid, node, parent in preorder(s):
-        if isinstance(node, Leaf):
-            edges.append((parent, leaf_binder[nid]))
+    for nid, unary in enumerate(binder):
+        if unary >= 0:
+            edges.append((parent[nid], unary))
         else:
             vertices.append(nid)
-            if parent >= 0:
-                edges.append((parent, nid))
+            if nid:
+                edges.append((parent[nid], nid))
     return Diagram(tuple(vertices), tuple(edges), 0)

@@ -128,7 +128,7 @@ def test_criterion_12_cli_contract():
 
         p = cli("enumerate", "--family", "s1", "--size", "3", "--count")
         assert p.returncode == 0 and p.stdout == "9\n", p.stdout
-        p = cli("convert", "--from", "term", "--to", "map", r"\x.\y.x y")
+        p = cli("convert", "--from", "term", "--to", "map", r"\x.\y.y x")
         assert p.returncode == 0 and p.stdout == "map n=1 sigma=(0)(1) root=0\n"
         p = cli("verify", "--suite", "roundtrip", "--max-size", "5")
         assert p.returncode == 0

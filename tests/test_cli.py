@@ -24,7 +24,7 @@ def test_enumerate_count_documented():
 
 def test_convert_term_to_map_documented():
     code, out, _err = run_cli("convert", "--from", "term", "--to", "map",
-                              r"\x.\y.x y")
+                              r"\x.\y.y x")
     assert code == 0
     assert out == "map n=1 sigma=(0)(1) root=0\n"
 
@@ -61,7 +61,7 @@ def test_enumerate_all_families(capsys):
 
 
 def test_convert_chains():
-    assert convert("term", "vtree", r"\x.\y.x y") == "2[1]"
+    assert convert("term", "vtree", r"\x.\y.y x") == "2[1]"
     assert convert("vtree", "map", "2[1]") == "map n=1 sigma=(0)(1) root=0"
     assert convert("map", "skeleton", "map n=1 sigma=(0)(1) root=0") == "U(U(B(L,L)))"
     assert convert("skeleton", "dtree", "U(U(B(L,L)))") == "0"
@@ -86,6 +86,30 @@ def test_convert_rejects_nonlinear_terms():
     code, _out, err = run_cli("convert", "--from", "term", "--to", "map", "x y")
     assert code == 2
     assert "not closed" in err
+
+
+def test_convert_and_stats_reject_non_planar_terms(capsys):
+    # linear, but not the term of its own skeleton: it used to come back
+    # silently as the planar term of that skeleton
+    cases = [
+        (["convert", "--from", "term", "--to", "term", r"\x.\y.x y"], "x is used before y"),
+        (["convert", "--from", "term", "--to", "term", r"\x.\y.\z.x (y z)"],
+         "x is used before z"),
+        (["stats", "--kind", "term", r"\x.\y.x y"], "x is used before y"),
+    ]
+    for argv, why in cases:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: term is not planar: {why}\n"
+
+
+def test_deep_term_text_exits_2(capsys):
+    # the recursive parser raised RecursionError on this input
+    assert main(["convert", "--from", "term", "--to", "term", "\\x." * 3000]) == 2
+    assert capsys.readouterr().err == "error: unexpected end of input at offset 8999\n"
+    assert main(["convert", "--from", "term", "--to", "term", "(" * 3000 + "x" + ")" * 3000]) == 2
+    assert capsys.readouterr().err == "error: term is not closed: free ['x']\n"
 
 
 def test_usage_errors_exit_2():
@@ -164,7 +188,7 @@ def test_stats_output():
     assert record["bipartite"] == "yes"
     assert record["outdeg"] == "1"
     assert record["canonical"] == "010001"  # lowercase hex of (n, sigma)
-    lines = stats_lines(r"\x.\y.x y", None)
+    lines = stats_lines(r"\x.\y.y x", None)
     record = dict(line.split("\t") for line in lines)
     assert record["3-connected"] == "yes"  # the size-2 degenerate element
     assert record["ex"] == "1"
@@ -180,7 +204,7 @@ def test_stats_output():
 
 def test_file_input(tmp_path):
     f = tmp_path / "term.txt"
-    f.write_text("\\x.\\y.x y\n")
+    f.write_text("\\x.\\y.y x\n")
     code, out, _err = run_cli("convert", "--from", "term", "--to", "map",
                               "--file", str(f))
     assert code == 0

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lambdamaps.connectivity import (
     ConnectivityClass,
@@ -127,7 +128,6 @@ def test_oracle_equivalence_level3():
 def test_mirror_matters_only_at_level3():
     # with binder edges drawn from the counterclockwise contour instead,
     # the first 3-connected skeleton acquires a non-root disconnecting pair
-    from lambdamaps.connectivity import _connected
     from lambdamaps.lambda_core import Diagram, Leaf, planar_match, preorder
 
     s = sk("U(U(U(B(L,B(L,L)))))")
@@ -147,7 +147,8 @@ def test_mirror_matters_only_at_level3():
 
 
 # ---------------------------------------------------------------------------
-# The edge-set oracle that the flat one replaced, kept as its reference
+# The edge-set oracle that the pair-removal one replaced, kept as a second
+# reference on random multigraphs
 
 def _old_connected(nvert, index_of, edges, skip):
     if nvert == 0:
@@ -193,6 +194,47 @@ def _old_edge_connectivity_class(d):
     return ConnectivityClass.ThreePlus
 
 
+# The pair-removal oracle that the bridge search replaced: one depth-first
+# search per single edge and per edge pair, on adjacency lists built once
+
+def _pair_connected(adj, skip_a=-1, skip_b=-1):
+    n = len(adj)
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        for y, i in adj[stack.pop()]:
+            if not seen[y] and i != skip_a and i != skip_b:
+                seen[y] = True
+                count += 1
+                if count == n:
+                    return True
+                stack.append(y)
+    return count == n
+
+
+def _pair_edge_connectivity_class(d):
+    if len(d.vertices) <= 1:
+        return ConnectivityClass.ThreePlus
+    index_of = {v: i for i, v in enumerate(d.vertices)}
+    adj = [[] for _ in d.vertices]
+    for i, (u, v) in enumerate(d.edges):
+        adj[index_of[u]].append((index_of[v], i))
+        adj[index_of[v]].append((index_of[u], i))
+    if not _pair_connected(adj):
+        return ConnectivityClass.Disconnected
+    m = len(d.edges)
+    if not all(_pair_connected(adj, i) for i in range(m)):
+        return ConnectivityClass.One
+    at_root = [d.root in e for e in d.edges]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not (at_root[i] and at_root[j]) and not _pair_connected(adj, i, j):
+                return ConnectivityClass.Two
+    return ConnectivityClass.ThreePlus
+
+
 def _matchable_diagrams(nleaf):
     """Diagrams of every unary-binary tree with nleaf leaves and as many
     unary nodes that matches, inside the connected family or not."""
@@ -223,7 +265,26 @@ def test_edge_connectivity_class_equals_old_oracle():
     diagrams += _random_diagrams(3000, seed=7)
     seen = Counter()
     for d in diagrams:
-        want = _old_edge_connectivity_class(d)
+        want = _pair_edge_connectivity_class(d)
         assert edge_connectivity_class(d) == want, d
         seen[want] += 1
     assert set(seen) == set(ConnectivityClass)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Multigraphs with self-loops, parallel edges, disconnected parts and
+    any root vertex, on vertex names that are not 0..n-1."""
+    vertices = tuple(draw(st.lists(st.integers(0, 99), unique=True, max_size=7)))
+    if not vertices:
+        return Diagram((), (), 0)
+    vertex = st.sampled_from(vertices)
+    edges = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=12)))
+    return Diagram(vertices, edges, draw(vertex))
+
+
+@given(_multigraphs())
+def test_edge_connectivity_class_equals_old_oracle_on_multigraphs(d):
+    want = _old_edge_connectivity_class(d)
+    assert _pair_edge_connectivity_class(d) == want
+    assert edge_connectivity_class(d) == want

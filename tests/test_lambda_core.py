@@ -4,12 +4,15 @@ from hypothesis import given, strategies as st
 from lambdamaps.lambda_core import (
     Abs,
     App,
+    Binary,
+    Diagram,
     Leaf,
     MatchFailure,
     ParseError,
     Unary,
     Var,
     _node_span,
+    _tokenize,
     alpha_equal,
     diagram_of,
     free_variables,
@@ -24,6 +27,7 @@ from lambdamaps.lambda_core import (
     render_skeleton,
     render_term,
     skeleton_of,
+    term_defect,
     term_of_skeleton,
 )
 from lambdamaps.bijections import InvalidInput
@@ -83,6 +87,8 @@ def test_roundtrip_family_terms():
     for n in range(1, 8):
         for sk in gen_skeletons(n, 1):
             term = term_of_skeleton(sk)
+            assert term == _ref_term_of_skeleton(sk)
+            assert skeleton_of(term) == sk
             assert alpha_equal(parse_term(render_term(term)), term)
 
 
@@ -370,3 +376,318 @@ def test_diagram_size_and_connectivity():
             assert len(d.vertices) == 2 * n - 1
             assert len(d.edges) == 3 * n - 2
             assert edge_connectivity_class(d) != ConnectivityClass.Disconnected
+
+
+# ---------------------------------------------------------------------------
+# Planarity: the stack discipline on the term itself
+
+def _linear_terms(free, k, depth, memo):
+    """Every linear term with k abstractions whose free atoms are the names
+    in free, each used once.  A binder at depth d binds x<d>.  Each term
+    is built once: an application splits its free names between function
+    and argument."""
+    key = (free, k, depth)
+    if key in memo:
+        return memo[key]
+    out = []
+    if k == 0 and len(free) == 1:
+        out.append(Var(free[0]))
+    if k > 0:
+        name = f"x{depth}"
+        out += [Abs(name, body) for body in _linear_terms(free + (name,), k - 1, depth + 1, memo)]
+    for mask in range(1 << len(free)):
+        fun_free = tuple(v for i, v in enumerate(free) if mask >> i & 1)
+        arg_free = tuple(v for i, v in enumerate(free) if not mask >> i & 1)
+        for k1 in range(k + 1):
+            if len(fun_free) + k1 and len(arg_free) + k - k1:
+                args = _linear_terms(arg_free, k - k1, depth, memo)
+                out += [App(fun, arg) for fun in _linear_terms(fun_free, k1, depth, memo)
+                        for arg in args]
+    memo[key] = out
+    return out
+
+
+def _is_term_of_its_skeleton(t):
+    try:
+        return alpha_equal(t, term_of_skeleton(skeleton_of(t)))
+    except MatchFailure:
+        return False
+
+
+def test_term_defect_accepts_exactly_the_terms_of_their_skeletons():
+    memo = {}
+    for n, want in zip(range(1, 6), (1, 4, 32, 336, 4096)):
+        terms = _linear_terms((), n, 0, memo)
+        planar = 0
+        for t in terms:
+            assert linearity_defect(t) is None
+            defect = term_defect(t)
+            assert (defect is None) == _is_term_of_its_skeleton(t), render_term(t)
+            planar += defect is None
+        # closed linear terms (OEIS A062980) and planar ones (A000309)
+        assert (len(terms), planar) == ((1, 5, 60, 1105, 27120)[n - 1], want)
+
+
+def test_term_defect_examples():
+    assert term_defect(parse_term(r"\x.\y.y x")) is None
+    assert term_defect(parse_term(r"\x.\y.x y")) == "term is not planar: x is used before y"
+    assert term_defect(parse_term(r"\x.\y.\z.x (y z)")) == \
+        "term is not planar: x is used before z"
+    # linearity is reported first
+    assert term_defect(parse_term(r"\x.\y.x x")) == "abstraction over x binds 2 atoms, not 1"
+
+
+# ---------------------------------------------------------------------------
+# The recursive kernels that the one-walk kernels replaced, kept as their
+# reference
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    def _eof_offset(self) -> int:
+        # report unexpected EOF at the start of the last consumed token
+        if self.toks:
+            return self.toks[min(self.pos, len(self.toks)) - 1][2]
+        return 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def parse(self):
+        t = self.term()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return t
+
+    def term(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self._eof_offset())
+        if tok[0] == "\\":
+            return self.abstraction()
+        return self.application()
+
+    def abstraction(self):
+        self.pos += 1  # consume backslash
+        tok = self.peek()
+        if tok is None or tok[0] != "id":
+            raise ParseError("expected variable after '\\'",
+                             tok[2] if tok else self._eof_offset())
+        name = tok[1]
+        self.pos += 1
+        tok = self.peek()
+        if tok is None or tok[0] != ".":
+            raise ParseError("expected '.' after abstraction variable",
+                             tok[2] if tok else self._eof_offset())
+        self.pos += 1
+        return Abs(name, self.term())
+
+    def application(self):
+        t = self.atom()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] in (")",):
+                return t
+            if tok[0] == "\\":
+                # a trailing abstraction extends maximally to the right
+                return App(t, self.abstraction())
+            if tok[0] in ("id", "("):
+                t = App(t, self.atom())
+                continue
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+
+    def atom(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self._eof_offset())
+        if tok[0] == "id":
+            self.pos += 1
+            return Var(tok[1])
+        if tok[0] == "(":
+            self.pos += 1
+            t = self.term()
+            tok = self.peek()
+            if tok is None:
+                raise ParseError("unbalanced parenthesis", self._eof_offset())
+            if tok[0] != ")":
+                raise ParseError(f"expected ')', got {tok[1]!r}", tok[2])
+            self.pos += 1
+            return t
+        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+
+
+def _ref_parse(text):
+    """The term, or the ParseError's message and position."""
+    try:
+        return _RefParser(text).parse()
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _parse(text):
+    try:
+        return parse_term(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _ref_de_bruijn(t, env):
+    if isinstance(t, Var):
+        for i in range(len(env) - 1, -1, -1):
+            if env[i] == t.name:
+                return len(env) - 1 - i
+        return ("free", t.name)
+    if isinstance(t, Abs):
+        return ("abs", _ref_de_bruijn(t.body, env + (t.var,)))
+    return ("app", _ref_de_bruijn(t.fun, env), _ref_de_bruijn(t.arg, env))
+
+
+def _ref_alpha_equal(a, b):
+    return _ref_de_bruijn(a, ()) == _ref_de_bruijn(b, ())
+
+
+# The recursive helpers are module-level, as closures that call themselves
+# would leave a reference cycle per call and slow the collector down.
+
+def _ref_preorder(s):
+    out = []
+    _ref_preorder_rec(out, s, -1)
+    return out
+
+
+def _ref_preorder_rec(out, node, parent):
+    nid = len(out)
+    out.append((nid, node, parent))
+    if isinstance(node, Unary):
+        _ref_preorder_rec(out, node.child, nid)
+    elif isinstance(node, Binary):
+        _ref_preorder_rec(out, node.left, nid)
+        _ref_preorder_rec(out, node.right, nid)
+
+
+def _ref_planar_match(s, right_first=False):
+    match = {}
+    open_unary = []
+    todo = [(0, s)]
+    while todo:
+        nid, node = todo.pop()
+        if isinstance(node, Unary):
+            open_unary.append((nid, nid + _node_span(node)))
+            todo.append((nid + 1, node.child))
+        elif isinstance(node, Binary):
+            left = (nid + 1, node.left)
+            right = (nid + 1 + _node_span(node.left), node.right)
+            todo += (left, right) if right_first else (right, left)
+        else:
+            if not open_unary:
+                raise MatchFailure(f"leaf {nid} has no enclosing unary node")
+            unary, end = open_unary.pop()
+            if not unary < nid < end:
+                raise MatchFailure(
+                    f"nesting violated: unary {unary} paired with leaf {nid} "
+                    f"outside its subtree")
+            match[unary] = nid
+    if open_unary:
+        raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
+    return match
+
+
+def _ref_term_of_skeleton(s):
+    match = _ref_planar_match(s)
+    leaf_binder = {leaf: unary for unary, leaf in match.items()}
+    names = {nid: f"x{i + 1}" for i, nid in enumerate(sorted(match))}
+    return _ref_term_rec(_ref_preorder(s), names, leaf_binder, 0)[0]
+
+
+def _ref_term_rec(nodes, names, leaf_binder, i):
+    nid, node, _ = nodes[i]
+    if isinstance(node, Leaf):
+        return Var(names[leaf_binder[nid]]), i + 1
+    if isinstance(node, Unary):
+        body, j = _ref_term_rec(nodes, names, leaf_binder, i + 1)
+        return Abs(names[nid], body), j
+    fun, j = _ref_term_rec(nodes, names, leaf_binder, i + 1)
+    arg, k = _ref_term_rec(nodes, names, leaf_binder, j)
+    return App(fun, arg), k
+
+
+def _ref_diagram_of(s):
+    match = _ref_planar_match(s, right_first=True)
+    leaf_binder = {leaf: unary for unary, leaf in match.items()}
+    vertices = []
+    edges = []
+    for nid, node, parent in _ref_preorder(s):
+        if isinstance(node, Leaf):
+            edges.append((parent, leaf_binder[nid]))
+        else:
+            vertices.append(nid)
+            if parent >= 0:
+                edges.append((parent, nid))
+    return Diagram(tuple(vertices), tuple(edges), 0)
+
+
+def _outcome(fn, *args):
+    """The result, or the MatchFailure message."""
+    try:
+        return fn(*args)
+    except MatchFailure as exc:
+        return str(exc)
+
+
+def test_diagram_of_equals_the_reference_to_size_seven():
+    # term_of_skeleton is checked against its reference in
+    # test_roundtrip_family_terms
+    for n in range(1, 8):
+        for s in gen_skeletons(n, 1):
+            assert diagram_of(s) == _ref_diagram_of(s)
+
+
+def test_matcher_equals_the_reference_on_every_unary_binary_tree():
+    # inside the connected family and outside it, where the matcher fails
+    for n in range(1, 5):
+        for s in iter_unary_binary(n, n):
+            assert preorder(s) == _ref_preorder(s)
+            for right_first in (False, True):
+                assert _outcome(planar_match, s, right_first) == \
+                    _outcome(_ref_planar_match, s, right_first)
+            assert _outcome(term_of_skeleton, s) == _outcome(_ref_term_of_skeleton, s)
+            assert _outcome(diagram_of, s) == _outcome(_ref_diagram_of, s)
+
+
+@given(st.text(alphabet="\\.()xy ", max_size=24))
+def test_parse_term_equals_the_reference_on_random_text(text):
+    assert _parse(text) == _ref_parse(text)
+
+
+def test_parse_term_equals_the_reference_on_mutated_renderings():
+    checked = 0
+    for n in range(1, 5):
+        for s in gen_skeletons(n, 1):
+            text = render_term(term_of_skeleton(s))
+            mutants = {text[:i] + text[i + 1:] for i in range(len(text))}
+            mutants |= {text[:i] + c + text[i:] for i in range(len(text) + 1) for c in "\\.() "}
+            for m in mutants:
+                assert _parse(m) == _ref_parse(m), m
+                checked += 1
+    assert checked > 5000
+
+
+def _rename_everywhere(t, names):
+    """t with every binder and atom x renamed to names.get(x, x); a map
+    that is not one-to-one can capture atoms."""
+    if isinstance(t, Var):
+        return Var(names.get(t.name, t.name))
+    if isinstance(t, Abs):
+        return Abs(names.get(t.var, t.var), _rename_everywhere(t.body, names))
+    return App(_rename_everywhere(t.fun, names), _rename_everywhere(t.arg, names))
+
+
+@given(_terms, _terms, st.dictionaries(st.sampled_from("xyzw"), st.sampled_from("xyzw")))
+def test_alpha_equal_equals_the_reference_on_random_pairs(a, b, names):
+    assert alpha_equal(a, b) == _ref_alpha_equal(a, b)
+    renamed = _rename_everywhere(a, names)
+    assert alpha_equal(a, renamed) == _ref_alpha_equal(a, renamed)

@@ -3,9 +3,13 @@ import random
 
 import pytest
 
+from lambdamaps.bijections import psi, psi_inv
 from lambdamaps.cli import convert
-from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_trees
+from lambdamaps.connectivity import check_family, edge_connectivity_class, is_three_connected_skeleton
+from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree, render_labeled_tree, validate_vtree
+from lambdamaps.lambda_core import (alpha_equal, diagram_of, parse_term, preorder, render_term,
+                                    skeleton_of, term_of_skeleton)
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
     EmptyMapError,
@@ -443,4 +447,39 @@ def test_rho_kernels_leave_no_reference_cycles():
     trees = [rho(m) for m in maps]
     assert _cyclic_garbage(rho, maps) == 0
     assert _cyclic_garbage(rho_direct, maps) == 0
-    assert _cyclic_garbage(rho_inv, trees) <= _cyclic_garbage(validate_vtree, trees)
+    assert _cyclic_garbage(rho_inv, trees) == 0
+
+
+def test_skeleton_kernels_leave_no_reference_cycles():
+    skeletons = [s for n in range(1, 6) for s in gen_skeletons(n, 1)]
+    terms = [term_of_skeleton(s) for s in skeletons]
+    trees = [psi(s) for s in skeletons]
+    kernels = {
+        "term_of_skeleton": (term_of_skeleton, skeletons),
+        "preorder": (preorder, skeletons),
+        "diagram_of": (diagram_of, skeletons),
+        "check_family": (lambda s: check_family(s, 2), skeletons),
+        "is_three_connected_skeleton": (is_three_connected_skeleton, skeletons),
+        "psi": (psi, skeletons),
+        "render_term": (render_term, terms),
+        "alpha_equal": (lambda t: alpha_equal(t, t), terms),
+        "skeleton_of": (skeleton_of, terms),
+        "parse_term": (parse_term, [render_term(t) for t in terms]),
+        "validate_vtree": (validate_vtree, trees),
+        "psi_inv": (psi_inv, trees),
+        "edge_connectivity_class": (edge_connectivity_class, [diagram_of(s) for s in skeletons]),
+    }
+    # With the collector off, every object made since the last collection
+    # stays in the youngest generation, so collecting that generation alone
+    # finds the cycles each kernel left.
+    found = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, (fn, inputs) in kernels.items():
+            for x in inputs:
+                fn(x)
+            found[name] = gc.collect(0)
+    finally:
+        gc.enable()
+    assert found == dict.fromkeys(found, 0)
