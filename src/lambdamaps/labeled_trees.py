@@ -10,13 +10,17 @@ edges carry 0, and each node label is the number of edges in its subtree
 minus the sum of their edge labels.  degree_tree_stats counts these edge
 labels; no edge-labelled tree type is built.
 
+``LabeledTree`` is a plain class with ``__slots__``.  Its equality, hash
+and node count and ``has_zero`` walk a tree breadth first over a growing
+list of nodes; the text format's printer and parser and
+``validate_degree_tree`` still recurse.
+
 Text format: ``<label>[child,child,...]`` with brackets omitted on leaves,
 e.g. ``2[1[0],0]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lambda_core import ParseError
@@ -26,13 +30,43 @@ class InvalidInput(ValueError):
     """An object that is not a valid input of the requested conversion."""
 
 
-@dataclass(frozen=True)
 class LabeledTree:
-    label: int
-    children: tuple["LabeledTree", ...] = ()
+    """A node label and a tuple of child subtrees, equal to another tree
+    exactly when the labels and the children are."""
+
+    __slots__ = ("label", "children")
+
+    def __init__(self, label: int, children: tuple[LabeledTree, ...] = ()):
+        self.label = label
+        self.children = children
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        xs, ys = [self], [other]  # breadth first, the two lists grow in step
+        for a, b in zip(xs, ys):
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            xs += a.children
+            ys += b.children
+        return True
+
+    def __hash__(self):
+        # The breadth-first word of (label, child count) determines the tree.
+        word = []
+        nodes = [self]
+        for x in nodes:
+            word += (x.label, len(x.children))
+            nodes += x.children
+        return hash(tuple(word))
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        nodes = [self]
+        for x in nodes:
+            nodes += x.children
+        return len(nodes)
 
     def edge_count(self) -> int:
         return self.node_count() - 1
@@ -97,7 +131,12 @@ class VTreeCheck(NamedTuple):
 
 def has_zero(t: LabeledTree) -> bool:
     """Some node of t is labeled 0."""
-    return t.label == 0 or any(has_zero(c) for c in t.children)
+    nodes = [t]
+    for u in nodes:
+        if u.label == 0:
+            return True
+        nodes += u.children
+    return False
 
 
 def validate_vtree(t: LabeledTree) -> VTreeCheck:

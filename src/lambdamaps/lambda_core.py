@@ -7,17 +7,23 @@ terms the binding structure is recovered from the skeleton alone: reading the
 pre-order word with unary nodes as opening parentheses and leaves as closing
 ones, the stack discipline pairs each abstraction with the atom it binds.
 
+Terms (``Var``, ``App``, ``Abs``) and skeleton nodes (``Leaf``, ``Unary``,
+``Binary``) are plain classes with ``__slots__``.  Terms compare and hash
+field by field, as frozen dataclasses would, and skeletons by shape.
+
 One stack matcher, ``_match``, does that pairing in one walk of the
 skeleton and lists the nodes by pre-order id with their parent and binder
 ids; ``planar_match``, ``term_of_skeleton`` and ``diagram_of`` read its
-lists.  The term parser, the binding and alpha-equivalence scans and the
-skeleton kernels walk their input by an explicit stack, so their depth is
-not bounded by the recursion limit; the printers, ``parse_skeleton``,
+lists.  The term parser, the binding and alpha-equivalence scans, the
+skeleton kernels and the equality and hash of terms and skeletons walk
+their input by an explicit stack or a growing list of nodes, so their depth
+is not bounded by the recursion limit; the printers, ``parse_skeleton``,
 ``parenthesis_word`` and ``has_beta_redex`` still recurse.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -36,24 +42,79 @@ class MatchFailure(ValueError):
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Term:
+    """Equality and hash of Var, App and Abs: two terms are equal exactly
+    when their types and fields are."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        xs, ys = [self], [other]  # breadth first, the two lists grow in step
+        for a, b in zip(xs, ys):
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is App:
+                xs += (a.fun, a.arg)
+                ys += (b.fun, b.arg)
+            elif kind is Abs:
+                if a.var != b.var:
+                    return False
+                xs.append(a.body)
+                ys.append(b.body)
+            elif a.name != b.name:
+                return False
+        return True
+
+    def __hash__(self):
+        # The breadth-first word, an App as 0 and an Abs as 1 then its
+        # variable, determines the term.
+        word = []
+        nodes = [self]
+        for x in nodes:
+            kind = type(x)
+            if kind is App:
+                word.append(0)
+                nodes += (x.fun, x.arg)
+            elif kind is Abs:
+                word += (1, x.var)
+                nodes.append(x.body)
+            else:
+                word.append(x.name)
+        return hash(tuple(word))
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "LambdaTerm"
-    arg: "LambdaTerm"
+class Var(_Term):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Abs:
-    var: str
-    body: "LambdaTerm"
+class App(_Term):
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: LambdaTerm, arg: LambdaTerm):
+        self.fun = fun
+        self.arg = arg
+
+
+class Abs(_Term):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: LambdaTerm):
+        self.var = var
+        self.body = body
 
 
 LambdaTerm = Var | App | Abs
+
+
+_IDENT_TAIL = re.compile(r"[^\W_]*")  # the characters c with c.isalnum()
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -69,9 +130,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         if c.isalpha():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
+            j = _IDENT_TAIL.match(text, i + 1).end()
             toks.append(("id", text[i:j], i))
             i = j
             continue
@@ -315,9 +374,10 @@ def has_beta_redex(t: LambdaTerm) -> bool:
 # Skeletons
 
 class Skeleton:
-    """Plane unary-binary tree; size is the number of leaves."""
+    """Plane unary-binary tree; size is the number of leaves.  The hash is
+    computed only when asked for."""
 
-    __slots__ = ("nleaf", "nunary", "_hash")
+    __slots__ = ("nleaf", "nunary")
 
     def size(self) -> int:
         return self.nleaf
@@ -330,22 +390,38 @@ class Skeleton:
             return True
         if not isinstance(other, Skeleton):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
+        xs, ys = [self], [other]  # breadth first, the two lists grow in step
+        for a, b in zip(xs, ys):
             if a is b:
                 continue
-            if a._hash != b._hash or type(a) is not type(b):
+            kind = type(a)
+            if kind is not type(b) or a.nleaf != b.nleaf or a.nunary != b.nunary:
                 return False
-            if isinstance(a, Unary):
-                stack.append((a.child, b.child))
-            elif isinstance(a, Binary):
-                stack.append((a.right, b.right))
-                stack.append((a.left, b.left))
+            if kind is Unary:
+                xs.append(a.child)
+                ys.append(b.child)
+            elif kind is Binary:
+                xs.append(a.left)
+                xs.append(a.right)
+                ys.append(b.left)
+                ys.append(b.right)
         return True
 
     def __hash__(self):
-        return self._hash
+        # The breadth-first word of node kinds determines the skeleton.
+        word = bytearray()
+        nodes = [self]
+        for x in nodes:
+            kind = type(x)
+            if kind is Unary:
+                word.append(1)
+                nodes.append(x.child)
+            elif kind is Binary:
+                word.append(2)
+                nodes += (x.left, x.right)
+            else:
+                word.append(0)
+        return hash(bytes(word))
 
     def __repr__(self):
         return render_skeleton(self)
@@ -357,7 +433,6 @@ class Leaf(Skeleton):
     def __init__(self):
         self.nleaf = 1
         self.nunary = 0
-        self._hash = hash(("L",))
 
 
 class Unary(Skeleton):
@@ -367,7 +442,6 @@ class Unary(Skeleton):
         self.child = child
         self.nleaf = child.nleaf
         self.nunary = child.nunary + 1
-        self._hash = hash(("U", child._hash))
 
 
 class Binary(Skeleton):
@@ -378,7 +452,6 @@ class Binary(Skeleton):
         self.right = right
         self.nleaf = left.nleaf + right.nleaf
         self.nunary = left.nunary + right.nunary
-        self._hash = hash(("B", left._hash, right._hash))
 
 
 LEAF = Leaf()

@@ -26,6 +26,11 @@ copy of the map and relabel the result; rho (cut and delete) and rho_inv
 (glue and attach) run their whole recursion on one list, with no copy,
 relabelling or orbit count per level.  rho_direct computes rho's tree by a
 contour exploration instead.
+
+A RootedMap is read-only.  Each kernel that takes a map from outside
+(parse_map, rho, rho_direct, map_stats) checks it with map_defect, and the
+first successful check marks the map, so each map object is validated once
+however many kernels read it; an invalid map is rejected on every call.
 """
 
 from __future__ import annotations
@@ -54,16 +59,30 @@ class IndexOutOfRange(ValueError):
     pass
 
 
+_set = object.__setattr__
+
+
 class RootedMap:
     """n: edge count; sigma: ccw rotation as a tuple over 0..2n-1;
-    root: the root half-edge (-1 for the empty map)."""
+    root: the root half-edge (-1 for the empty map).  Read-only; _valid
+    marks a map that a kernel has found valid."""
 
-    __slots__ = ("n", "sigma", "root")
+    __slots__ = ("n", "sigma", "root", "_valid")
 
     def __init__(self, n: int, sigma: tuple[int, ...], root: int):
-        self.n = n
-        self.sigma = sigma
-        self.root = root
+        _set(self, "n", n)
+        _set(self, "sigma", sigma)
+        _set(self, "root", root)
+        _set(self, "_valid", False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RootedMap is read-only: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RootedMap is read-only: cannot delete {name}")
+
+    def __reduce__(self):
+        return RootedMap, (self.n, self.sigma, self.root)
 
     def __eq__(self, other):
         if not isinstance(other, RootedMap):
@@ -147,6 +166,14 @@ def validate_map(m: RootedMap) -> bool:
     return map_defect(m) is None
 
 
+def _check(m: RootedMap) -> None:
+    """Raise InvalidMap unless m is valid; mark m once it is found valid."""
+    if not m._valid:
+        if defect := map_defect(m):
+            raise InvalidMap(defect)
+        _set(m, "_valid", True)
+
+
 def outer_walk(m: RootedMap) -> list[int]:
     """Outer-face corner reps in ccw contour order, ending at the root."""
     if m.n == 0:
@@ -206,8 +233,7 @@ class MapStats:
 
 
 def map_stats(m: RootedMap) -> MapStats:
-    if defect := map_defect(m):
-        raise InvalidMap(defect)
+    _check(m)
     if m.n == 0:
         return MapStats(1, True, 0, 1, True, 0, ())
     vid, nv = _orbits(m.sigma)
@@ -322,8 +348,7 @@ def parse_map(text: str) -> RootedMap:
             listed_at[h] = 1
             sigma[h] = vals[(i + 1) % len(vals)]
     m = RootedMap(n, tuple(sigma), int(ms.group(2)))
-    if defect := map_defect(m):
-        raise InvalidMap(defect)
+    _check(m)
     return m
 
 
@@ -439,8 +464,7 @@ def rho(m: RootedMap) -> LabeledTree:
     vertices of one.  Nodes are numbered as found and the tree is built
     bottom-up, without recursion.
     """
-    if defect := map_defect(m):
-        raise InvalidMap(defect)
+    _check(m)
     if m.n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)
@@ -564,8 +588,7 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     v-tree labels.  Each step costs the length of its walk and of its
     detached arc; no copy of the map is made.
     """
-    if defect := map_defect(m):
-        raise InvalidMap(defect)
+    _check(m)
     if m.n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)

@@ -1,7 +1,9 @@
 import pytest
 
+from lambdamaps.enumeration import gen_trees
 from lambdamaps.labeled_trees import (
     LabeledTree,
+    has_zero,
     parse_labeled_tree,
     render_labeled_tree,
     validate_degree_tree,
@@ -51,3 +53,38 @@ def test_counts():
     t = lt("2[1[0],0]")
     assert t.node_count() == 4
     assert t.edge_count() == 3
+
+
+def _rebuilt(t):
+    return LabeledTree(t.label, tuple(map(_rebuilt, t.children)))
+
+
+def test_vtrees_equal_their_rebuilt_copies():
+    for n in range(7):
+        trees = gen_trees(n, "vtree")
+        for t in trees:
+            copy = _rebuilt(t)
+            assert copy is not t and copy == t and hash(copy) == hash(t)
+        assert len(set(trees)) == len(trees)
+
+
+def test_trees_differ_from_other_types():
+    assert LabeledTree(0) != (0, ())
+    assert LabeledTree(1, (LabeledTree(0),)) != LabeledTree(1)
+    assert LabeledTree(1, (LabeledTree(0),)) != LabeledTree(1, (LabeledTree(1),))
+
+
+def _deep_path(bottom):
+    t = LabeledTree(bottom)
+    for _ in range(10_000):
+        t = LabeledTree(1, (t,))
+    return t
+
+
+def test_deep_trees_without_recursion(shallow_recursion):
+    t, copy, other = _deep_path(0), _deep_path(0), _deep_path(1)
+    assert t == copy and t != other
+    assert hash(t) == hash(copy)
+    assert hash(other) != hash(t)
+    assert t.node_count() == 10_001 and t.edge_count() == 10_000
+    assert has_zero(t) and not has_zero(other)

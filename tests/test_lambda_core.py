@@ -6,6 +6,7 @@ from lambdamaps.lambda_core import (
     App,
     Binary,
     Diagram,
+    LEAF,
     Leaf,
     MatchFailure,
     ParseError,
@@ -85,11 +86,17 @@ def test_render_abstraction_nonfinal_argument():
 
 def test_roundtrip_family_terms():
     for n in range(1, 8):
-        for sk in gen_skeletons(n, 1):
+        skeletons = gen_skeletons(n, 1)
+        terms = []
+        for sk in skeletons:
             term = term_of_skeleton(sk)
-            assert term == _ref_term_of_skeleton(sk)
-            assert skeleton_of(term) == sk
+            copy = _ref_term_of_skeleton(sk)
+            assert term == copy and hash(term) == hash(copy)
+            rebuilt = skeleton_of(term)
+            assert rebuilt == sk and hash(rebuilt) == hash(sk)
             assert alpha_equal(parse_term(render_term(term)), term)
+            terms.append(term)
+        assert len(set(terms)) == len(set(skeletons)) == len(skeletons)
 
 
 _names = st.sampled_from(["x", "y", "z", "w"])
@@ -691,3 +698,86 @@ def test_alpha_equal_equals_the_reference_on_random_pairs(a, b, names):
     assert alpha_equal(a, b) == _ref_alpha_equal(a, b)
     renamed = _rename_everywhere(a, names)
     assert alpha_equal(a, renamed) == _ref_alpha_equal(a, renamed)
+
+
+def _old_tokenize(text):
+    """The tokenizer before identifier tails were matched by one regular
+    expression, kept as its reference."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "\\.()":
+            toks.append((c, c, i))
+            i += 1
+            continue
+        if c.isalpha():
+            j = i + 1
+            while j < n and text[j].isalnum():
+                j += 1
+            toks.append(("id", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    return toks
+
+
+def _tokens(tokenize, text):
+    """The tokens, or the ParseError's message and position."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@given(st.text(alphabet="xyé²٣_ 1\\.()\t", max_size=24))
+def test_tokenize_equals_the_reference_on_unicode_text(text):
+    assert _tokens(_tokenize, text) == _tokens(_old_tokenize, text)
+
+
+# ---------------------------------------------------------------------------
+# Value semantics of terms and skeletons
+
+DEEP = 10_000
+
+
+def _deep_term(leaf):
+    t = Var(leaf)
+    for _ in range(DEEP // 2):
+        t = Abs("x", App(Var("y"), t))
+    return t
+
+
+def _deep_skeleton(bottom):
+    s = parse_skeleton(bottom)
+    for _ in range(DEEP // 2):
+        s = Unary(Binary(LEAF, s))
+    return s
+
+
+def test_values_of_different_types_are_unequal():
+    assert Var("x") != Abs("x", Var("x"))
+    assert Abs("x", Var("x")) != Var("x")
+    assert Var("x") != "x"
+    assert App(Var("x"), Var("y")) != App(Var("x"), Abs("y", Var("y")))
+    assert Abs("x", Var("x")) != Abs("y", Var("x"))
+    assert parse_skeleton("U(L)") != "U(L)"
+
+
+def test_deep_terms_compare_and_hash_without_recursion(shallow_recursion):
+    t, copy, other = _deep_term("x"), _deep_term("x"), _deep_term("z")
+    assert t == copy and not t != copy
+    assert t != other and not t == other
+    assert hash(t) == hash(copy)
+    assert hash(other) != hash(t)
+
+
+def test_deep_skeletons_compare_and_hash_without_recursion(shallow_recursion):
+    s, copy = _deep_skeleton("B(L,U(L))"), _deep_skeleton("B(L,U(L))")
+    other = _deep_skeleton("B(U(L),L)")  # the same counts at every node
+    assert s == copy and s != other
+    assert hash(s) == hash(copy)
+    assert hash(other) != hash(s)

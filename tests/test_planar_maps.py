@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 
 import pytest
@@ -10,11 +11,13 @@ from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_skeletons, g
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree, render_labeled_tree, validate_vtree
 from lambdamaps.lambda_core import (alpha_equal, diagram_of, parse_term, preorder, render_term,
                                     skeleton_of, term_of_skeleton)
+from lambdamaps import planar_maps
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
     EmptyMapError,
     IndexOutOfRange,
     InvalidInput,
+    InvalidMap,
     RootedMap,
     WouldDisconnect,
     _extract,
@@ -64,6 +67,48 @@ def test_validate_rejects_nonpermutation_and_bad_root():
     assert not validate_map(RootedMap(1, (0, 0), 0))
     assert not validate_map(RootedMap(1, (0, 1), 5))
     assert validate_map(EMPTY_MAP)
+
+
+def test_map_is_read_only():
+    m = RootedMap(2, (2, 3, 0, 1), 0)
+    with pytest.raises(AttributeError):
+        m.sigma = (0, 1, 2, 3)
+    for field in ("n", "root"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+    assert (m.n, m.sigma, m.root) == (2, (2, 3, 0, 1), 0)
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and copy.sigma == m.sigma and copy.root == m.root
+
+
+def test_invalid_map_raises_on_every_call():
+    bad = RootedMap(2, (1, 0, 3, 2), 0)
+    for _ in range(2):
+        for kernel in (rho, rho_direct, map_stats):
+            with pytest.raises(InvalidMap, match="map is not connected"):
+                kernel(bad)
+
+
+def test_each_map_is_validated_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return map_defect(m)
+
+    monkeypatch.setattr(planar_maps, "map_defect", counting)
+    m = gen_maps(4)[100]
+    m = RootedMap(m.n, m.sigma, m.root)  # not yet seen by any kernel
+    assert rho(m) == rho_direct(m)
+    map_stats(m)
+    rho(m)
+    assert calls == [m]
+    parsed = parse_map(render_map(m))
+    map_stats(parsed)
+    rho_direct(parsed)
+    assert calls == [m, parsed]
 
 
 def test_stats_examples():
