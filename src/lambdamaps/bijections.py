@@ -18,14 +18,19 @@ the unary chains: a degree-tree label is the number of edges in its subtree
 minus the sum of their edge labels; under the rotation those edges are the
 binary nodes of the right subtree and their labels sum to its unary nodes,
 so the label is nleaf - 1 - nunary = deficit - 1.
+
+Both directions work on the skeleton's pre-order arity word (see
+``lambda_core``): one reverse scan of the word gives the plane tree, and one
+pre-order loop over the plane tree writes the word back, so neither
+recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import check_family, check_reduced, leading_chain, unreduce
-from .lambda_core import Binary, LEAF, Leaf, Skeleton, Unary, wrap_unary
+from .connectivity import check_family, check_reduced, unreduce
+from .lambda_core import Binary, Leaf, Skeleton, Unary, skeleton_of_word, word_of
 from .labeled_trees import (
     InvalidInput,
     LabeledTree,
@@ -35,30 +40,65 @@ from .labeled_trees import (
 
 
 # ---------------------------------------------------------------------------
-# The rotation shared by phi and psi
+# The rotation shared by phi and psi, on pre-order arity words
+#
+# The core below a unary chain is a left spine of m binary nodes over a
+# leaf, and its word is 2^m 0 R_m ... R_1, where R_i is the right subtree
+# of the i-th spine node: its plane-tree children in order are R_1 .. R_m.
 
-def _spine(core: Skeleton, shift: int) -> tuple[LabeledTree, ...]:
-    """Plane-tree children for the left spine starting at core."""
-    entries = []
-    node = core
-    while isinstance(node, Binary):
-        _k, rcore = leading_chain(node.right)
-        entries.append(LabeledTree(node.right.deficit() - shift, _spine(rcore, shift)))
-        node = node.left
-    return tuple(entries)
+def _spine(word: bytes, shift: int) -> tuple[int, tuple[LabeledTree, ...]]:
+    """The deficit of a skeleton word and the plane-tree children of its
+    core.
+
+    One reverse scan keeps, for each finished subtree, its deficit and its
+    core's plane-tree children in reverse order.  At a binary node the top
+    entry is the left subtree, whose children follow the node's own entry,
+    and the one below it is the right subtree, which becomes that entry.
+    """
+    deficits: list[int] = []
+    kids: list = []  # a list once a binary node has added to it, () until then
+    for k in reversed(word):
+        if k == 0:
+            deficits.append(1)
+            kids.append(())
+        elif k == 1:
+            deficits[-1] -= 1
+        else:
+            left, rest = deficits.pop(), kids.pop()
+            right = kids[-1]
+            entry = LabeledTree(deficits[-1] - shift, tuple(reversed(right)) if right else ())
+            if rest:
+                rest.append(entry)
+            else:
+                rest = [entry]
+            deficits[-1] += left
+            kids[-1] = rest
+    return deficits[0], tuple(reversed(kids[0]))
 
 
-def _unspine(children: tuple[LabeledTree, ...], shift: int) -> Skeleton:
-    """Left spine of binary nodes for children; inverse of _spine."""
-    if not children:
-        return LEAF
-    u, rest = children[0], children[1:]
-    left = _unspine(rest, shift)
-    rcore = _unspine(u.children, shift)
-    j = rcore.deficit() - shift - u.label
-    if j < 0:
-        raise InvalidInput("label exceeds attainable deficit")
-    return Binary(left, wrap_unary(rcore, j))
+def _unspine(children: tuple[LabeledTree, ...], shift: int) -> bytearray:
+    """The word of the core whose plane-tree children are children;
+    inverse of _spine.
+
+    A core with children c_1 .. c_m has deficit 1 + sum(shift + label(c_i)),
+    so the chain above each right subtree is known before its word is
+    written, and one pre-order loop writes the whole word.
+    """
+    word = bytearray(b"\x02" * len(children))
+    word.append(0)
+    todo = list(children)  # the last child's right subtree comes first
+    while todo:
+        u = todo.pop()
+        chain = 1 + shift * (len(u.children) - 1) - u.label
+        for c in u.children:
+            chain += c.label
+        if chain < 0:
+            raise InvalidInput("label exceeds attainable deficit")
+        word += b"\x01" * chain
+        word += b"\x02" * len(u.children)
+        word.append(0)
+        todo += u.children
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +108,16 @@ def phi(r: Skeleton) -> LabeledTree:
     """Degree tree of a reduced skeleton."""
     if not check_reduced(r):
         raise InvalidInput("not a valid reduced skeleton")
-    return LabeledTree(r.deficit() - 1, _spine(leading_chain(r)[1], 1))
+    deficit, children = _spine(word_of(r), 1)
+    return LabeledTree(deficit - 1, children)
 
 
 def phi_inv(d: LabeledTree) -> Skeleton:
     """Reduced skeleton of a degree tree."""
     if not validate_degree_tree(d):
         raise InvalidInput("not a valid degree tree")
-    core = _unspine(d.children, 1)
-    return wrap_unary(core, core.deficit() - 1 - d.label)
+    deficit = 1 + sum(1 + c.label for c in d.children)
+    return skeleton_of_word(b"\x01" * (deficit - 1 - d.label) + _unspine(d.children, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +127,8 @@ def psi(s: Skeleton) -> LabeledTree:
     """V-tree of a skeleton in the connected family."""
     if not check_family(s, 1):
         raise InvalidInput("skeleton is not planar linear normal")
-    m, core = leading_chain(s)
-    return LabeledTree(m, _spine(core, 0))
+    word = word_of(s)
+    return LabeledTree(len(word) - len(word.lstrip(b"\x01")), _spine(word, 0)[1])
 
 
 def psi_inv(v: LabeledTree) -> Skeleton:
@@ -95,7 +136,7 @@ def psi_inv(v: LabeledTree) -> Skeleton:
     bottom up; the root label becomes the leading chain)."""
     if not validate_vtree(v).valid:
         raise InvalidInput("not a valid v-tree")
-    return wrap_unary(_unspine(v.children, 0), v.label)
+    return skeleton_of_word(b"\x01" * v.label + _unspine(v.children, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +167,13 @@ class DegreeTreeStats:
 
 
 def _chain_profile(s: Skeleton) -> dict[int, int]:
-    """Multiplicities of maximal unary chain lengths."""
+    """Multiplicities of maximal unary chain lengths: the runs of unary
+    nodes in the word."""
     out: dict[int, int] = {}
-
-    def walk(node: Skeleton):
-        chain, node = leading_chain(node)
-        if chain:
-            out[chain] = out.get(chain, 0) + 1
-        if isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(s)
+    for run in word_of(s).split(b"\x00"):
+        for chain in run.split(b"\x02"):
+            if chain:
+                out[len(chain)] = out.get(len(chain), 0) + 1
     return out
 
 

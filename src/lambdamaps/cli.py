@@ -100,6 +100,13 @@ def from_skeleton(kind: str, s: Skeleton) -> str:
 
 
 def convert(from_kind: str, to_kind: str, text: str) -> str:
+    """Convert text through the skeleton hub, except between v-trees and
+    maps, which rho_inv and rho_direct join directly: the hub would add
+    psi_inv and then psi, which together are the identity on v-trees."""
+    if from_kind == "vtree" and to_kind == "map":
+        return render_map(canonical_map(rho_inv(parse_labeled_tree(text))))
+    if from_kind == "map" and to_kind == "vtree":
+        return render_labeled_tree(rho_direct(parse_map(text)))
     return from_skeleton(to_kind, to_skeleton(from_kind, text))
 
 

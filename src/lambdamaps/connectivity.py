@@ -6,6 +6,11 @@ leaf/unary deficits against the unary chain above each node) and by brute
 force on the syntactic diagram (bridges of the diagram, and of the diagram
 less each single edge, which find every disconnecting edge pair).  The two
 routes are cross-checked exhaustively in the tests.
+
+The structural tests read the skeleton's pre-order arity word (see
+``lambda_core``): a unary node's child follows it, so the unary chain
+above a node is the run of 1s before it, and one reverse scan with a stack
+of subtree deficits checks every node.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .lambda_core import (
     Leaf,
     Skeleton,
     Unary,
+    word_of,
     wrap_unary,
 )
 
@@ -47,37 +53,72 @@ def leading_chain(s: Skeleton) -> tuple[int, Skeleton]:
     return k, s
 
 
+# A binary node directly followed by a unary node: its left child is unary.
+_UNARY_LEFT_CHILD = b"\x02\x01"
+
+
 def check_family(s: Skeleton, level: int) -> bool:
     """Structural membership test for the connected (level 1) and
     2-connected (level 2) families.
 
-    One walk of the skeleton.  Level 1: leaf count equals unary count, no
-    binary node has a unary left child, and every binary node or leaf u
-    satisfies deficit(subtree at u) >= length of the unary chain directly
-    above u.
+    Level 1: leaf count equals unary count, no binary node has a unary left
+    child, and every binary node or leaf u satisfies deficit(subtree at u)
+    >= length of the unary chain directly above u.
     Level 2 strengthens the inequality to strict, except at nodes whose
     unary chain reaches the skeleton root (the whole term is closed, so the
     top chain is exempt; this also classifies the one-atom term as
     2-connected).
+
+    The inequality at u says that the subtree at the top of u's chain has
+    deficit >= 0 (> 0 at level 2).  That top is the root or a child of a
+    binary node, so one reverse scan of the word, keeping the deficits of
+    the finished subtrees on a stack, checks both children at each binary
+    node.
     """
     if level not in (1, 2):
         raise ValueError(f"level must be 1 or 2, got {level}")
-    if s.nleaf != s.nunary:
+    word = word_of(s)
+    if s.nleaf != word.count(1) or _UNARY_LEFT_CHILD in word:
         return False
-    strict = level == 2
-    stack: list[tuple[Skeleton, bool]] = [(s, True)]  # (node, on the root chain)
-    while stack:
-        node, on_root_chain = stack.pop()
-        chain, node = leading_chain(node)
-        d = node.nleaf - node.nunary
-        if d < chain or (strict and not on_root_chain and d == chain):
-            return False
-        if isinstance(node, Binary):
-            if isinstance(node.left, Unary):
+    least = level - 1
+    deficits: list[int] = []
+    for k in reversed(word):
+        if k == 0:
+            deficits.append(1)
+        elif k == 1:
+            deficits[-1] -= 1
+        else:
+            left = deficits.pop()
+            right = deficits[-1]
+            if left < least or right < least:
                 return False
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+            deficits[-1] = left + right
     return True
+
+
+def _reduced(word: bytes) -> bool:
+    """check_reduced on a word: one reverse scan keeps the deficits of the
+    finished subtrees, and the right child's deficit at the last binary
+    node is held until the run of unary nodes above that node is counted."""
+    if word.count(0) - word.count(1) < 1 or _UNARY_LEFT_CHILD in word:
+        return False
+    deficits: list[int] = []
+    right, chain = len(word), 0  # no binary node is pending yet
+    for k in reversed(word):
+        if k == 1:
+            deficits[-1] -= 1
+            chain += 1
+            continue
+        if right <= chain:
+            return False
+        if k == 0:
+            deficits.append(1)
+            right, chain = len(word), 0
+        else:
+            left = deficits.pop()
+            right, chain = deficits[-1], 0
+            deficits[-1] += left
+    return right > chain
 
 
 def check_reduced(s: Skeleton) -> bool:
@@ -88,17 +129,7 @@ def check_reduced(s: Skeleton) -> bool:
     directly above u.  The single leaf is admitted (the size-2 degenerate
     case); a bare unary chain is not, which the deficit condition enforces.
     """
-    if s.deficit() < 1:
-        return False
-    stack = [s]
-    while stack:
-        chain, node = leading_chain(stack.pop())
-        if isinstance(node, Binary):
-            if isinstance(node.left, Unary) or node.right.deficit() <= chain:
-                return False
-            stack.append(node.right)
-            stack.append(node.left)
-    return True
+    return _reduced(word_of(s))
 
 
 def reduce_skeleton(s: Skeleton) -> Skeleton:
@@ -122,12 +153,14 @@ def unreduce(s: Skeleton) -> Skeleton:
 
 
 def is_three_connected_skeleton(s: Skeleton) -> bool:
-    """Level-3 structural test: reducible with a valid reduced skeleton."""
-    try:
-        r = reduce_skeleton(s)
-    except NotReducible:
-        return False
-    return check_reduced(r)
+    """Level-3 structural test: reducible with a valid reduced skeleton.
+
+    On the word: the leading unary chain, then a binary node whose left
+    child is a leaf; the rest of the word is the reduced skeleton.
+    """
+    word = word_of(s)
+    core = len(word) - len(word.lstrip(b"\x01"))
+    return word[core:core + 2] == b"\x02\x00" and _reduced(word[core + 2:])
 
 
 # ---------------------------------------------------------------------------

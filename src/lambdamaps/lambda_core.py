@@ -9,16 +9,19 @@ ones, the stack discipline pairs each abstraction with the atom it binds.
 
 Terms (``Var``, ``App``, ``Abs``) and skeleton nodes (``Leaf``, ``Unary``,
 ``Binary``) are plain classes with ``__slots__``.  Terms compare and hash
-field by field, as frozen dataclasses would, and skeletons by shape.
+field by field, as frozen dataclasses would.
 
-One stack matcher, ``_match``, does that pairing in one walk of the
-skeleton and lists the nodes by pre-order id with their parent and binder
-ids; ``planar_match``, ``term_of_skeleton`` and ``diagram_of`` read its
-lists.  The term parser, the binding and alpha-equivalence scans, the
-skeleton kernels and the equality and hash of terms and skeletons walk
-their input by an explicit stack or a growing list of nodes, so their depth
-is not bounded by the recursion limit; the printers, ``parse_skeleton``,
-``parenthesis_word`` and ``has_beta_redex`` still recurse.
+The skeleton kernels read a skeleton's pre-order arity word: a ``bytes``
+value with one byte per node in pre-order, 0 for a leaf, 1 for a unary node
+and 2 for a binary node.  ``word_of`` computes it once per object and
+``skeleton_of_word`` builds the object back; skeletons compare and hash as
+their words.  One stack matcher, ``_match``, pairs unary nodes with leaves
+in one walk of the word and gives each leaf its binder's position;
+``planar_match``, ``term_of_skeleton`` and ``diagram_of`` read it.
+
+Every walk here, over a term, a skeleton or a text, is a loop over an
+explicit stack or a word, so depth is not bounded by the recursion limit;
+only ``has_beta_redex`` still recurses.
 """
 
 from __future__ import annotations
@@ -114,28 +117,40 @@ class Abs(_Term):
 LambdaTerm = Var | App | Abs
 
 
-_IDENT_TAIL = re.compile(r"[^\W_]*")  # the characters c with c.isalnum()
+# A token is a run of characters c with c.isalnum() (a name when its first
+# character is a letter), one punctuation character, or any other
+# character that is not whitespace (never valid).
+_TOKEN = re.compile(r"[^\W_]+|[\\.()]|\S")
+_PUNCTUATION = frozenset("\\.()")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text as (kind, text, offset), kind being the
+    punctuation character or "id".  Raises ParseError at the first
+    character that no token may start with."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "\\.()":
-            toks.append((c, c, i))
-            i += 1
-            continue
-        if c.isalpha():
-            j = _IDENT_TAIL.match(text, i + 1).end()
-            toks.append(("id", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok in _PUNCTUATION:
+            toks.append((tok, tok, m.start()))
+        elif tok[0].isalpha():
+            toks.append(("id", tok, m.start()))
+        else:
+            raise ParseError(f"unexpected character {tok[0]!r}", m.start())
     return toks
+
+
+def _syntax_error(text: str, i: int, message: str) -> ParseError:
+    """The error for a parse that stopped at token i of text, or at its end.
+
+    parse_term reads the token strings alone; offsets are found only here.
+    A character that no token may start with is reported first, wherever
+    it is, and an unexpected end at the start of the last token.
+    """
+    toks = _tokenize(text)
+    if i < len(toks):
+        return ParseError(message, toks[i][2])
+    return ParseError(message, toks[-1][2] if toks else 0)
 
 
 # Frames of parse_term: an abstraction awaiting its body, an application
@@ -150,44 +165,39 @@ def parse_term(text: str) -> LambdaTerm:
     as far right as it can.  Free variables are allowed; closedness is
     checked separately with :func:`free_variables`.
 
-    One loop over the tokens with an explicit stack of pending frames, so
-    nesting depth is bounded by memory, not by the recursion limit.
+    The tokens come from one regular-expression scan; one loop over them
+    with an explicit stack of pending frames builds the term, so nesting
+    depth is bounded by memory, not by the recursion limit.
     """
-    toks = _tokenize(text)
+    toks = _TOKEN.findall(text)
     n = len(toks)
-    eof = toks[-1][2] if toks else 0  # unexpected EOF is reported here
     pos = 0
     frames: list[tuple[int, object]] = []
     while True:
         # A term: abstraction headers, then an application whose first atom
         # is a variable or an opening parenthesis.
-        while pos < n and toks[pos][0] == "\\":
-            pos += 1
-            tok = toks[pos] if pos < n else None
-            if tok is None or tok[0] != "id":
-                raise ParseError("expected variable after '\\'", tok[2] if tok else eof)
-            pos += 1
-            dot = toks[pos] if pos < n else None
-            if dot is None or dot[0] != ".":
-                raise ParseError("expected '.' after abstraction variable",
-                                 dot[2] if dot else eof)
-            pos += 1
-            frames.append((_ABS, tok[1]))
+        while pos < n and toks[pos] == "\\":
+            if pos + 1 == n or not toks[pos + 1][0].isalpha():
+                raise _syntax_error(text, pos + 1, "expected variable after '\\'")
+            if pos + 2 == n or toks[pos + 2] != ".":
+                raise _syntax_error(text, pos + 2, "expected '.' after abstraction variable")
+            frames.append((_ABS, toks[pos + 1]))
+            pos += 3
         if pos == n:
-            raise ParseError("unexpected end of input", eof)
+            raise _syntax_error(text, n, "unexpected end of input")
         tok = toks[pos]
         pos += 1
-        if tok[0] == "(":
+        if tok == "(":
             frames.append((_PAREN, None))
             continue
-        if tok[0] != "id":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        acc: LambdaTerm = Var(tok[1])
+        if not tok[0].isalpha():
+            raise _syntax_error(text, pos - 1, f"unexpected {tok!r}")
+        acc: LambdaTerm = Var(tok)
         while True:
             # The application loop: extend acc until ')' or the end, then
             # hand the finished term to the frames it completes.
-            tok = toks[pos] if pos < n else None
-            if tok is None or tok[0] == ")":
+            tok = toks[pos] if pos < n else ")"
+            if tok == ")":
                 while frames:
                     frame, x = frames.pop()
                     if frame == _ABS:
@@ -195,51 +205,77 @@ def parse_term(text: str) -> LambdaTerm:
                     elif frame == _APP:
                         acc = App(x, acc)
                     else:
-                        if tok is None:
-                            raise ParseError("unbalanced parenthesis", eof)
+                        if pos == n:
+                            raise _syntax_error(text, n, "unbalanced parenthesis")
                         pos += 1
                         acc = acc if x is None else App(x, acc)
                         break
                 else:
-                    if tok is not None:
-                        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+                    if pos < n:
+                        raise _syntax_error(text, pos, f"unexpected {tok!r}")
                     return acc
                 continue
-            if tok[0] == "id":
+            if tok[0].isalpha():
                 pos += 1
-                acc = App(acc, Var(tok[1]))
-            elif tok[0] == "(":
+                acc = App(acc, Var(tok))
+            elif tok == "(":
                 pos += 1
                 frames.append((_PAREN, acc))
                 break
-            elif tok[0] == "\\":
+            elif tok == "\\":
                 frames.append((_APP, acc))
                 break
             else:
-                raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+                raise _syntax_error(text, pos, f"unexpected {tok!r}")
 
 
 def render_term(t: LambdaTerm) -> str:
     """Minimal-parenthesis rendering; inverse of parse_term up to alpha.
 
-    Levels: 0 = top or abstraction body, 1 = function position, 2 = argument
-    position.  An abstraction only avoids parentheses at level 0 or as a
-    final argument (nothing follows it); an application needs them exactly in
-    argument position.
+    A subterm is at the top or an abstraction body (0), in function
+    position (1), or in argument position, where nothing follows it (2) or
+    something does (3).  An abstraction avoids parentheses at 0 and 2; an
+    application needs them exactly in argument position, and inside them
+    its argument is followed by nothing.
+
+    One loop goes down each function and body chain and keeps the pending
+    arguments and closing text on a stack, so depth is not bounded by the
+    recursion limit.
     """
-    return _render(t, 0, True)
-
-
-def _render(t: LambdaTerm, level: int, final: bool) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        s = f"\\{t.var}.{_render(t.body, 0, True)}"
-        if level == 0 or (level == 2 and final):
-            return s
-        return f"({s})"
-    s = f"{_render(t.fun, 1, False)} {_render(t.arg, 2, level == 2 or final)}"
-    return f"({s})" if level == 2 else s
+    out = []
+    todo: list = []  # pending text, or (term, position) to render
+    x, pos = t, 0
+    while True:
+        kind = type(x)
+        if kind is Abs:
+            if pos == 0 or pos == 2:
+                out.append(f"\\{x.var}.")
+            else:
+                out.append(f"(\\{x.var}.")
+                todo.append(")")
+            x, pos = x.body, 0
+        elif kind is App:
+            if pos >= 2:
+                out.append("(")
+                todo.append(")")
+                pos = 0
+            arg = x.arg
+            if type(arg) is Var:
+                todo.append(" " + arg.name)
+            else:
+                todo += ((arg, 2 if pos == 0 else 3), " ")
+            x, pos = x.fun, 1
+        else:
+            out.append(x.name)
+            while todo:
+                item = todo.pop()
+                if type(item) is str:
+                    out.append(item)
+                else:
+                    x, pos = item
+                    break
+            else:
+                return "".join(out)
 
 
 def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str], str | None]:
@@ -374,10 +410,19 @@ def has_beta_redex(t: LambdaTerm) -> bool:
 # Skeletons
 
 class Skeleton:
-    """Plane unary-binary tree; size is the number of leaves.  The hash is
-    computed only when asked for."""
+    """Plane unary-binary tree; size is the number of leaves.
 
-    __slots__ = ("nleaf", "nunary")
+    Two skeletons are equal when their pre-order arity words are, and hash
+    as their word.  The word is computed once per object, when first asked
+    for; the generators share subtrees between skeletons, so only the
+    objects a kernel is given store one.
+    """
+
+    __slots__ = ("nleaf", "_word")
+
+    @property
+    def nunary(self) -> int:
+        return word_of(self).count(1)
 
     def size(self) -> int:
         return self.nleaf
@@ -390,38 +435,10 @@ class Skeleton:
             return True
         if not isinstance(other, Skeleton):
             return NotImplemented
-        xs, ys = [self], [other]  # breadth first, the two lists grow in step
-        for a, b in zip(xs, ys):
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b) or a.nleaf != b.nleaf or a.nunary != b.nunary:
-                return False
-            if kind is Unary:
-                xs.append(a.child)
-                ys.append(b.child)
-            elif kind is Binary:
-                xs.append(a.left)
-                xs.append(a.right)
-                ys.append(b.left)
-                ys.append(b.right)
-        return True
+        return self.nleaf == other.nleaf and word_of(self) == word_of(other)
 
     def __hash__(self):
-        # The breadth-first word of node kinds determines the skeleton.
-        word = bytearray()
-        nodes = [self]
-        for x in nodes:
-            kind = type(x)
-            if kind is Unary:
-                word.append(1)
-                nodes.append(x.child)
-            elif kind is Binary:
-                word.append(2)
-                nodes += (x.left, x.right)
-            else:
-                word.append(0)
-        return hash(bytes(word))
+        return hash(word_of(self))
 
     def __repr__(self):
         return render_skeleton(self)
@@ -432,7 +449,7 @@ class Leaf(Skeleton):
 
     def __init__(self):
         self.nleaf = 1
-        self.nunary = 0
+        self._word = b"\x00"
 
 
 class Unary(Skeleton):
@@ -441,7 +458,6 @@ class Unary(Skeleton):
     def __init__(self, child: Skeleton):
         self.child = child
         self.nleaf = child.nleaf
-        self.nunary = child.nunary + 1
 
 
 class Binary(Skeleton):
@@ -451,7 +467,6 @@ class Binary(Skeleton):
         self.left = left
         self.right = right
         self.nleaf = left.nleaf + right.nleaf
-        self.nunary = left.nunary + right.nunary
 
 
 LEAF = Leaf()
@@ -463,80 +478,153 @@ def wrap_unary(s: Skeleton, k: int) -> Skeleton:
     return s
 
 
-def render_skeleton(s: Skeleton) -> str:
-    if isinstance(s, Leaf):
-        return "L"
-    if isinstance(s, Unary):
-        return f"U({render_skeleton(s.child)})"
-    return f"B({render_skeleton(s.left)},{render_skeleton(s.right)})"
+# ---------------------------------------------------------------------------
+# The pre-order arity word: one byte per node in pre-order (left subtree
+# first), 0 for a leaf, 1 for a unary node and 2 for a binary node.  A
+# unary node's child and a binary node's left child follow it directly, so
+# the run of 1s before a position is the unary chain directly above it.
+# The skeleton kernels below read the word; these two functions convert.
 
-
-def parse_skeleton(text: str) -> Skeleton:
-    """Parse the ``L`` / ``U(x)`` / ``B(x,y)`` format (whitespace ignored)."""
-    s = "".join(text.split())
-    pos = 0
-
-    def rec() -> Skeleton:
-        nonlocal pos
-        if pos >= len(s):
-            raise ParseError("unexpected end of input", pos)
-        c = s[pos]
-        if c == "L":
-            pos += 1
-            return LEAF
-        if c == "U":
-            expect("U(", 1)
-            t = rec()
-            expect(")", 0)
-            return Unary(t)
-        if c == "B":
-            expect("B(", 1)
-            l = rec()
-            expect(",", 0)
-            r = rec()
-            expect(")", 0)
-            return Binary(l, r)
-        raise ParseError(f"unexpected character {c!r}", pos)
-
-    def expect(tok: str, skip: int):
-        nonlocal pos
-        pos += skip
-        want = tok[skip:]
-        if not s.startswith(want, pos):
-            raise ParseError(f"expected {want!r}", pos)
-        pos += len(want)
-
-    t = rec()
-    if pos != len(s):
-        raise ParseError(f"trailing input {s[pos:]!r}", pos)
-    return t
-
-
-def skeleton_of(t: LambdaTerm) -> Skeleton:
-    order: list[LambdaTerm] = []  # pre-order, function before argument
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        while type(x) is Abs:
-            order.append(x)
-            x = x.body
-        order.append(x)
-        if type(x) is App:
-            stack.append(x.arg)
-            stack.append(x.fun)
-    # Bottom up in reverse pre-order: a node's children are built before it,
-    # its function on top of its argument.
-    out: list[Skeleton] = []
-    for x in reversed(order):
+def word_of(s: Skeleton) -> bytes:
+    """The pre-order arity word of s, computed by one walk and kept on s."""
+    try:
+        return s._word
+    except AttributeError:
+        pass
+    word = bytearray()
+    todo: list[Skeleton] = []
+    x = s
+    while True:
         kind = type(x)
-        if kind is Var:
+        if kind is Binary:
+            word.append(2)
+            todo.append(x.right)
+            x = x.left
+        elif kind is Unary:
+            word.append(1)
+            x = x.child
+        else:
+            word.append(0)
+            if not todo:
+                break
+            x = todo.pop()
+    w = s._word = bytes(word)
+    return w
+
+
+def skeleton_of_word(word: bytes) -> Skeleton:
+    """The skeleton of a pre-order arity word, built bottom up in reverse
+    pre-order; the word is kept on the result."""
+    out: list[Skeleton] = []
+    for k in reversed(word):
+        if k == 0:
             out.append(LEAF)
-        elif kind is Abs:
+        elif k == 1:
             out[-1] = Unary(out[-1])
         else:
             left = out.pop()
             out[-1] = Binary(left, out[-1])
-    return out[0]
+    s = out[0]
+    s._word = bytes(word)
+    return s
+
+
+def _ends(word: bytes) -> list[int]:
+    """One past the last position of the subtree at each position, from
+    one reverse scan: a binary node's right subtree starts where its left
+    one ends."""
+    end = [0] * len(word)
+    for j in range(len(word) - 1, -1, -1):
+        k = word[j]
+        end[j] = j + 1 if k == 0 else end[j + 1] if k == 1 else end[end[j + 1]]
+    return end
+
+
+def render_skeleton(s: Skeleton) -> str:
+    out = []
+    closers: list[str] = []  # what follows each open subtree
+    for k in word_of(s):
+        if k == 2:
+            out.append("B(")
+            closers += (")", ",")
+        elif k == 1:
+            out.append("U(")
+            closers.append(")")
+        else:
+            out.append("L")
+            while closers:
+                c = closers.pop()
+                out.append(c)
+                if c == ",":
+                    break
+    return "".join(out)
+
+
+def parse_skeleton(text: str) -> Skeleton:
+    """Parse the ``L`` / ``U(x)`` / ``B(x,y)`` format (whitespace ignored).
+
+    One loop that reads the pre-order word; a stack holds what must follow
+    each open subtree, ``)`` or ``,``.
+    """
+    s = "".join(text.split())
+    pos, n = 0, len(s)
+    word = bytearray()
+    closers: list[str] = []
+    while True:
+        if pos >= n:
+            raise ParseError("unexpected end of input", pos)
+        c = s[pos]
+        if c == "L":
+            pos += 1
+            word.append(0)
+            while closers:
+                want = closers.pop()
+                if not s.startswith(want, pos):
+                    raise ParseError(f"expected {want!r}", pos)
+                pos += 1
+                if want == ",":
+                    break
+            else:
+                break
+        elif c == "U" or c == "B":
+            pos += 1
+            if not s.startswith("(", pos):
+                raise ParseError("expected '('", pos)
+            pos += 1
+            if c == "U":
+                word.append(1)
+                closers.append(")")
+            else:
+                word.append(2)
+                closers += (")", ",")
+        else:
+            raise ParseError(f"unexpected character {c!r}", pos)
+    if pos != n:
+        raise ParseError(f"trailing input {s[pos:]!r}", pos)
+    return skeleton_of_word(word)
+
+
+def _term_word(t: LambdaTerm) -> bytes:
+    """The pre-order arity word of a term's syntax tree, function before
+    argument."""
+    word = bytearray()
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        while type(x) is Abs:
+            word.append(1)
+            x = x.body
+        if type(x) is App:
+            word.append(2)
+            stack.append(x.arg)
+            stack.append(x.fun)
+        else:
+            word.append(0)
+    return bytes(word)
+
+
+def skeleton_of(t: LambdaTerm) -> Skeleton:
+    return skeleton_of_word(_term_word(t))
 
 
 def preorder(s: Skeleton) -> list[tuple[int, Skeleton, int]]:
@@ -557,87 +645,61 @@ def preorder(s: Skeleton) -> list[tuple[int, Skeleton, int]]:
 
 def is_normal(s: Skeleton) -> bool:
     """No binary node has a unary left child."""
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Unary):
-            stack.append(node.child)
-        elif isinstance(node, Binary):
-            if isinstance(node.left, Unary):
-                return False
-            stack.append(node.right)
-            stack.append(node.left)
-    return True
+    return b"\x02\x01" not in word_of(s)
+
+
+_PARENTHESES = bytes.maketrans(b"\x00\x01", b")(")
 
 
 def parenthesis_word(s: Skeleton) -> str:
     """Pre-order word: '(' per unary node, ')' per leaf."""
-    out = []
-
-    def rec(node):
-        if isinstance(node, Leaf):
-            out.append(")")
-        elif isinstance(node, Unary):
-            out.append("(")
-            rec(node.child)
-        else:
-            rec(node.left)
-            rec(node.right)
-
-    rec(s)
-    return "".join(out)
+    return word_of(s).translate(_PARENTHESES, b"\x02").decode()
 
 
-def _match(s: Skeleton, right_first: bool = False
-           ) -> tuple[list[Skeleton], list[int], list[int]]:
-    """The stack matcher: pair unary nodes with leaves in one walk.
+def _match(word: bytes, right_first: bool = False) -> list[int]:
+    """The stack matcher: pair unary nodes with leaves in one scan.
 
-    Walks s by an explicit stack, left subtrees first (the pre-order word)
-    or with right_first right subtrees first (the clockwise contour).  A
-    unary node is pushed when reached and popped by the next leaf.  Returns
-    three lists indexed by pre-order id: the nodes, their parent ids (-1 at
-    the root) and each leaf's binder id (-1 at internal nodes).  Raises
+    Walks the pre-order word in pre-order, or with right_first in the
+    clockwise contour order, which visits right subtrees first; each right
+    subtree's start comes from the subtree ends of one reverse scan.  A
+    unary node is pushed when reached and popped by the next leaf.
+    Returns each leaf's binder position, -1 at internal nodes.  Raises
     MatchFailure when a leaf finds an empty stack, unmatched unary nodes
     remain, or a pairing crosses scopes (the popped unary node is not an
     ancestor of the leaf, so it could not bind it).
     """
-    size = _node_span(s)
-    nodes: list[Skeleton] = [s] * size
-    parent = [-1] * size
-    binder = [-1] * size
-    open_unary: list[tuple[int, int]] = []  # (id, end of its id span)
-    todo: list[tuple[int, Skeleton, int]] = [(0, s, -1)]
-    while todo:
-        nid, node, up = todo.pop()
-        while True:  # down the first branch, pushing the other one
-            nodes[nid] = node
-            parent[nid] = up
-            kind = type(node)
-            if kind is Unary:
-                open_unary.append((nid, nid + _node_span(node)))
-                up, nid, node = nid, nid + 1, node.child
-            elif kind is Binary:
-                left = node.left
-                right_id = nid + 1 + _node_span(left)
-                if right_first:
-                    todo.append((nid + 1, left, nid))
-                    up, nid, node = nid, right_id, node.right
-                else:
-                    todo.append((right_id, node.right, nid))
-                    up, nid, node = nid, nid + 1, left
+    end = _ends(word)
+    binder = [-1] * len(word)
+    open_unary: list[int] = []
+    todo: list[int] = []  # the other child of each binary node passed
+    nid = 0
+    while True:
+        k = word[nid]
+        if k == 1:
+            open_unary.append(nid)
+            nid += 1
+        elif k == 2:
+            if right_first:
+                todo.append(nid + 1)
+                nid = end[nid + 1]
             else:
-                if not open_unary:
-                    raise MatchFailure(f"leaf {nid} has no enclosing unary node")
-                unary, end = open_unary.pop()
-                if not unary < nid < end:
-                    raise MatchFailure(
-                        f"nesting violated: unary {unary} paired with leaf {nid} "
-                        f"outside its subtree")
-                binder[nid] = unary
+                todo.append(end[nid + 1])
+                nid += 1
+        else:
+            if not open_unary:
+                raise MatchFailure(f"leaf {nid} has no enclosing unary node")
+            unary = open_unary.pop()
+            if not unary < nid < end[unary]:
+                raise MatchFailure(
+                    f"nesting violated: unary {unary} paired with leaf {nid} "
+                    f"outside its subtree")
+            binder[nid] = unary
+            if not todo:
                 break
+            nid = todo.pop()
     if open_unary:
         raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
-    return nodes, parent, binder
+    return binder
 
 
 def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
@@ -649,7 +711,7 @@ def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
     Returns {unary id: leaf id} over pre-order node ids.  Raises
     MatchFailure as :func:`_match` does.
     """
-    binder = _match(s, right_first)[2]
+    binder = _match(word_of(s), right_first)
     return {unary: leaf for leaf, unary in enumerate(binder) if unary >= 0}
 
 
@@ -660,22 +722,23 @@ def term_of_skeleton(s: Skeleton) -> LambdaTerm:
     the binder the stack matcher gives it.  Raises MatchFailure when the
     skeleton admits no planar linear binding.
     """
-    nodes, _parent, binder = _match(s)
-    names = [""] * len(nodes)
-    k = 0
-    for nid, node in enumerate(nodes):
-        if type(node) is Unary:
-            k += 1
-            names[nid] = f"x{k}"
+    word = word_of(s)
+    binder = _match(word)
     # Bottom up in reverse pre-order: a node's children are built before it,
-    # its function on top of its argument.
+    # its function on top of its argument.  An atom is built before its
+    # binder, so it is named when the binder is reached.
+    atom: list = [None] * len(word)  # the atom bound by each unary node
+    k = word.count(1)
     out: list[LambdaTerm] = []
-    for nid in range(len(nodes) - 1, -1, -1):
-        kind = type(nodes[nid])
-        if kind is Leaf:
-            out.append(Var(names[binder[nid]]))
-        elif kind is Unary:
-            out[-1] = Abs(names[nid], out[-1])
+    for nid in range(len(word) - 1, -1, -1):
+        kind = word[nid]
+        if kind == 0:
+            v = atom[binder[nid]] = Var("")
+            out.append(v)
+        elif kind == 1:
+            name = atom[nid].name = f"x{k}"
+            k -= 1
+            out[-1] = Abs(name, out[-1])
         else:
             fun = out.pop()
             out[-1] = App(fun, out[-1])
@@ -704,21 +767,23 @@ class Diagram:
     root: int
 
 
-def _node_span(s: Skeleton) -> int:
-    """Number of nodes in a subtree (span of pre-order ids): its leaves,
-    its unary nodes and its nleaf - 1 binary nodes."""
-    return 2 * s.nleaf - 1 + s.nunary
-
-
 def diagram_of(s: Skeleton) -> Diagram:
-    _nodes, parent, binder = _match(s, right_first=True)
-    vertices = []
+    """The diagram, from one scan of the word: a node's parent is the node
+    before it unless that one is a leaf, and then the innermost binary
+    node still waiting for its right child."""
+    word = word_of(s)
+    binder = _match(word, right_first=True)
+    vertices = [0]
     edges = []
-    for nid, unary in enumerate(binder):
-        if unary >= 0:
-            edges.append((parent[nid], unary))
-        else:
+    waiting: list[int] = [0] if word[0] == 2 else []
+    for nid in range(1, len(word)):
+        kind = word[nid]
+        parent = nid - 1 if word[nid - 1] else waiting.pop()
+        if kind:
             vertices.append(nid)
-            if nid:
-                edges.append((parent[nid], nid))
+            edges.append((parent, nid))
+            if kind == 2:
+                waiting.append(nid)
+        else:
+            edges.append((parent, binder[nid]))
     return Diagram(tuple(vertices), tuple(edges), 0)

@@ -153,8 +153,10 @@ def solve_zu(n: int, kmax: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     z = zero(n, kmax)
     for _ in range(n):
         acc = one(n, kmax)
+        zk = acc
         for k in range(1, kmax + 1):
-            acc = acc + comb(2 * k - 1, k) * _p_var(n, kmax, k) * z.pow(k)
+            zk = zk * z
+            acc = acc + comb(2 * k - 1, k) * _p_var(n, kmax, k) * zk
         z = t * acc
     u = zero(n, kmax)
     for _ in range(n + 1):
@@ -176,12 +178,17 @@ def f_bipartite(n: int, kmax: int) -> TruncatedSeries:
         raise SizeTooLarge(f"N must be in 1..{MAX_GF_ORDER} and K in 0..{MAX_GF_ORDER}, "
                            f"got N={n}, K={kmax}")
     z, u = solve_zu(n, kmax)
+    zs = [one(n, kmax)]  # zs[k] = z^k and uzs[l] = u^l z^l, each computed once
+    uzs = [zs[0]]
+    for k in range(1, kmax + 1):
+        zs.append(zs[-1] * z)
+        uzs.append(uzs[-1] * u * z)
     inner = zero(n, kmax)
     for k in range(1, kmax + 1):
         lsum = zero(n, kmax)
         for l in range(1, k):
-            lsum = lsum + comb(2 * k - 1, k + l) * u.pow(l) * z.pow(l)
-        inner = inner + _p_var(n, kmax, k) * z.pow(k) * lsum
+            lsum = lsum + comb(2 * k - 1, k + l) * uzs[l]
+        inner = inner + _p_var(n, kmax, k) * zs[k] * lsum
     return (one(n, kmax) + u * z) * (one(n, kmax) - inner)
 
 
@@ -192,18 +199,25 @@ def _clip(d: dict[int, int], kmax: int) -> tuple[int, ...]:
     return tuple(d.get(k, 0) for k in range(1, kmax + 1))
 
 
+def _counted(trunc: int, kmax: int, keys) -> TruncatedSeries:
+    """The series whose coefficient at each monomial key is the number of
+    times keys yields it; keys beyond the truncation are dropped, as
+    monomial drops them."""
+    counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for key in keys:
+        if key[0] <= trunc and key[1] <= trunc:
+            counts[key] = counts.get(key, 0) + 1
+    return TruncatedSeries(trunc, kmax, {key: Fraction(c) for key, c in counts.items()})
+
+
 def f_bipartite_enumerated(n: int, kmax: int) -> TruncatedSeries:
     """Sum of t^edges x^outdeg prod p_k^face_k over bipartite maps."""
     from .enumeration import gen_bipartite_maps
     from .planar_maps import map_stats
 
-    out = zero(n, kmax)
-    for m_edges in range(0, n + 1):
-        for m in gen_bipartite_maps(m_edges):
-            st = map_stats(m)
-            out = out + monomial(n, kmax, 1, m_edges, st.outdeg,
-                                 _clip(dict(st.face), kmax))
-    return out
+    return _counted(n, kmax, ((m_edges, st.outdeg, _clip(dict(st.face), kmax))
+                              for m_edges in range(0, n + 1)
+                              for st in map(map_stats, gen_bipartite_maps(m_edges))))
 
 
 def f_reduced_skeletons_enumerated(n: int, kmax: int) -> TruncatedSeries:
@@ -212,12 +226,9 @@ def f_reduced_skeletons_enumerated(n: int, kmax: int) -> TruncatedSeries:
     from .bijections import skeleton_stats
     from .enumeration import gen_reduced_skeletons
 
-    out = zero(n, kmax)
-    for size in range(2, n + 1):
-        for r in gen_reduced_skeletons(size):
-            st = skeleton_stats(r)
-            out = out + monomial(n, kmax, 1, size, st.ex, _clip(dict(st.uc), kmax))
-    return out
+    return _counted(n, kmax, ((size, st.ex, _clip(dict(st.uc), kmax))
+                              for size in range(2, n + 1)
+                              for st in map(skeleton_stats, gen_reduced_skeletons(size))))
 
 
 @dataclass(frozen=True)

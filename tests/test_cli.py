@@ -1,8 +1,13 @@
 import subprocess
 import sys
+from pathlib import Path
 
-from lambdamaps.cli import convert, main, run_verify, stats_lines
-from lambdamaps.enumeration import gen_skeletons
+import pytest
+
+from lambdamaps.cli import convert, from_skeleton, main, run_verify, stats_lines, to_skeleton
+from lambdamaps.enumeration import gen_maps, gen_skeletons, gen_trees
+from lambdamaps.labeled_trees import render_labeled_tree
+from lambdamaps.planar_maps import render_map
 from lambdamaps.lambda_core import alpha_equal, parse_term, render_term, term_of_skeleton
 
 
@@ -68,6 +73,45 @@ def test_convert_chains():
     assert convert("dtree", "skeleton", "0") == "U(U(B(L,L)))"
     assert convert("term", "dtree", r"\x.\y.\z.z (y x)") == "1[0]"
     assert convert("dtree", "term", "1[0]") == r"\x1.\x2.\x3.x3 (x2 x1)"
+
+
+def _through_hub(from_kind, to_kind, text):
+    """convert by way of the skeleton, or the error it raises."""
+    try:
+        return from_skeleton(to_kind, to_skeleton(from_kind, text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _direct(from_kind, to_kind, text):
+    try:
+        return convert(from_kind, to_kind, text)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_direct_vtree_map_routes_equal_the_hub_route():
+    vtrees = [render_labeled_tree(t) for e in range(7) for t in gen_trees(e, "vtree")]
+    maps = [render_map(m) for e in range(6) for m in gen_maps(e)]
+    assert len(vtrees) > 20000 and len(maps) == 3360
+    for text in vtrees:
+        assert _direct("vtree", "map", text) == _through_hub("vtree", "map", text)
+    for text in maps:
+        assert _direct("map", "vtree", text) == _through_hub("map", "vtree", text)
+
+
+def test_direct_vtree_map_routes_fail_as_the_hub_route(capsys):
+    bad_vtrees = ["2[0]", "1[1]", "0", "3[1,0", "2[1]x", "", "a"]
+    bad_maps = ["map n=1 sigma=(0 1 2) root=0", "map n=1 sigma=(0)(1) root=2",
+                "map n=2 sigma=(0 2 1 3) root=0", "map n=2 sigma=(0)(1)(2)(3) root=0",
+                "map n=1", "map"]
+    cases = [("vtree", "map", t) for t in bad_vtrees] + [("map", "vtree", t) for t in bad_maps]
+    for from_kind, to_kind, text in cases:
+        got = _direct(from_kind, to_kind, text)
+        assert got == _through_hub(from_kind, to_kind, text)
+        assert main(["convert", "--from", from_kind, "--to", to_kind, text]) == 2
+        assert capsys.readouterr().err == f"error: {got.split(': ', 1)[1]}\n"
+    assert _direct("vtree", "map", "2[0]") == "InvalidInput: not a valid v-tree"
 
 
 def test_convert_roundtrip_via_map():
@@ -254,3 +298,33 @@ def test_verify_rejects_max_size_out_of_range(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: max size must be in 2..8, got {max_size}\n"
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("max_size", [2, 3, 4, 5])
+def test_verify_small_sizes_match_the_stored_lines(capsys, max_size):
+    # the caps min(nmax, 5), nmax - 1 and nmax - 2 take other branches below
+    # the sizes the stored size-6, 7 and 8 lines cover
+    assert main(["verify", "--suite", "all", "--max-size", str(max_size)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (DATA / f"verify_max{max_size}.txt").read_text()
+    assert captured.err == ""
+
+
+def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
+    # a broken matcher raised MatchFailure out of verify, which then exited 2
+    # as if the input were bad
+    import lambdamaps.checks as checks
+    from lambdamaps.lambda_core import MatchFailure
+
+    def broken(_s):
+        raise MatchFailure("leaf 1 has no enclosing unary node")
+
+    monkeypatch.setattr(checks, "term_of_skeleton", broken)
+    ok, lines = run_verify("roundtrip", 3)
+    assert not ok
+    assert lines[0] == "FAIL roundtrip.term-text sizes<=3 (12 terms)"
+    assert lines[4] == "FAIL roundtrip.term-map-term sizes<=3 (12 terms)"
+    assert lines[-1] == "2 check(s) failed (3/5)"

@@ -12,7 +12,6 @@ from lambdamaps.lambda_core import (
     ParseError,
     Unary,
     Var,
-    _node_span,
     _tokenize,
     alpha_equal,
     diagram_of,
@@ -576,6 +575,12 @@ def _ref_preorder_rec(out, node, parent):
         _ref_preorder_rec(out, node.right, nid)
 
 
+def _node_span(s):
+    """Number of nodes in a subtree (span of pre-order ids): its leaves,
+    its unary nodes and its nleaf - 1 binary nodes."""
+    return 2 * s.nleaf - 1 + s.nunary
+
+
 def _ref_planar_match(s, right_first=False):
     match = {}
     open_unary = []
@@ -781,3 +786,30 @@ def test_deep_skeletons_compare_and_hash_without_recursion(shallow_recursion):
     assert s == copy and s != other
     assert hash(s) == hash(copy)
     assert hash(other) != hash(s)
+
+
+def test_render_term_on_a_deep_term(shallow_recursion):
+    t = _deep_term("x")
+    text = render_term(t)
+    assert text == "\\x.y " * (DEEP // 2) + "x"  # a final argument needs no parentheses
+    assert parse_term(text) == t
+    t = Var("x")
+    for _ in range(DEEP - 1):
+        t = App(Var("x"), t)  # each application but the top one is an argument
+    text = render_term(t)
+    assert text == "x (" * (DEEP - 2) + "x x" + ")" * (DEEP - 2)
+    assert parse_term(text) == t
+
+
+def test_render_skeleton_on_a_deep_skeleton(shallow_recursion):
+    text = render_skeleton(_deep_skeleton("B(L,U(L))"))
+    assert text == "U(B(L," * (DEEP // 2) + "B(L,U(L))" + "))" * (DEEP // 2)
+
+
+def test_parse_skeleton_on_deep_text(shallow_recursion):
+    text = "U(B(L," * (DEEP // 2) + "B(L,U(L))" + "))" * (DEEP // 2)
+    s = parse_skeleton(text)
+    assert s == _deep_skeleton("B(L,U(L))")
+    assert s.nleaf == DEEP // 2 + 2 and s.nunary == DEEP // 2 + 1
+    with pytest.raises(ParseError, match=f"expected '\\)' at offset {len(text) - 1}"):
+        parse_skeleton(text[:-1] + ",")
