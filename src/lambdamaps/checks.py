@@ -18,7 +18,8 @@ from .enumeration import (MAX_SKELETON_SIZE, SizeTooLarge, bipartite_maps_formul
                           gen_maps, gen_reduced_skeletons, gen_skeletons, gen_trees,
                           maps_formula)
 from .labeled_trees import InvalidInput, LabeledTree, render_labeled_tree
-from .lambda_core import (Skeleton, alpha_equal, diagram_of, parse_term, render_term,
+from .lambda_core import (Skeleton, alpha_equal, diagram_of, listing_of_skeleton,
+                          parse_listing, parse_term, render_listing, render_term,
                           term_of_skeleton)
 from .planar_maps import (RootedMap, attach_root_edge, canonical_form, is_one_corner, outv,
                           pi, rho, rho_direct, rho_inv)
@@ -62,9 +63,11 @@ def _bad(claim, objects) -> int:
 
 def _text_roundtrips(s: Skeleton) -> bool:
     """The text of the term of s parses back to that very term, names
-    included, which implies that the two are alpha-equal."""
-    t = term_of_skeleton(s)
-    return parse_term(render_term(t)) == t
+    included, which implies that the two are alpha-equal.  The term is
+    compared as its listing (pre-order word and names), which the printer
+    writes and the parser reads, so no term object is built."""
+    listing = listing_of_skeleton(s)
+    return parse_listing(render_listing(*listing)) == listing
 
 
 def _term_text(nmax: int) -> tuple[bool, str]:

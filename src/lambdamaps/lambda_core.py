@@ -17,7 +17,13 @@ and 2 for a binary node.  ``word_of`` computes it once per object and
 ``skeleton_of_word`` builds the object back; skeletons compare and hash as
 their words.  One stack matcher, ``_match``, pairs unary nodes with leaves
 in one walk of the word and gives each leaf its binder's position;
-``planar_match``, ``term_of_skeleton`` and ``diagram_of`` read it.
+``planar_match``, ``listing_of_skeleton`` and ``diagram_of`` read it.
+
+A term's listing is the same word for its syntax tree together with the
+names of its variables and binders in pre-order.  The parser reads text
+into a listing and the printer writes a listing as text, so
+``parse_term``, ``render_term`` and ``term_of_skeleton`` convert between
+listings and term objects at the edges.
 
 Every walk here, over a term, a skeleton or a text, is a loop over an
 explicit stack or a word, so depth is not bounded by the recursion limit;
@@ -153,26 +159,77 @@ def _syntax_error(text: str, i: int, message: str) -> ParseError:
     return ParseError(message, toks[-1][2] if toks else 0)
 
 
-# Frames of parse_term: an abstraction awaiting its body, an application
+# ---------------------------------------------------------------------------
+# Term listings
+#
+# The listing of a term is its pre-order arity word (0 for a variable, 1 for
+# an abstraction, 2 for an application, function before argument: the word
+# of its skeleton) and the names of its variables and binders in pre-order,
+# which is also their order in the text.  The parser reads text into a
+# listing and the printer writes one, so the round trip of a planar term's
+# text can be checked without building terms.
+
+def _listing_of(t: LambdaTerm) -> tuple[bytes, list[str]]:
+    """The listing of a term, by one pre-order walk."""
+    word = bytearray()
+    names: list[str] = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        while type(x) is Abs:
+            word.append(1)
+            names.append(x.var)
+            x = x.body
+        if type(x) is App:
+            word.append(2)
+            stack.append(x.arg)
+            stack.append(x.fun)
+        else:
+            word.append(0)
+            names.append(x.name)
+    return bytes(word), names
+
+
+def _term_of_listing(word: bytes, names: list[str]) -> LambdaTerm:
+    """Bottom up in reverse pre-order: a node's children are built before
+    it, its function on top of its argument."""
+    out: list[LambdaTerm] = []
+    i = len(names)
+    for kind in reversed(word):
+        if kind == 0:
+            i -= 1
+            out.append(Var(names[i]))
+        elif kind == 1:
+            i -= 1
+            out[-1] = Abs(names[i], out[-1])
+        else:
+            fun = out.pop()
+            out[-1] = App(fun, out[-1])
+    return out[0]
+
+
+# Frames of parse_listing: an abstraction awaiting its body, an application
 # awaiting its trailing abstraction, an open parenthesis.
 _ABS, _APP, _PAREN = 0, 1, 2
 
 
-def parse_term(text: str) -> LambdaTerm:
-    """Parse ``\\x.t`` / juxtaposition / parenthesis syntax into a term.
-
-    Application associates to the left and a trailing abstraction extends
-    as far right as it can.  Free variables are allowed; closedness is
-    checked separately with :func:`free_variables`.
+def parse_listing(text: str) -> tuple[bytes, list[str]]:
+    """The listing of the term that ``text`` writes; see parse_term.
 
     The tokens come from one regular-expression scan; one loop over them
-    with an explicit stack of pending frames builds the term, so nesting
-    depth is bounded by memory, not by the recursion limit.
+    with an explicit stack of pending frames reads the listing, so nesting
+    depth is bounded by memory, not by the recursion limit.  Atoms and
+    abstraction headers come in pre-order; an application precedes its
+    function in pre-order, so apps[e] counts the applications whose
+    function starts at element e, and the word is written at the end.
     """
     toks = _TOKEN.findall(text)
     n = len(toks)
     pos = 0
-    frames: list[tuple[int, object]] = []
+    kinds: list[int] = []
+    names: list[str] = []
+    apps: list[int] = []
+    frames: list[tuple[int, int | None]] = []  # (frame, element it starts at)
     while True:
         # A term: abstraction headers, then an application whose first atom
         # is a variable or an opening parenthesis.
@@ -181,7 +238,10 @@ def parse_term(text: str) -> LambdaTerm:
                 raise _syntax_error(text, pos + 1, "expected variable after '\\'")
             if pos + 2 == n or toks[pos + 2] != ".":
                 raise _syntax_error(text, pos + 2, "expected '.' after abstraction variable")
-            frames.append((_ABS, toks[pos + 1]))
+            frames.append((_ABS, len(kinds)))
+            kinds.append(1)
+            names.append(toks[pos + 1])
+            apps.append(0)
             pos += 3
         if pos == n:
             raise _syntax_error(text, n, "unexpected end of input")
@@ -192,90 +252,113 @@ def parse_term(text: str) -> LambdaTerm:
             continue
         if not tok[0].isalpha():
             raise _syntax_error(text, pos - 1, f"unexpected {tok!r}")
-        acc: LambdaTerm = Var(tok)
+        start = len(kinds)  # the element the application being read starts at
+        kinds.append(0)
+        names.append(tok)
+        apps.append(0)
         while True:
-            # The application loop: extend acc until ')' or the end, then
+            # The application loop: extend it until ')' or the end, then
             # hand the finished term to the frames it completes.
             tok = toks[pos] if pos < n else ")"
             if tok == ")":
                 while frames:
-                    frame, x = frames.pop()
-                    if frame == _ABS:
-                        acc = Abs(x, acc)
-                    elif frame == _APP:
-                        acc = App(x, acc)
-                    else:
-                        if pos == n:
-                            raise _syntax_error(text, n, "unbalanced parenthesis")
-                        pos += 1
-                        acc = acc if x is None else App(x, acc)
-                        break
+                    frame, first = frames.pop()
+                    if frame != _PAREN:
+                        start = first
+                        continue
+                    if pos == n:
+                        raise _syntax_error(text, n, "unbalanced parenthesis")
+                    pos += 1
+                    if first is not None:
+                        start = first
+                    break
                 else:
                     if pos < n:
                         raise _syntax_error(text, pos, f"unexpected {tok!r}")
-                    return acc
+                    word = bytearray()
+                    for kind, k in zip(kinds, apps):
+                        if k:
+                            word += b"\x02" * k
+                        word.append(kind)
+                    return bytes(word), names
                 continue
             if tok[0].isalpha():
                 pos += 1
-                acc = App(acc, Var(tok))
+                apps[start] += 1
+                kinds.append(0)
+                names.append(tok)
+                apps.append(0)
             elif tok == "(":
                 pos += 1
-                frames.append((_PAREN, acc))
+                apps[start] += 1
+                frames.append((_PAREN, start))
                 break
             elif tok == "\\":
-                frames.append((_APP, acc))
+                apps[start] += 1
+                frames.append((_APP, start))
                 break
             else:
                 raise _syntax_error(text, pos, f"unexpected {tok!r}")
 
 
-def render_term(t: LambdaTerm) -> str:
-    """Minimal-parenthesis rendering; inverse of parse_term up to alpha.
+def parse_term(text: str) -> LambdaTerm:
+    """Parse ``\\x.t`` / juxtaposition / parenthesis syntax into a term.
+
+    Application associates to the left and a trailing abstraction extends
+    as far right as it can.  Free variables are allowed; closedness is
+    checked separately with :func:`free_variables`.
+    """
+    return _term_of_listing(*parse_listing(text))
+
+
+def render_listing(word: bytes, names: list[str]) -> str:
+    """The minimal-parenthesis text of the term with this listing.
 
     A subterm is at the top or an abstraction body (0), in function
     position (1), or in argument position, where nothing follows it (2) or
     something does (3).  An abstraction avoids parentheses at 0 and 2; an
     application needs them exactly in argument position, and inside them
-    its argument is followed by nothing.
-
-    One loop goes down each function and body chain and keeps the pending
-    arguments and closing text on a stack, so depth is not bounded by the
-    recursion limit.
+    its argument is followed by nothing.  One loop over the word keeps the
+    closing text and each pending argument's position on a stack; the
+    argument starts where its function's last atom ends.
     """
     out = []
-    todo: list = []  # pending text, or (term, position) to render
-    x, pos = t, 0
-    while True:
-        kind = type(x)
-        if kind is Abs:
-            if pos == 0 or pos == 2:
-                out.append(f"\\{x.var}.")
+    todo: list = []
+    at = 0
+    i = 0
+    for kind in word:
+        if kind == 1:
+            if at == 0 or at == 2:
+                out.append(f"\\{names[i]}.")
             else:
-                out.append(f"(\\{x.var}.")
+                out.append(f"(\\{names[i]}.")
                 todo.append(")")
-            x, pos = x.body, 0
-        elif kind is App:
-            if pos >= 2:
+            i += 1
+            at = 0
+        elif kind == 2:
+            if at >= 2:
                 out.append("(")
                 todo.append(")")
-                pos = 0
-            arg = x.arg
-            if type(arg) is Var:
-                todo.append(" " + arg.name)
-            else:
-                todo += ((arg, 2 if pos == 0 else 3), " ")
-            x, pos = x.fun, 1
+                at = 0
+            todo += (2 if at == 0 else 3, " ")
+            at = 1
         else:
-            out.append(x.name)
+            out.append(names[i])
+            i += 1
             while todo:
                 item = todo.pop()
                 if type(item) is str:
                     out.append(item)
                 else:
-                    x, pos = item
+                    at = item
                     break
-            else:
-                return "".join(out)
+    return "".join(out)
+
+
+def render_term(t: LambdaTerm) -> str:
+    """Minimal-parenthesis rendering; inverse of parse_term up to alpha
+    (see render_listing)."""
+    return render_listing(*_listing_of(t))
 
 
 def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str], str | None]:
@@ -604,27 +687,8 @@ def parse_skeleton(text: str) -> Skeleton:
     return skeleton_of_word(word)
 
 
-def _term_word(t: LambdaTerm) -> bytes:
-    """The pre-order arity word of a term's syntax tree, function before
-    argument."""
-    word = bytearray()
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        while type(x) is Abs:
-            word.append(1)
-            x = x.body
-        if type(x) is App:
-            word.append(2)
-            stack.append(x.arg)
-            stack.append(x.fun)
-        else:
-            word.append(0)
-    return bytes(word)
-
-
 def skeleton_of(t: LambdaTerm) -> Skeleton:
-    return skeleton_of_word(_term_word(t))
+    return skeleton_of_word(_listing_of(t)[0])
 
 
 def preorder(s: Skeleton) -> list[tuple[int, Skeleton, int]]:
@@ -715,34 +779,30 @@ def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
     return {unary: leaf for leaf, unary in enumerate(binder) if unary >= 0}
 
 
-def term_of_skeleton(s: Skeleton) -> LambdaTerm:
-    """The planar linear term of a skeleton, variables named x1, x2, ...
-
-    The i-th abstraction in pre-order binds xi; each atom is named after
-    the binder the stack matcher gives it.  Raises MatchFailure when the
-    skeleton admits no planar linear binding.
-    """
+def listing_of_skeleton(s: Skeleton) -> tuple[bytes, list[str]]:
+    """The listing of the planar linear term of a skeleton: the i-th
+    abstraction in pre-order binds xi, and each atom is named after the
+    binder the stack matcher gives it.  Raises MatchFailure when the
+    skeleton admits no planar linear binding."""
     word = word_of(s)
     binder = _match(word)
-    # Bottom up in reverse pre-order: a node's children are built before it,
-    # its function on top of its argument.  An atom is built before its
-    # binder, so it is named when the binder is reached.
-    atom: list = [None] * len(word)  # the atom bound by each unary node
-    k = word.count(1)
-    out: list[LambdaTerm] = []
-    for nid in range(len(word) - 1, -1, -1):
-        kind = word[nid]
-        if kind == 0:
-            v = atom[binder[nid]] = Var("")
-            out.append(v)
-        elif kind == 1:
-            name = atom[nid].name = f"x{k}"
-            k -= 1
-            out[-1] = Abs(name, out[-1])
-        else:
-            fun = out.pop()
-            out[-1] = App(fun, out[-1])
-    return out[0]
+    names: list[str] = []
+    name_at = [""] * len(word)
+    k = 0
+    for nid, kind in enumerate(word):
+        if kind == 1:
+            k += 1
+            name = name_at[nid] = f"x{k}"
+            names.append(name)
+        elif kind == 0:
+            names.append(name_at[binder[nid]])
+    return word, names
+
+
+def term_of_skeleton(s: Skeleton) -> LambdaTerm:
+    """The planar linear term of a skeleton, variables named x1, x2, ...;
+    see listing_of_skeleton."""
+    return _term_of_listing(*listing_of_skeleton(s))
 
 
 # ---------------------------------------------------------------------------

@@ -316,13 +316,13 @@ def test_verify_small_sizes_match_the_stored_lines(capsys, max_size):
 def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
     # a broken matcher raised MatchFailure out of verify, which then exited 2
     # as if the input were bad
-    import lambdamaps.checks as checks
+    from lambdamaps import lambda_core
     from lambdamaps.lambda_core import MatchFailure
 
-    def broken(_s):
+    def broken(_word, _right_first=False):
         raise MatchFailure("leaf 1 has no enclosing unary node")
 
-    monkeypatch.setattr(checks, "term_of_skeleton", broken)
+    monkeypatch.setattr(lambda_core, "_match", broken)
     ok, lines = run_verify("roundtrip", 3)
     assert not ok
     assert lines[0] == "FAIL roundtrip.term-text sizes<=3 (12 terms)"

@@ -24,9 +24,13 @@ from lambdamaps.lambda_core import (
     ParseError,
     Unary,
     Var,
+    _listing_of,
     diagram_of,
+    listing_of_skeleton,
+    parse_listing,
     parse_skeleton,
     planar_match,
+    render_listing,
     render_skeleton,
     render_term,
     skeleton_of_word,
@@ -348,6 +352,9 @@ def test_printers_and_skeleton_parser_equal_the_recursive_ones():
         assert text == _ref_render_skeleton(s)
         assert word_of(parse_skeleton(text)) == word_of(_RefSkeletonParser(text).parse())
         assert render_term(term_of_skeleton(s)) == _ref_render_term(term_of_skeleton(s))
+        listing = listing_of_skeleton(s)
+        assert parse_listing(render_listing(*listing)) == listing
+        assert _listing_of(term_of_skeleton(s)) == listing
 
 
 def test_skeleton_parser_fails_as_the_recursive_one():
