@@ -22,14 +22,15 @@ so the label is nleaf - 1 - nunary = deficit - 1.
 Both directions work on the skeleton's pre-order arity word (see
 ``lambda_core``): one reverse scan of the word gives the plane tree, and one
 pre-order loop over the plane tree writes the word back, so neither
-recurses.
+recurses.  ``vtree_of_word`` and ``word_of_vtree`` are psi and psi_inv on
+the word itself; ``psi`` and ``psi_inv`` convert the skeleton at the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import check_family, check_reduced, unreduce
+from .connectivity import check_reduced, in_family, unreduce
 from .lambda_core import Binary, Leaf, Skeleton, Unary, skeleton_of_word, word_of
 from .labeled_trees import (
     InvalidInput,
@@ -123,20 +124,29 @@ def phi_inv(d: LabeledTree) -> Skeleton:
 # ---------------------------------------------------------------------------
 # psi: connected-family skeletons <-> v-trees
 
-def psi(s: Skeleton) -> LabeledTree:
-    """V-tree of a skeleton in the connected family."""
-    if not check_family(s, 1):
+def vtree_of_word(word: bytes) -> LabeledTree:
+    """psi on the pre-order arity word of a skeleton."""
+    if not in_family(word, 1):
         raise InvalidInput("skeleton is not planar linear normal")
-    word = word_of(s)
     return LabeledTree(len(word) - len(word.lstrip(b"\x01")), _spine(word, 0)[1])
 
 
-def psi_inv(v: LabeledTree) -> Skeleton:
-    """Skeleton of a v-tree (unary nodes inserted on right branches only,
-    bottom up; the root label becomes the leading chain)."""
+def word_of_vtree(v: LabeledTree) -> bytes:
+    """psi_inv as a pre-order arity word: unary nodes inserted on right
+    branches only, the root label becoming the leading chain."""
     if not validate_vtree(v).valid:
         raise InvalidInput("not a valid v-tree")
-    return skeleton_of_word(b"\x01" * v.label + _unspine(v.children, 0))
+    return b"\x01" * v.label + _unspine(v.children, 0)
+
+
+def psi(s: Skeleton) -> LabeledTree:
+    """V-tree of a skeleton in the connected family."""
+    return vtree_of_word(word_of(s))
+
+
+def psi_inv(v: LabeledTree) -> Skeleton:
+    """Skeleton of a v-tree."""
+    return skeleton_of_word(word_of_vtree(v))
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +213,16 @@ def degree_tree_stats(d: LabeledTree) -> DegreeTreeStats:
         raise InvalidInput("not a valid degree tree")
     lnode = znode = 0
     edge: dict[int, int] = {}
-
-    def walk(u: LabeledTree):
-        nonlocal lnode, znode
+    stack = [d]
+    while stack:
+        u = stack.pop()
         if not u.children:
             lnode += 1
-            return
-        s = len(u.children) + sum(c.label for c in u.children)
-        if s - u.label == 0:
+            continue
+        k = len(u.children) + sum(c.label for c in u.children) - u.label
+        if k == 0:
             znode += 1
         else:
-            edge[s - u.label] = edge.get(s - u.label, 0) + 1
-        for c in u.children:
-            walk(c)
-
-    walk(d)
+            edge[k] = edge.get(k, 0) + 1
+        stack += u.children
     return DegreeTreeStats(d.label, lnode, znode, tuple(sorted(edge.items())))

@@ -15,9 +15,9 @@ from .bijections import (
     degree_tree_stats,
     phi,
     phi_inv,
-    psi,
-    psi_inv,
     skeleton_stats,
+    vtree_of_word,
+    word_of_vtree,
 )
 from .checks import SUITES, run_verify
 from .connectivity import (
@@ -43,15 +43,15 @@ from .labeled_trees import (
     validate_vtree,
 )
 from .lambda_core import (
-    Skeleton,
+    _listing_defect,
     is_normal,
+    listing_of_word,
+    parse_listing,
     parse_skeleton,
-    parse_term,
+    render_listing,
     render_skeleton,
-    render_term,
-    skeleton_of,
-    term_defect,
-    term_of_skeleton,
+    skeleton_of_word,
+    word_of,
 )
 from .planar_maps import (
     canonical_form,
@@ -66,48 +66,56 @@ from .planar_maps import (
 
 
 # ---------------------------------------------------------------------------
-# Conversions (the skeleton is the hub)
+# Conversions (the pre-order arity word is the hub)
 
-def to_skeleton(kind: str, text: str) -> Skeleton:
+def to_word(kind: str, text: str) -> bytes:
+    """The pre-order arity word of the skeleton an object text stands for.
+
+    A term is read as a listing and checked on it; a v-tree or a map goes
+    through psi_inv on the word.  Only skeleton and degree-tree texts build
+    a skeleton object, which is read for its word at once.
+    """
     if kind == "term":
-        term = parse_term(text)
-        if defect := term_defect(term):
+        word, names = parse_listing(text)
+        if defect := _listing_defect(word, names):
             raise InvalidInput(defect)
-        return skeleton_of(term)
+        return word
     if kind == "skeleton":
-        return parse_skeleton(text)
+        return word_of(parse_skeleton(text))
     if kind == "vtree":
-        return psi_inv(parse_labeled_tree(text))
+        return word_of_vtree(parse_labeled_tree(text))
     if kind == "dtree":
-        return unreduce(phi_inv(parse_labeled_tree(text)))
+        return word_of(unreduce(phi_inv(parse_labeled_tree(text))))
     if kind == "map":
-        return psi_inv(rho_direct(parse_map(text)))
+        return word_of_vtree(rho_direct(parse_map(text)))
     raise InvalidInput(f"unknown object kind {kind!r}")
 
 
-def from_skeleton(kind: str, s: Skeleton) -> str:
+def from_word(kind: str, word: bytes) -> str:
+    """The text of the object of this kind that a pre-order arity word
+    stands for; inverse of to_word."""
     if kind == "term":
-        return render_term(term_of_skeleton(s))
+        return render_listing(*listing_of_word(word))
     if kind == "skeleton":
-        return render_skeleton(s)
+        return render_skeleton(skeleton_of_word(word))
     if kind == "vtree":
-        return render_labeled_tree(psi(s))
+        return render_labeled_tree(vtree_of_word(word))
     if kind == "dtree":
-        return render_labeled_tree(phi(reduce_skeleton(s)))
+        return render_labeled_tree(phi(reduce_skeleton(skeleton_of_word(word))))
     if kind == "map":
-        return render_map(canonical_map(rho_inv(psi(s))))
+        return render_map(canonical_map(rho_inv(vtree_of_word(word))))
     raise InvalidInput(f"unknown object kind {kind!r}")
 
 
 def convert(from_kind: str, to_kind: str, text: str) -> str:
-    """Convert text through the skeleton hub, except between v-trees and
-    maps, which rho_inv and rho_direct join directly: the hub would add
-    psi_inv and then psi, which together are the identity on v-trees."""
+    """Convert text through the word hub, except between v-trees and maps,
+    which rho_inv and rho_direct join directly: the hub would add psi_inv
+    and then psi, which together are the identity on v-trees."""
     if from_kind == "vtree" and to_kind == "map":
         return render_map(canonical_map(rho_inv(parse_labeled_tree(text))))
     if from_kind == "map" and to_kind == "vtree":
         return render_labeled_tree(rho_direct(parse_map(text)))
-    return from_skeleton(to_kind, to_skeleton(from_kind, text))
+    return from_word(to_kind, to_word(from_kind, text))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +153,7 @@ def stats_lines(text: str, kind: str | None) -> list[str]:
         out.append(f"canonical\t{''.join(f'{x:0{width}x}' for x in canonical_form(m))}")
         return out
     if kind in ("term", "skeleton"):
-        s = to_skeleton(kind, text)
+        s = skeleton_of_word(to_word(kind, text))
         out.append(f"size\t{s.nleaf}")
         out.append(f"unary\t{s.nunary}")
         out.append(f"normal\t{'yes' if is_normal(s) else 'no'}")

@@ -59,7 +59,12 @@ _UNARY_LEFT_CHILD = b"\x02\x01"
 
 def check_family(s: Skeleton, level: int) -> bool:
     """Structural membership test for the connected (level 1) and
-    2-connected (level 2) families.
+    2-connected (level 2) families; see in_family."""
+    return in_family(word_of(s), level)
+
+
+def in_family(word: bytes, level: int) -> bool:
+    """check_family on a skeleton's pre-order arity word.
 
     Level 1: leaf count equals unary count, no binary node has a unary left
     child, and every binary node or leaf u satisfies deficit(subtree at u)
@@ -77,8 +82,7 @@ def check_family(s: Skeleton, level: int) -> bool:
     """
     if level not in (1, 2):
         raise ValueError(f"level must be 1 or 2, got {level}")
-    word = word_of(s)
-    if s.nleaf != word.count(1) or _UNARY_LEFT_CHILD in word:
+    if word.count(0) != word.count(1) or _UNARY_LEFT_CHILD in word:
         return False
     least = level - 1
     deficits: list[int] = []

@@ -12,8 +12,8 @@ labels; no edge-labelled tree type is built.
 
 ``LabeledTree`` is a plain class with ``__slots__``.  Its equality, hash
 and node count and ``has_zero`` walk a tree breadth first over a growing
-list of nodes; the text format's printer and parser and
-``validate_degree_tree`` still recurse.
+list of nodes, and the validators walk it by an explicit stack; only the
+text format's printer and parser still recurse.
 
 Text format: ``<label>[child,child,...]`` with brackets omitted on leaves,
 e.g. ``2[1[0],0]``.
@@ -116,12 +116,19 @@ def parse_labeled_tree(text: str) -> LabeledTree:
 
 
 def validate_degree_tree(t: LabeledTree) -> bool:
-    if not t.children:
-        return t.label == 0
-    s = len(t.children) + sum(c.label for c in t.children)
-    if not (s - t.children[0].label <= t.label <= s):
-        return False
-    return all(validate_degree_tree(c) for c in t.children)
+    """Check the degree-tree conditions, in one walk by an explicit stack."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if not u.children:
+            if u.label != 0:
+                return False
+            continue
+        s = len(u.children) + sum(c.label for c in u.children)
+        if not (s - u.children[0].label <= u.label <= s):
+            return False
+        stack += u.children
+    return True
 
 
 class VTreeCheck(NamedTuple):

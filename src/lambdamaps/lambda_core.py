@@ -17,13 +17,14 @@ and 2 for a binary node.  ``word_of`` computes it once per object and
 ``skeleton_of_word`` builds the object back; skeletons compare and hash as
 their words.  One stack matcher, ``_match``, pairs unary nodes with leaves
 in one walk of the word and gives each leaf its binder's position;
-``planar_match``, ``listing_of_skeleton`` and ``diagram_of`` read it.
+``planar_match``, ``listing_of_word`` and ``diagram_of`` read it.
 
 A term's listing is the same word for its syntax tree together with the
 names of its variables and binders in pre-order.  The parser reads text
-into a listing and the printer writes a listing as text, so
-``parse_term``, ``render_term`` and ``term_of_skeleton`` convert between
-listings and term objects at the edges.
+into a listing, one loop over a listing checks that it is closed, linear
+and planar, and the printer writes a listing as text, so ``parse_term``,
+``render_term``, ``term_of_skeleton`` and the defect functions convert
+between listings and term objects at the edges.
 
 Every walk here, over a term, a skeleton or a text, is a loop over an
 explicit stack or a word, so depth is not bounded by the recursion limit;
@@ -361,8 +362,8 @@ def render_term(t: LambdaTerm) -> str:
     return render_listing(*_listing_of(t))
 
 
-def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str], str | None]:
-    """One iterative pass over a term.
+def _listing_scan(word: bytes, names: list[str]) -> tuple[list[str], list[int], set[str], str | None]:
+    """One loop over a term's listing.
 
     Returns the variables of its abstractions in pre-order (function before
     argument), the number of atoms each one binds, the names of the free
@@ -370,6 +371,8 @@ def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str], str | 
     atom is bound by the innermost open abstraction over its name; with
     none open it is free.  The stack discipline holds when each bound atom
     is bound by the innermost abstraction that has bound no atom before it.
+    A stack holds, above each pending argument (-1), the abstractions whose
+    scopes close when the subterm being read ends, which is at an atom.
     """
     binders: list[str] = []
     counts: list[int] = []
@@ -377,37 +380,41 @@ def _binding_scan(t: LambdaTerm) -> tuple[list[str], list[int], set[str], str | 
     crossing: str | None = None
     open_binders: dict[str, list[int]] = {}
     unmatched: list[int] = []
-    stack: list[LambdaTerm | str] = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            scope = open_binders.get(x.name)
-            if scope:
-                b = scope[-1]
-                counts[b] += 1
-                if unmatched and unmatched[-1] == b:
-                    unmatched.pop()
-                elif crossing is None and unmatched:
-                    crossing = f"{x.name} is used before {binders[unmatched[-1]]}"
-            else:
-                free.add(x.name)
-        elif isinstance(x, App):
-            stack.append(x.arg)
-            stack.append(x.fun)
-        elif isinstance(x, Abs):
-            open_binders.setdefault(x.var, []).append(len(binders))
+    closing: list[int] = []
+    i = 0
+    for kind in word:
+        if kind == 2:
+            closing.append(-1)
+            continue
+        name = names[i]
+        i += 1
+        if kind == 1:
+            open_binders.setdefault(name, []).append(len(binders))
             unmatched.append(len(binders))
-            binders.append(x.var)
+            closing.append(len(binders))
+            binders.append(name)
             counts.append(0)
-            stack.append(x.var)  # popped once the body is done: closes the scope
-            stack.append(x.body)
+            continue
+        scope = open_binders.get(name)
+        if scope:
+            b = scope[-1]
+            counts[b] += 1
+            if unmatched and unmatched[-1] == b:
+                unmatched.pop()
+            elif crossing is None and unmatched:
+                crossing = f"{name} is used before {binders[unmatched[-1]]}"
         else:
-            open_binders[x].pop()
+            free.add(name)
+        while closing:
+            b = closing.pop()
+            if b < 0:
+                break
+            open_binders[binders[b]].pop()
     return binders, counts, free, crossing
 
 
 def free_variables(t: LambdaTerm) -> set[str]:
-    return _binding_scan(t)[2]
+    return _listing_scan(*_listing_of(t))[2]
 
 
 def _linearity_message(binders: list[str], counts: list[int], free: set[str]) -> str | None:
@@ -426,7 +433,17 @@ def linearity_defect(t: LambdaTerm) -> str | None:
     first abstraction in pre-order that does not bind exactly one atom is
     reported.
     """
-    return _linearity_message(*_binding_scan(t)[:3])
+    return _linearity_message(*_listing_scan(*_listing_of(t))[:3])
+
+
+def _listing_defect(word: bytes, names: list[str]) -> str | None:
+    """term_defect on the term's listing, so that a parsed text is checked
+    without building the term."""
+    binders, counts, free, crossing = _listing_scan(word, names)
+    defect = _linearity_message(binders, counts, free)
+    if defect is None and crossing is not None:
+        defect = f"term is not planar: {crossing}"
+    return defect
 
 
 def term_defect(t: LambdaTerm) -> str | None:
@@ -437,11 +454,7 @@ def term_defect(t: LambdaTerm) -> str | None:
     abstraction still without an atom is reported: such a term is not the
     term of its own skeleton.
     """
-    binders, counts, free, crossing = _binding_scan(t)
-    defect = _linearity_message(binders, counts, free)
-    if defect is None and crossing is not None:
-        defect = f"term is not planar: {crossing}"
-    return defect
+    return _listing_defect(*_listing_of(t))
 
 
 def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
@@ -779,12 +792,11 @@ def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
     return {unary: leaf for leaf, unary in enumerate(binder) if unary >= 0}
 
 
-def listing_of_skeleton(s: Skeleton) -> tuple[bytes, list[str]]:
-    """The listing of the planar linear term of a skeleton: the i-th
-    abstraction in pre-order binds xi, and each atom is named after the
-    binder the stack matcher gives it.  Raises MatchFailure when the
-    skeleton admits no planar linear binding."""
-    word = word_of(s)
+def listing_of_word(word: bytes) -> tuple[bytes, list[str]]:
+    """The listing of the planar linear term whose skeleton has this
+    pre-order arity word: the i-th abstraction in pre-order binds xi, and
+    each atom is named after the binder the stack matcher gives it.  Raises
+    MatchFailure when the skeleton admits no planar linear binding."""
     binder = _match(word)
     names: list[str] = []
     name_at = [""] * len(word)
@@ -799,9 +811,15 @@ def listing_of_skeleton(s: Skeleton) -> tuple[bytes, list[str]]:
     return word, names
 
 
+def listing_of_skeleton(s: Skeleton) -> tuple[bytes, list[str]]:
+    """The listing of the planar linear term of a skeleton; see
+    listing_of_word."""
+    return listing_of_word(word_of(s))
+
+
 def term_of_skeleton(s: Skeleton) -> LambdaTerm:
     """The planar linear term of a skeleton, variables named x1, x2, ...;
-    see listing_of_skeleton."""
+    see listing_of_word."""
     return _term_of_listing(*listing_of_skeleton(s))
 
 

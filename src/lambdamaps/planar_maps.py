@@ -582,11 +582,14 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     met at the current vertex, the half-edges passed before it are the
     part's outer corners besides h, and the label is the number of distinct
     vertices among them.  When that part extends past the far side of the
-    edge (g is not the clockwise neighbour of h), the half-edges between g
-    and h are detached onto a new copy of the current vertex, so each inner
-    face is eventually opened up and the map becomes a tree carrying the
-    v-tree labels.  Each step costs the length of its walk and of its
-    detached arc; no copy of the map is made.
+    edge (g is not the clockwise neighbour of h), the arc of half-edges
+    between g and h is detached onto a new copy of the current vertex, so
+    each inner face is eventually opened up and the map becomes a tree
+    carrying the v-tree labels.  A detach relinks four pointers; of the two
+    vertices it leaves, the smaller gets a fresh id, found by walking both
+    in lockstep, so each half-edge changes id only when its vertex at least
+    halves and all relabelling costs O(n log n).  No copy of the map is
+    made.
     """
     _check(m)
     if m.n == 0:
@@ -613,37 +616,51 @@ def rho_direct(m: RootedMap) -> LabeledTree:
                 value += 1
             g = pred[g ^ 1]
         if pred[h] != g:
-            arcp = [succ[g]]
-            while succ[arcp[-1]] != h:
-                arcp.append(succ[arcp[-1]])
-            succ[g] = h
-            pred[h] = g
-            succ[arcp[-1]] = arcp[0]
-            pred[arcp[0]] = arcp[-1]
-            for x in arcp:
+            first, last = succ[g], pred[h]
+            succ[g], pred[h] = h, g
+            succ[last], pred[first] = first, last
+            x, y = succ[h], succ[first]
+            while x != h and y != first:
+                x, y = succ[x], succ[y]
+            x = small = h if x == h else first
+            while True:
                 vid[x] = nv
+                x = succ[x]
+                if x == small:
+                    break
             seen_at.append(-1)
             nv += 1
         labels[h ^ 1] = value
         cur = pred[h ^ 1]
     assert cur == m.root and all(visited)
-    kids = []
-    x = succ[m.root]
+    return LabeledTree(outv(m), _read_tree(succ, labels, m.root))
+
+
+def _read_tree(succ: list[int], labels: list[int], root: int) -> tuple[LabeledTree, ...]:
+    """The subtrees below the root vertex once rho_direct has opened the
+    map into a tree, in rotation order from the root's successor.
+
+    One walk around the tree's only face, h -> sigma(alpha(h)), passes
+    each edge down toward the leaves and later back up; a node is opened
+    on the way down and built from the subtrees gathered below it on the
+    way up, from an explicit stack.  The node below an edge carries the
+    label that rho_direct keeps at the edge's far half.
+    """
+    down = bytearray(len(succ) // 2)
+    stack: list[list[LabeledTree]] = [[]]
+    h = start = succ[root]
     while True:
-        kids.append(LabeledTree(labels[x ^ 1], _read_kids(succ, labels, x ^ 1)))
-        if x == m.root:
-            break
-        x = succ[x]
-    return LabeledTree(outv(m), tuple(kids))
-
-
-def _read_kids(succ: list[int], labels: list[int], q: int) -> tuple[LabeledTree, ...]:
-    """The subtrees hanging below the far end q of a tree edge once
-    rho_direct has opened the map into a tree: one per other half-edge at
-    q's vertex, in rotation order."""
-    kids = []
-    x = succ[q]
-    while x != q:
-        kids.append(LabeledTree(labels[x ^ 1], _read_kids(succ, labels, x ^ 1)))
-        x = succ[x]
-    return tuple(kids)
+        q = h ^ 1
+        if down[h >> 1]:
+            kids = stack.pop()
+            stack[-1].append(LabeledTree(labels[h], tuple(kids)))
+            h = succ[q]
+        elif succ[q] == q:  # down to a leaf and straight back up
+            stack[-1].append(LabeledTree(labels[q]))
+            h = succ[h]
+        else:
+            down[h >> 1] = 1
+            stack.append([])
+            h = succ[q]
+        if h == start:
+            return tuple(stack[0])

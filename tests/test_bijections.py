@@ -230,3 +230,13 @@ def test_stats_uc_accounts_all_unary_nodes():
             st = skeleton_stats(r)
             assert sum(k * c for k, c in st.uc) == r.nunary
             assert st.ex >= 1
+
+
+def test_degree_tree_stats_on_a_deep_tree(shallow_recursion):
+    # the lowest internal node's leftmost edge is labelled 0, every other
+    # internal node's 1
+    d = LabeledTree(0)
+    for _ in range(10_000):
+        d = LabeledTree(1, (d,))
+    st = degree_tree_stats(d)
+    assert (st.rlabel, st.lnode, st.znode, st.edge) == (1, 1, 1, ((1, 9_999),))

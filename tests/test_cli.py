@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from lambdamaps.cli import convert, from_skeleton, main, run_verify, stats_lines, to_skeleton
+from lambdamaps import lambda_core
+from lambdamaps.cli import convert, from_word, main, run_verify, stats_lines, to_word
 from lambdamaps.enumeration import gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import render_labeled_tree
 from lambdamaps.planar_maps import render_map
@@ -76,9 +77,9 @@ def test_convert_chains():
 
 
 def _through_hub(from_kind, to_kind, text):
-    """convert by way of the skeleton, or the error it raises."""
+    """convert by way of the word hub, or the error it raises."""
     try:
-        return from_skeleton(to_kind, to_skeleton(from_kind, text))
+        return from_word(to_kind, to_word(from_kind, text))
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -112,6 +113,33 @@ def test_direct_vtree_map_routes_fail_as_the_hub_route(capsys):
         assert main(["convert", "--from", from_kind, "--to", to_kind, text]) == 2
         assert capsys.readouterr().err == f"error: {got.split(': ', 1)[1]}\n"
     assert _direct("vtree", "map", "2[0]") == "InvalidInput: not a valid v-tree"
+
+
+# One object as a term, a v-tree and a map, in the texts convert writes.
+_ONE_OBJECT = {
+    "term": r"\x1.\x2.\x3.x3 \x4.x4 (x2 x1)",
+    "vtree": "3[2[2[1]]]",
+    "map": "map n=3 sigma=(0 2)(1 4)(3 5) root=0",
+}
+
+
+def test_convert_builds_no_term_or_skeleton_object(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a term or skeleton object was built")
+
+    builders = (lambda_core._term_of_listing, lambda_core.skeleton_of_word)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lambdamaps":
+            for attr, value in list(vars(module).items()):
+                if any(value is b for b in builders):
+                    monkeypatch.setattr(module, attr, refuse)
+    for a, text in _ONE_OBJECT.items():
+        for b, want in _ONE_OBJECT.items():
+            if a != b:
+                assert convert(a, b, text) == want
+    # the patch reaches the builders: skeleton texts still use them
+    with pytest.raises(AssertionError):
+        convert("term", "skeleton", _ONE_OBJECT["term"])
 
 
 def test_convert_roundtrip_via_map():

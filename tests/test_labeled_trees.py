@@ -88,3 +88,9 @@ def test_deep_trees_without_recursion(shallow_recursion):
     assert hash(other) != hash(t)
     assert t.node_count() == 10_001 and t.edge_count() == 10_000
     assert has_zero(t) and not has_zero(other)
+
+
+def test_validate_degree_tree_on_a_deep_tree(shallow_recursion):
+    # a chain of 1s over a leaf 0 is a degree tree; a leaf 1 is not
+    assert validate_degree_tree(_deep_path(0))
+    assert not validate_degree_tree(_deep_path(1))

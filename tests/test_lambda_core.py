@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from lambdamaps.lambda_core import (
     ParseError,
     Unary,
     Var,
+    _term_of_listing,
     _tokenize,
     alpha_equal,
     diagram_of,
@@ -29,6 +32,7 @@ from lambdamaps.lambda_core import (
     skeleton_of,
     term_defect,
     term_of_skeleton,
+    word_of,
 )
 from lambdamaps.bijections import InvalidInput
 from lambdamaps.enumeration import gen_skeletons, iter_unary_binary
@@ -230,6 +234,78 @@ def test_linearity_defect_matches_old_check():
                 assert free_variables(t) == _old_free_variables(t)
                 checked += 1
     assert checked > 3360
+
+
+def _binding_scan(t):
+    """The walk over term objects that the defect functions made before they
+    read listings: the variables of the abstractions in pre-order, the
+    number of atoms each one binds, the names of the free atoms, and the
+    first atom that breaks the stack discipline, as a message, or None."""
+    binders, counts, free, crossing = [], [], set(), None
+    open_binders = {}
+    unmatched = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            scope = open_binders.get(x.name)
+            if scope:
+                b = scope[-1]
+                counts[b] += 1
+                if unmatched and unmatched[-1] == b:
+                    unmatched.pop()
+                elif crossing is None and unmatched:
+                    crossing = f"{x.name} is used before {binders[unmatched[-1]]}"
+            else:
+                free.add(x.name)
+        elif isinstance(x, App):
+            stack.append(x.arg)
+            stack.append(x.fun)
+        elif isinstance(x, Abs):
+            open_binders.setdefault(x.var, []).append(len(binders))
+            unmatched.append(len(binders))
+            binders.append(x.var)
+            counts.append(0)
+            stack.append(x.var)  # popped once the body is done: closes the scope
+            stack.append(x.body)
+        else:
+            open_binders[x].pop()
+    return binders, counts, free, crossing
+
+
+def _ref_defects(t):
+    """linearity_defect and term_defect by the reference scan."""
+    binders, counts, free, crossing = _binding_scan(t)
+    linearity = None
+    if free:
+        linearity = f"term is not closed: free {sorted(free)}"
+    else:
+        for var, c in zip(binders, counts):
+            if c != 1:
+                linearity = f"abstraction over {var} binds {c} atoms, not 1"
+                break
+    planarity = linearity
+    if linearity is None and crossing is not None:
+        planarity = f"term is not planar: {crossing}"
+    return free, linearity, planarity
+
+
+def test_defect_functions_equal_the_binding_scan():
+    # every unary-binary tree with n <= 4 leaves and n unary nodes, under
+    # every naming of its atoms and binders from {x, y}: closed and free,
+    # linear and not, planar and crossing, shadowing binders
+    checked = 0
+    for n in range(1, 5):
+        for s in iter_unary_binary(n, n):
+            word = word_of(s)
+            for names in product("xy", repeat=2 * n):
+                t = _term_of_listing(word, list(names))
+                free, linearity, planarity = _ref_defects(t)
+                assert free_variables(t) == free
+                assert linearity_defect(t) == linearity
+                assert term_defect(t) == planarity
+                checked += 1
+    assert checked == 273380
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,25 @@ def test_rho_direct_agrees_at_six_edges():
         assert canonical_form(rho_inv(t)) == canonical_form(m)
 
 
+def test_rho_direct_equals_rho_to_six_edges():
+    maps = [m for n in range(7) for m in gen_maps(n)]
+    assert len(maps) == 27417
+    for m in maps:
+        assert rho_direct(m) == rho(m)
+
+
+def test_rho_direct_on_a_deep_path_map(shallow_recursion):
+    # Opening this map detaches arcs that run along the rest of the path,
+    # so walking each detached arc would take quadratic time.
+    t = LabeledTree(1)
+    for _ in range(10**4 - 1):
+        t = LabeledTree(1, (t,))
+    t = LabeledTree(2, (t,))
+    m = rho_inv(t)
+    assert m.n == 10**4
+    assert rho_direct(m) == rho(m) == t
+
+
 def _random_vtree(n: int, reach: int, rng: random.Random) -> LabeledTree:
     """Seeded random v-tree with n edges, built bottom-up without recursion.
     Node i hangs below one of the `reach` nodes before it, so a small reach
