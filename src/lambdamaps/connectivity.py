@@ -25,7 +25,6 @@ from .lambda_core import (
     Skeleton,
     Unary,
     word_of,
-    wrap_unary,
 )
 
 
@@ -153,7 +152,10 @@ def unreduce(s: Skeleton) -> Skeleton:
     d = s.deficit()
     if d <= 0:
         raise InvalidReduced(f"deficit {d} is not positive")
-    return wrap_unary(Binary(LEAF, s), d + 1)
+    s = Binary(LEAF, s)
+    for _ in range(d + 1):
+        s = Unary(s)
+    return s
 
 
 def is_three_connected_skeleton(s: Skeleton) -> bool:

@@ -16,7 +16,6 @@ route, filtering every map by map_stats, as the oracle for this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -77,22 +76,6 @@ def _gen_lin(nleaf: int, nunary: int) -> tuple[Skeleton, ...]:
             rights = _gen_lin(b, d)
             out.extend(Binary(l, r) for l in lefts for r in rights)
     return tuple(out)
-
-
-def iter_unary_binary(nleaf: int, nunary: int):
-    """Stream all plane unary-binary trees with the given counts."""
-    if nleaf < 1 or nunary < 0:
-        return
-    if nleaf == 1 and nunary == 0:
-        yield LEAF
-    if nunary >= 1:
-        for t in iter_unary_binary(nleaf, nunary - 1):
-            yield Unary(t)
-    for a in range(1, nleaf):
-        for c in range(0, nunary + 1):
-            for l in iter_unary_binary(a, c):
-                for r in iter_unary_binary(nleaf - a, nunary - c):
-                    yield Binary(l, r)
 
 
 def gen_skeletons(n: int, level: int) -> list[Skeleton]:
@@ -299,19 +282,11 @@ def maps_formula(n: int) -> int:
 
 
 def bipartite_maps_formula(n: int) -> int | None:
-    """3 * 2^(n-1) * (2n)! / (n! * (n+2)!) for n >= 1."""
+    """3 * 2^(n-1) * (2n)! / (n! * (n+2)!) for n >= 1 (OEIS A000257, always
+    an integer); None at n = 0, where the formula does not apply."""
     if n == 0:
         return None
-    num = 3 * 2 ** (n - 1) * comb(2 * n, n)
-    den = (n + 1) * (n + 2)
-    return num // den if num % den == 0 else None
-
-
-def conjectured_3conn_formula(n: int) -> Fraction:
-    """The announced closed form 2^n / ((n+1)(n+2)) * C(2n+1, n) for the
-    3-connected family with n+2 atoms; non-integral already at n = 2, so it
-    is reported but never asserted."""
-    return Fraction(2**n, (n + 1) * (n + 2)) * comb(2 * n + 1, n)
+    return 3 * 2 ** (n - 1) * comb(2 * n, n) // ((n + 1) * (n + 2))
 
 
 @dataclass(frozen=True)
@@ -319,7 +294,7 @@ class CountRow:
     family: str
     n: int
     count: int
-    formula: Fraction | int | None
+    formula: int | None
     match: bool | None
 
 
@@ -333,7 +308,7 @@ def count_table(n_max: int) -> list[CountRow]:
         rows.append(CountRow("s2", n, len(gen_skeletons(n, 2)), None, None))
     for n in range(1, n_max + 1):
         c = len(gen_skeletons(n, 3))
-        f = conjectured_3conn_formula(n - 2) if n >= 2 else None
+        f = bipartite_maps_formula(n - 2) if n >= 2 else None
         rows.append(CountRow("s3", n, c, f, f == c if f is not None else None))
     for n in range(2, n_max + 1):
         rows.append(CountRow("rs", n, len(gen_reduced_skeletons(n)), None, None))

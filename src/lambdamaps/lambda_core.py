@@ -9,7 +9,7 @@ ones, the stack discipline pairs each abstraction with the atom it binds.
 
 Terms (``Var``, ``App``, ``Abs``) and skeleton nodes (``Leaf``, ``Unary``,
 ``Binary``) are plain classes with ``__slots__``.  Terms compare and hash
-field by field, as frozen dataclasses would.
+as their listings (below), which determine them.
 
 The skeleton kernels read a skeleton's pre-order arity word: a ``bytes``
 value with one byte per node in pre-order, 0 for a leaf, 1 for a unary node
@@ -23,12 +23,11 @@ A term's listing is the same word for its syntax tree together with the
 names of its variables and binders in pre-order.  The parser reads text
 into a listing, one loop over a listing checks that it is closed, linear
 and planar, and the printer writes a listing as text, so ``parse_term``,
-``render_term``, ``term_of_skeleton`` and the defect functions convert
-between listings and term objects at the edges.
+``render_term``, ``term_of_skeleton`` and ``term_defect`` convert between
+listings and term objects at the edges.
 
 Every walk here, over a term, a skeleton or a text, is a loop over an
-explicit stack or a word, so depth is not bounded by the recursion limit;
-only ``has_beta_redex`` still recurses.
+explicit stack or a word, so depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -54,48 +53,18 @@ class MatchFailure(ValueError):
 
 class _Term:
     """Equality and hash of Var, App and Abs: two terms are equal exactly
-    when their types and fields are."""
+    when their listings are, that is when their types and fields are."""
 
     __slots__ = ()
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, _Term):
             return NotImplemented
-        xs, ys = [self], [other]  # breadth first, the two lists grow in step
-        for a, b in zip(xs, ys):
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b):
-                return False
-            if kind is App:
-                xs += (a.fun, a.arg)
-                ys += (b.fun, b.arg)
-            elif kind is Abs:
-                if a.var != b.var:
-                    return False
-                xs.append(a.body)
-                ys.append(b.body)
-            elif a.name != b.name:
-                return False
-        return True
+        return _listing_of(self) == _listing_of(other)
 
     def __hash__(self):
-        # The breadth-first word, an App as 0 and an Abs as 1 then its
-        # variable, determines the term.
-        word = []
-        nodes = [self]
-        for x in nodes:
-            kind = type(x)
-            if kind is App:
-                word.append(0)
-                nodes += (x.fun, x.arg)
-            elif kind is Abs:
-                word += (1, x.var)
-                nodes.append(x.body)
-            else:
-                word.append(x.name)
-        return hash(tuple(word))
+        word, names = _listing_of(self)
+        return hash((word, tuple(names)))
 
 
 class Var(_Term):
@@ -306,8 +275,8 @@ def parse_term(text: str) -> LambdaTerm:
     """Parse ``\\x.t`` / juxtaposition / parenthesis syntax into a term.
 
     Application associates to the left and a trailing abstraction extends
-    as far right as it can.  Free variables are allowed; closedness is
-    checked separately with :func:`free_variables`.
+    as far right as it can.  Free variables are allowed; :func:`term_defect`
+    says whether a term is closed, linear and planar.
     """
     return _term_of_listing(*parse_listing(text))
 
@@ -413,46 +382,28 @@ def _listing_scan(word: bytes, names: list[str]) -> tuple[list[str], list[int], 
     return binders, counts, free, crossing
 
 
-def free_variables(t: LambdaTerm) -> set[str]:
-    return _listing_scan(*_listing_of(t))[2]
-
-
-def _linearity_message(binders: list[str], counts: list[int], free: set[str]) -> str | None:
+def _listing_defect(word: bytes, names: list[str]) -> str | None:
+    """term_defect on the term's listing, so that a parsed text is checked
+    without building the term."""
+    binders, counts, free, crossing = _listing_scan(word, names)
     if free:
         return f"term is not closed: free {sorted(free)}"
     for var, c in zip(binders, counts):
         if c != 1:
             return f"abstraction over {var} binds {c} atoms, not 1"
+    if crossing is not None:
+        return f"term is not planar: {crossing}"
     return None
-
-
-def linearity_defect(t: LambdaTerm) -> str | None:
-    """Why a term is not closed and linear, or None when it is.
-
-    A free atom is reported first, listing every free name.  Otherwise the
-    first abstraction in pre-order that does not bind exactly one atom is
-    reported.
-    """
-    return _linearity_message(*_listing_scan(*_listing_of(t))[:3])
-
-
-def _listing_defect(word: bytes, names: list[str]) -> str | None:
-    """term_defect on the term's listing, so that a parsed text is checked
-    without building the term."""
-    binders, counts, free, crossing = _listing_scan(word, names)
-    defect = _linearity_message(binders, counts, free)
-    if defect is None and crossing is not None:
-        defect = f"term is not planar: {crossing}"
-    return defect
 
 
 def term_defect(t: LambdaTerm) -> str | None:
     """Why a term is not closed, linear and planar, or None when it is.
 
-    A linearity defect is reported first, as by :func:`linearity_defect`.
-    Otherwise the first atom in pre-order that is not bound by the innermost
-    abstraction still without an atom is reported: such a term is not the
-    term of its own skeleton.
+    A free atom is reported first, listing every free name.  Otherwise the
+    first abstraction in pre-order that does not bind exactly one atom is
+    reported.  Otherwise the first atom in pre-order that is not bound by
+    the innermost abstraction still without an atom is reported: such a
+    term is not the term of its own skeleton.
     """
     return _listing_defect(*_listing_of(t))
 
@@ -493,15 +444,6 @@ def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
     return True
 
 
-def has_beta_redex(t: LambdaTerm) -> bool:
-    """True iff some sub-term is an abstraction applied to an argument."""
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Abs):
-        return has_beta_redex(t.body)
-    return isinstance(t.fun, Abs) or has_beta_redex(t.fun) or has_beta_redex(t.arg)
-
-
 # ---------------------------------------------------------------------------
 # Skeletons
 
@@ -519,9 +461,6 @@ class Skeleton:
     @property
     def nunary(self) -> int:
         return word_of(self).count(1)
-
-    def size(self) -> int:
-        return self.nleaf
 
     def deficit(self) -> int:
         return self.nleaf - self.nunary
@@ -566,12 +505,6 @@ class Binary(Skeleton):
 
 
 LEAF = Leaf()
-
-
-def wrap_unary(s: Skeleton, k: int) -> Skeleton:
-    for _ in range(k):
-        s = Unary(s)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -704,33 +637,9 @@ def skeleton_of(t: LambdaTerm) -> Skeleton:
     return skeleton_of_word(_listing_of(t)[0])
 
 
-def preorder(s: Skeleton) -> list[tuple[int, Skeleton, int]]:
-    """(id, node, parent_id) with ids assigned in pre-order from 0."""
-    out: list[tuple[int, Skeleton, int]] = []
-    stack = [(s, -1)]
-    while stack:
-        node, parent = stack.pop()
-        nid = len(out)
-        out.append((nid, node, parent))
-        if isinstance(node, Unary):
-            stack.append((node.child, nid))
-        elif isinstance(node, Binary):
-            stack.append((node.right, nid))
-            stack.append((node.left, nid))
-    return out
-
-
 def is_normal(s: Skeleton) -> bool:
     """No binary node has a unary left child."""
     return b"\x02\x01" not in word_of(s)
-
-
-_PARENTHESES = bytes.maketrans(b"\x00\x01", b")(")
-
-
-def parenthesis_word(s: Skeleton) -> str:
-    """Pre-order word: '(' per unary node, ')' per leaf."""
-    return word_of(s).translate(_PARENTHESES, b"\x02").decode()
 
 
 def _match(word: bytes, right_first: bool = False) -> list[int]:
@@ -811,16 +720,10 @@ def listing_of_word(word: bytes) -> tuple[bytes, list[str]]:
     return word, names
 
 
-def listing_of_skeleton(s: Skeleton) -> tuple[bytes, list[str]]:
-    """The listing of the planar linear term of a skeleton; see
-    listing_of_word."""
-    return listing_of_word(word_of(s))
-
-
 def term_of_skeleton(s: Skeleton) -> LambdaTerm:
     """The planar linear term of a skeleton, variables named x1, x2, ...;
     see listing_of_word."""
-    return _term_of_listing(*listing_of_skeleton(s))
+    return _term_of_listing(*listing_of_word(word_of(s)))
 
 
 # ---------------------------------------------------------------------------

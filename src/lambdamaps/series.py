@@ -92,12 +92,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def pow(self, e: int) -> "TruncatedSeries":
-        out = one(self.trunc, self.kmax)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def coefficient(self, t_deg: int, x_deg: int = 0,
                     p_deg: tuple[int, ...] | None = None) -> Fraction:
         key = (t_deg, x_deg, p_deg if p_deg is not None else (0,) * self.kmax)

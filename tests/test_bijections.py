@@ -18,7 +18,8 @@ from lambdamaps.labeled_trees import (
     validate_degree_tree,
     validate_vtree,
 )
-from lambdamaps.lambda_core import LEAF, Binary, parse_skeleton, wrap_unary
+from lambdamaps.lambda_core import LEAF, Binary, parse_skeleton
+from reference_kernels import wrap_unary
 
 
 def sk(text):

@@ -16,9 +16,10 @@ from lambdamaps.connectivity import (
     reduce_skeleton,
     unreduce,
 )
-from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons, iter_unary_binary
+from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.lambda_core import (Diagram, MatchFailure, diagram_of, parse_skeleton,
                                     render_skeleton)
+from reference_kernels import iter_unary_binary, preorder
 
 
 def sk(text):
@@ -128,7 +129,7 @@ def test_oracle_equivalence_level3():
 def test_mirror_matters_only_at_level3():
     # with binder edges drawn from the counterclockwise contour instead,
     # the first 3-connected skeleton acquires a non-root disconnecting pair
-    from lambdamaps.lambda_core import Diagram, Leaf, planar_match, preorder
+    from lambdamaps.lambda_core import Leaf, planar_match
 
     s = sk("U(U(U(B(L,B(L,L)))))")
     match = planar_match(s)

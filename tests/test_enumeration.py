@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -8,14 +9,12 @@ from lambdamaps.enumeration import (
     SizeTooLarge,
     bipartite_maps_formula,
     compare_stat_multisets,
-    conjectured_3conn_formula,
     count_table,
     gen_bipartite_maps,
     gen_loopless_maps,
     gen_maps,
     gen_skeletons,
     gen_trees,
-    iter_unary_binary,
     maps_formula,
     render_count_table,
 )
@@ -30,6 +29,7 @@ from lambdamaps.planar_maps import (
     rho_inv,
     validate_map,
 )
+from reference_kernels import iter_unary_binary
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +273,27 @@ def test_count_table_structure():
     assert [r.count for r in by_family["map-bipartite"]] == [1, 1, 3, 12]
     assert [r.count for r in by_family["s1"]] == [1, 2, 9, 54]
     assert all(r.match for r in by_family["map"])
-    # the announced 3-connected closed form disagrees at sizes 2 and 4
+    # the 3-connected rows follow the bipartite map formula, which has no
+    # value at 0 edges
     s3 = {r.n: r for r in by_family["s3"]}
-    assert s3[2].match is False and s3[3].match is True and s3[4].match is False
+    assert s3[2].match is None and s3[3].match is True and s3[4].match is True
 
 
-def test_conjectured_formula_non_integral():
-    from fractions import Fraction
+def test_count_table_s3_rows_match_the_bipartite_formula():
+    # 3-connected terms of size n and bipartite maps with n - 2 edges
+    s3 = [r for r in count_table(7) if r.family == "s3"]
+    assert [(r.n, r.formula) for r in s3] == [
+        (1, None), (2, None), (3, 1), (4, 3), (5, 12), (6, 56), (7, 288)]
+    assert all(r.match is True for r in s3 if r.formula is not None)
 
-    assert conjectured_3conn_formula(2) == Fraction(10, 3)
-    assert conjectured_3conn_formula(1) == 1
+
+def test_bipartite_maps_formula_is_integral():
+    # 3 * 2^(n-1) * C(2n, n) is a multiple of (n+1)(n+2) for n >= 1 (OEIS A000257)
+    assert bipartite_maps_formula(0) is None
+    for n in range(1, 201):
+        num = 3 * 2 ** (n - 1) * comb(2 * n, n)
+        assert num % ((n + 1) * (n + 2)) == 0
+        assert bipartite_maps_formula(n) * (n + 1) * (n + 2) == num
 
 
 def test_render_count_table_tsv():

@@ -14,19 +14,16 @@ from lambdamaps.lambda_core import (
     ParseError,
     Unary,
     Var,
+    _listing_of,
+    _listing_scan,
     _term_of_listing,
     _tokenize,
     alpha_equal,
     diagram_of,
-    free_variables,
-    has_beta_redex,
     is_normal,
-    linearity_defect,
-    parenthesis_word,
     parse_skeleton,
     parse_term,
     planar_match,
-    preorder,
     render_skeleton,
     render_term,
     skeleton_of,
@@ -35,7 +32,8 @@ from lambdamaps.lambda_core import (
     word_of,
 )
 from lambdamaps.bijections import InvalidInput
-from lambdamaps.enumeration import gen_skeletons, iter_unary_binary
+from lambdamaps.enumeration import gen_skeletons
+from reference_kernels import iter_unary_binary, preorder
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +116,13 @@ def test_roundtrip_random_terms(term):
     assert alpha_equal(parse_term(render_term(term)), term)
 
 
+def _free(t):
+    """The names of the free atoms of t, from the listing scan."""
+    return _listing_scan(*_listing_of(t))[2]
+
+
 def test_free_variables_and_alpha():
-    assert free_variables(parse_term(r"\x.x y")) == {"y"}
+    assert _free(parse_term(r"\x.x y")) == {"y"}
     assert alpha_equal(parse_term(r"\x.x"), parse_term(r"\y.y"))
     assert not alpha_equal(parse_term(r"\x.\y.x y"), parse_term(r"\x.\y.y x"))
 
@@ -215,10 +218,12 @@ def _shadow_mutants(t, scope=()):
 
 
 def test_linearity_defect_examples():
-    assert linearity_defect(parse_term(r"\x.\y.x y")) is None
-    assert linearity_defect(parse_term(r"\x.\y.x x")) == "abstraction over x binds 2 atoms, not 1"
-    assert linearity_defect(parse_term(r"\x.\x.x x")) == "abstraction over x binds 0 atoms, not 1"
-    assert linearity_defect(parse_term("y (x y)")) == "term is not closed: free ['x', 'y']"
+    # closed and linear, though not planar
+    binders, counts, free, _crossing = _listing_scan(*_listing_of(parse_term(r"\x.\y.x y")))
+    assert (binders, counts, free) == (["x", "y"], [1, 1], set())
+    assert term_defect(parse_term(r"\x.\y.x x")) == "abstraction over x binds 2 atoms, not 1"
+    assert term_defect(parse_term(r"\x.\x.x x")) == "abstraction over x binds 0 atoms, not 1"
+    assert term_defect(parse_term("y (x y)")) == "term is not closed: free ['x', 'y']"
 
 
 def test_linearity_defect_matches_old_check():
@@ -230,8 +235,15 @@ def test_linearity_defect_matches_old_check():
             if n <= 4:
                 cases += [*_atom_mutants(term), *_shadow_mutants(term)]
             for t in cases:
-                assert linearity_defect(t) == _old_linearity_defect(t), render_term(t)
-                assert free_variables(t) == _old_free_variables(t)
+                old = _old_linearity_defect(t)
+                binders, counts, free, crossing = _listing_scan(*_listing_of(t))
+                assert free == _old_free_variables(t)
+                if old is None:
+                    # term_defect reports linearity first, planarity after
+                    assert not free and counts == [1] * len(binders), render_term(t)
+                    assert term_defect(t) in (None, f"term is not planar: {crossing}")
+                else:
+                    assert term_defect(t) == old, render_term(t)
                 checked += 1
     assert checked > 3360
 
@@ -273,21 +285,17 @@ def _binding_scan(t):
     return binders, counts, free, crossing
 
 
-def _ref_defects(t):
-    """linearity_defect and term_defect by the reference scan."""
+def _ref_term_defect(t):
+    """term_defect by the reference scan."""
     binders, counts, free, crossing = _binding_scan(t)
-    linearity = None
     if free:
-        linearity = f"term is not closed: free {sorted(free)}"
-    else:
-        for var, c in zip(binders, counts):
-            if c != 1:
-                linearity = f"abstraction over {var} binds {c} atoms, not 1"
-                break
-    planarity = linearity
-    if linearity is None and crossing is not None:
-        planarity = f"term is not planar: {crossing}"
-    return free, linearity, planarity
+        return f"term is not closed: free {sorted(free)}"
+    for var, c in zip(binders, counts):
+        if c != 1:
+            return f"abstraction over {var} binds {c} atoms, not 1"
+    if crossing is not None:
+        return f"term is not planar: {crossing}"
+    return None
 
 
 def test_defect_functions_equal_the_binding_scan():
@@ -300,10 +308,8 @@ def test_defect_functions_equal_the_binding_scan():
             word = word_of(s)
             for names in product("xy", repeat=2 * n):
                 t = _term_of_listing(word, list(names))
-                free, linearity, planarity = _ref_defects(t)
-                assert free_variables(t) == free
-                assert linearity_defect(t) == linearity
-                assert term_defect(t) == planarity
+                assert _listing_scan(word, list(names)) == _binding_scan(t)
+                assert term_defect(t) == _ref_term_defect(t)
                 checked += 1
     assert checked == 273380
 
@@ -332,7 +338,7 @@ def test_skeleton_text_rejects_garbage():
 
 def test_counters():
     s = parse_skeleton("U(B(L,U(L)))")
-    assert s.nleaf == 2 and s.nunary == 2 and s.size() == 2
+    assert s.nleaf == 2 and s.nunary == 2
 
 
 def _recount(s):
@@ -376,6 +382,14 @@ def test_planar_match_rejects_scope_crossing():
         planar_match(parse_skeleton("U(B(B(L,U(U(L))),L))"))
 
 
+_PARENTHESES = bytes.maketrans(b"\x00\x01", b")(")
+
+
+def parenthesis_word(s):
+    """Pre-order word: '(' per unary node, ')' per leaf."""
+    return word_of(s).translate(_PARENTHESES, b"\x02").decode()
+
+
 def test_parenthesis_word():
     assert parenthesis_word(parse_skeleton("U(B(L,U(L)))")) == "()()"
     assert parenthesis_word(parse_skeleton("U(U(B(L,L)))")) == "(())"
@@ -404,7 +418,7 @@ def test_terms_of_family_skeletons_are_closed():
     for n in range(1, 6):
         for sk in gen_skeletons(n, 1):
             term = term_of_skeleton(sk)
-            assert free_variables(term) == set()
+            assert term_defect(term) is None
             # both contours admit a matching on family skeletons
             assert len(planar_match(sk, right_first=True)) == n
 
@@ -416,6 +430,15 @@ def test_is_normal_examples():
     assert not is_normal(parse_skeleton("U(B(U(L),L))"))
     assert is_normal(parse_skeleton("U(U(B(L,L)))"))
     assert is_normal(parse_skeleton("U(B(L,U(L)))"))
+
+
+def has_beta_redex(t):
+    """True iff some sub-term is an abstraction applied to an argument."""
+    if isinstance(t, Var):
+        return False
+    if isinstance(t, Abs):
+        return has_beta_redex(t.body)
+    return isinstance(t.fun, Abs) or has_beta_redex(t.fun) or has_beta_redex(t.arg)
 
 
 def test_is_normal_agrees_with_redex_search():
@@ -502,7 +525,8 @@ def test_term_defect_accepts_exactly_the_terms_of_their_skeletons():
         terms = _linear_terms((), n, 0, memo)
         planar = 0
         for t in terms:
-            assert linearity_defect(t) is None
+            _binders, counts, free, _crossing = _listing_scan(*_listing_of(t))
+            assert not free and counts == [1] * n
             defect = term_defect(t)
             assert (defect is None) == _is_term_of_its_skeleton(t), render_term(t)
             planar += defect is None
@@ -779,6 +803,26 @@ def test_alpha_equal_equals_the_reference_on_random_pairs(a, b, names):
     assert alpha_equal(a, b) == _ref_alpha_equal(a, b)
     renamed = _rename_everywhere(a, names)
     assert alpha_equal(a, renamed) == _ref_alpha_equal(a, renamed)
+
+
+def _ref_fields_equal(a, b):
+    """Equality of two terms, type and field by field, by recursion."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        return a.name == b.name
+    if isinstance(a, Abs):
+        return a.var == b.var and _ref_fields_equal(a.body, b.body)
+    return _ref_fields_equal(a.fun, b.fun) and _ref_fields_equal(a.arg, b.arg)
+
+
+@given(_terms, _terms, st.dictionaries(st.sampled_from("xyzw"), st.sampled_from("xyzw")))
+def test_term_equality_is_field_equality(a, b, names):
+    for other in (b, _rename_everywhere(a, names), _rename_everywhere(b, names)):
+        assert (a == other) == _ref_fields_equal(a, other)
+        assert (a != other) != (a == other)
+        if a == other:
+            assert hash(a) == hash(other)
 
 
 def _old_tokenize(text):

@@ -9,8 +9,8 @@ from lambdamaps.cli import convert
 from lambdamaps.connectivity import check_family, edge_connectivity_class, is_three_connected_skeleton
 from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree, render_labeled_tree, validate_vtree
-from lambdamaps.lambda_core import (alpha_equal, diagram_of, parse_term, preorder, render_term,
-                                    skeleton_of, term_of_skeleton)
+from lambdamaps.lambda_core import (alpha_equal, diagram_of, parse_term, render_term, skeleton_of,
+                                    term_of_skeleton)
 from lambdamaps import planar_maps
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
@@ -41,6 +41,7 @@ from lambdamaps.planar_maps import (
     rho_inv,
     validate_map,
 )
+from reference_kernels import preorder
 
 LOOP = RootedMap(1, (1, 0), 0)
 EDGE = RootedMap(1, (0, 1), 0)

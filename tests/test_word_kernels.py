@@ -11,7 +11,7 @@ import sys
 from lambdamaps.bijections import _unspine, phi, phi_inv, psi, psi_inv
 from lambdamaps.connectivity import (check_family, check_reduced, is_three_connected_skeleton,
                                      leading_chain)
-from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons, iter_unary_binary
+from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import InvalidInput, LabeledTree, parse_labeled_tree
 from lambdamaps.lambda_core import (
     LEAF,
@@ -26,7 +26,7 @@ from lambdamaps.lambda_core import (
     Var,
     _listing_of,
     diagram_of,
-    listing_of_skeleton,
+    listing_of_word,
     parse_listing,
     parse_skeleton,
     planar_match,
@@ -36,8 +36,8 @@ from lambdamaps.lambda_core import (
     skeleton_of_word,
     term_of_skeleton,
     word_of,
-    wrap_unary,
 )
+from reference_kernels import iter_unary_binary, wrap_unary
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def test_printers_and_skeleton_parser_equal_the_recursive_ones():
         assert text == _ref_render_skeleton(s)
         assert word_of(parse_skeleton(text)) == word_of(_RefSkeletonParser(text).parse())
         assert render_term(term_of_skeleton(s)) == _ref_render_term(term_of_skeleton(s))
-        listing = listing_of_skeleton(s)
+        listing = listing_of_word(word_of(s))
         assert parse_listing(render_listing(*listing)) == listing
         assert _listing_of(term_of_skeleton(s)) == listing
 
