@@ -3,12 +3,24 @@
 Each entry of CHECKS is ``(name, fn)``: ``fn(nmax)`` checks one claim
 exhaustively up to the size cap nmax and returns ``(ok, detail)``.  The
 suite of a check is the part of its name before the first dot.
+
+The checks share no mutable state, so `run_verify` runs them on every
+usable CPU: one forked process per CPU, the caller included, takes the next
+check from a shared queue until none is left.  The lines come out in
+CHECKS order whatever the order the checks finish in.  Memory is per
+process: a cache that two checks read (`_rho_images`, `_gf_report`, the
+generators' caches) is filled once in each process that runs one of them.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import NoReturn
 
 from .bijections import degree_tree_stats, phi, phi_inv, psi, psi_inv, skeleton_stats
 from .connectivity import (ConnectivityClass, check_family, edge_connectivity_class,
@@ -273,22 +285,116 @@ CHECKS = (
 SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, _fn in CHECKS))
 
 
+def _workers(nchecks: int) -> int:
+    """How many processes run nchecks checks: one per usable CPU and at
+    most one per check; only the caller where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(nchecks, cpus)
+
+
+def _take_checks(queue: int, nmax: int) -> dict:
+    """Run the checks whose CHECKS indices this process reads from the
+    queue, one byte each, until the queue is empty.  Maps each index taken
+    to ``(ok, detail)`` or to the exception the check raised."""
+    results: dict = {}
+    while index := os.read(queue, 1):
+        i = index[0]
+        try:
+            results[i] = CHECKS[i][1](nmax)
+        except Exception as exc:
+            results[i] = exc
+            # every check before this one is taken already, and only the
+            # first exception in CHECKS order is raised: drop the rest
+            while os.read(queue, len(CHECKS)):
+                pass
+    return results
+
+
+def _worker(queue: int, out: int, nmax: int) -> NoReturn:
+    """A forked worker: take checks, pickle the results into the pipe out,
+    and exit without returning into the caller's stack."""
+    code = 1
+    try:
+        data = pickle.dumps(_take_checks(queue, nmax))
+        with os.fdopen(out, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_checks(indices: list[int], nmax: int) -> dict:
+    """Run the checks at indices on up to one process per usable CPU; the
+    caller is one of them.  Returns what `_take_checks` returns, merged
+    over the processes.  Every worker is reaped before this returns or
+    raises."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(indices))
+    os.close(feed)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}  # pid -> the read end of its result pipe
+    finished = False
+    try:
+        for _ in range(_workers(len(indices)) - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the ones started share the checks
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:
+                _worker(queue, into, nmax)
+            os.close(into)
+            children[pid] = os.fdopen(out, "rb")
+        results = _take_checks(queue, nmax)
+        for pipe in children.values():
+            data = pipe.read()
+            if data:  # empty when the worker died before it reported
+                results.update(pickle.loads(data))
+        finished = True
+    finally:
+        os.close(queue)
+        for pid, pipe in children.items():
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def run_verify(suite: str, nmax: int) -> tuple[bool, list[str]]:
     """Run the checks of one suite, or of all, up to size nmax.
 
     Returns whether every check passed, and one ``ok``/``FAIL`` line per
     check followed by a summary line.  Raises before any check runs when
-    the suite is unknown or nmax is outside 2..MAX_SKELETON_SIZE.
+    the suite is unknown or nmax is outside 2..MAX_SKELETON_SIZE.  When
+    checks raise, the exception of the first of them in CHECKS order is
+    raised again here; one raised in a worker process comes without the
+    worker's frames, which a run on one CPU (``taskset -c 0``) shows.
     """
     if suite != "all" and suite not in SUITES:
         raise InvalidInput(f"unknown suite {suite!r}")
     if not 2 <= nmax <= MAX_SKELETON_SIZE:
         raise SizeTooLarge(f"max size must be in 2..{MAX_SKELETON_SIZE}, got {nmax}")
+    selected = [i for i, (name, _fn) in enumerate(CHECKS)
+                if suite in ("all", name.split(".", 1)[0])]
+    results = _run_checks(selected, nmax)
     lines = []
-    for name, fn in CHECKS:
-        if suite in ("all", name.split(".", 1)[0]):
-            ok, detail = fn(nmax)
-            lines.append(f"{'ok' if ok else 'FAIL'} {name} {detail}")
+    for i in selected:
+        name = CHECKS[i][0]
+        if i not in results:
+            raise RuntimeError(f"a verify worker process ended before it reported {name}")
+        if isinstance(results[i], Exception):
+            raise results[i]
+        ok, detail = results[i]
+        lines.append(f"{'ok' if ok else 'FAIL'} {name} {detail}")
     total = len(lines)
     failed = sum(line.startswith("FAIL") for line in lines)
     if failed:

@@ -92,11 +92,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def coefficient(self, t_deg: int, x_deg: int = 0,
-                    p_deg: tuple[int, ...] | None = None) -> Fraction:
-        key = (t_deg, x_deg, p_deg if p_deg is not None else (0,) * self.kmax)
-        return self.coeffs.get(key, Fraction(0))
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

@@ -1,10 +1,12 @@
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from lambdamaps import lambda_core
+from lambdamaps import checks, lambda_core
 from lambdamaps.cli import convert, from_word, main, run_verify, stats_lines, to_word
 from lambdamaps.enumeration import gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import render_labeled_tree
@@ -356,3 +358,88 @@ def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
     assert lines[0] == "FAIL roundtrip.term-text sizes<=3 (12 terms)"
     assert lines[4] == "FAIL roundtrip.term-map-term sizes<=3 (12 terms)"
     assert lines[-1] == "2 check(s) failed (3/5)"
+    assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# verify's worker processes
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_leaves_no_worker_process(capsys):
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_max3.txt").read_text()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
+def test_verify_raises_the_first_exception_in_check_order(monkeypatch, capsys):
+    caller = os.getpid()
+    last = checks.CHECKS[-1][0]
+
+    def check(name):
+        def run(_nmax):
+            if os.getpid() != caller:
+                # a worker raises on the first check it takes, after the
+                # caller has raised on the last check
+                time.sleep(0.5)
+                raise ValueError("the earlier check")
+            if name == last:
+                raise ValueError("the later check")
+            time.sleep(0.02)  # a worker takes a check meanwhile
+            return True, ""
+        return run
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, check(name)) for name, _fn in checks.CHECKS))
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the earlier check\n"
+    assert_no_child_left()
+
+
+def test_verify_on_one_cpu_forks_nothing(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert main(["verify", "--suite", "all", "--max-size", "4"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_max4.txt").read_text()
+
+
+def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch):
+    caller = os.getpid()
+
+    def check(_nmax):
+        if os.getpid() == caller:
+            time.sleep(0.2)  # a worker takes a check meanwhile
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return True, ""
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, check) for name, _fn in checks.CHECKS))
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_verify("gf", 3)
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
+def test_a_worker_that_dies_fails_the_run(monkeypatch):
+    caller = os.getpid()
+
+    def check(_nmax):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.2)  # a worker takes a check meanwhile
+        return True, ""
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, check) for name, _fn in checks.CHECKS))
+    with pytest.raises(RuntimeError, match="ended before it reported gf[.]"):
+        run_verify("gf", 3)
+    assert_no_child_left()

@@ -17,6 +17,13 @@ from lambdamaps.series import (
 )
 
 
+def coefficient(series, t_deg: int, x_deg: int = 0, p_deg: tuple[int, ...] | None = None):
+    """The coefficient of t^t_deg x^x_deg p^p_deg in series; p_deg defaults
+    to no face weight."""
+    key = (t_deg, x_deg, p_deg if p_deg is not None else (0,) * series.kmax)
+    return series.coeffs.get(key, Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point solutions
 
@@ -41,7 +48,7 @@ def test_solve_zu_p1_geometric():
 
 def test_z_has_no_constant_term():
     z, _ = solve_zu(3, 2)
-    assert z.coefficient(0) == 0
+    assert coefficient(z, 0) == 0
     assert all(key[0] >= 1 for key in z.coeffs)
 
 
@@ -50,12 +57,12 @@ def test_z_has_no_constant_term():
 
 def test_f_bipartite_low_orders():
     f = f_bipartite(4, 2)
-    assert f.coefficient(0, 0) == 1
-    assert f.coefficient(1, 1) == 1  # one map with one edge
+    assert coefficient(f, 0, 0) == 1
+    assert coefficient(f, 1, 1) == 1  # one map with one edge
     # the printed system undercounts from t^2 on: 1 against the 2 rooted
     # 2-edge paths
-    assert f.coefficient(2, 2) == 1
-    assert f_bipartite_enumerated(2, 2).coefficient(2, 2) == 2
+    assert coefficient(f, 2, 2) == 1
+    assert coefficient(f_bipartite_enumerated(2, 2), 2, 2) == 2
 
 
 def test_printed_form_reported_not_asserted():
@@ -78,14 +85,14 @@ def test_gf_chain_identity():
 def test_gf_chain_small_values():
     lhs = f_reduced_skeletons_enumerated(4, 4)
     # size 3: the single reduced skeleton has deficit 2 and no chains
-    assert lhs.coefficient(3, 2) == 1
+    assert coefficient(lhs, 3, 2) == 1
     # size 4: three reduced skeletons
-    assert lhs.coefficient(4, 2, (1, 0, 0, 0)) == 1  # chain of length 1
-    assert lhs.coefficient(4, 3) == 2
+    assert coefficient(lhs, 4, 2, (1, 0, 0, 0)) == 1  # chain of length 1
+    assert coefficient(lhs, 4, 3) == 2
     rhs = f_bipartite_enumerated(2, 4)
-    assert rhs.coefficient(1, 1) == 1
-    assert rhs.coefficient(2, 1, (1, 0, 0, 0)) == 1
-    assert rhs.coefficient(2, 2) == 2
+    assert coefficient(rhs, 1, 1) == 1
+    assert coefficient(rhs, 2, 1, (1, 0, 0, 0)) == 1
+    assert coefficient(rhs, 2, 2) == 2
 
 
 def test_dump_series_tsv():
