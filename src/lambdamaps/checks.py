@@ -127,7 +127,7 @@ def _connectivity_agrees(s: Skeleton) -> bool:
 
 
 def _connectivity(nmax: int) -> tuple[bool, str]:
-    """The structural 2- and 3-connectivity tests agree with brute-force
+    """The structural 2- and 3-connectivity tests agree with the diagram's
     edge connectivity; the one-atom term is vacuous at level 3."""
     sks = _skeletons(nmax)
     bad = _bad(_connectivity_agrees, sks)

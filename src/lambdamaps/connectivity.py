@@ -2,10 +2,10 @@
 
 Membership in the connected / 2-connected / 3-connected families is decided
 two ways: structurally on the skeleton (counting conditions on subtree
-leaf/unary deficits against the unary chain above each node) and by brute
-force on the syntactic diagram (bridges of the diagram, and of the diagram
-less each single edge, which find every disconnecting edge pair).  The two
-routes are cross-checked exhaustively in the tests.
+leaf/unary deficits against the unary chain above each node) and on the
+syntactic diagram, whose bridges and disconnecting edge pairs one labelling
+of a spanning tree by cycle-space bits finds.  The two routes are
+cross-checked exhaustively in ``verify`` and the tests.
 
 The structural tests read the skeleton's pre-order arity word (see
 ``lambda_core``): a unary node's child follows it, so the unary chain
@@ -170,77 +170,54 @@ def is_three_connected_skeleton(s: Skeleton) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force diagram oracle
-
-def _bridges(adj: list[list[tuple[int, int]]], skip: int = -1) -> tuple[bool, list[int]]:
-    """Whether the graph with adjacency lists of (neighbour, edge id), less
-    the edge skip, is connected, and its bridges.
-
-    One lowlink depth-first search from vertex 0, by an explicit stack.  A
-    tree edge is a bridge when nothing below it reaches back above it; the
-    search leaves a vertex by the edge id it came in on, not by its parent
-    vertex, so a parallel edge is a back edge and self-loops are inert.
-    """
-    n = len(adj)
-    disc = [-1] * n
-    low = [0] * n
-    via = [-1] * n  # edge id that reached the vertex
-    nxt = [0] * n  # next position in its adjacency list
-    disc[0] = 0
-    count = 1
-    bridges: list[int] = []
-    stack = [0]
-    while stack:
-        x = stack[-1]
-        k = nxt[x]
-        if k < len(adj[x]):
-            nxt[x] = k + 1
-            y, i = adj[x][k]
-            if i == skip or i == via[x]:
-                continue
-            if disc[y] < 0:
-                disc[y] = low[y] = count
-                count += 1
-                via[y] = i
-                stack.append(y)
-            elif disc[y] < low[x]:
-                low[x] = disc[y]
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1]
-                if low[x] > disc[p]:
-                    bridges.append(via[x])
-                elif low[x] < low[p]:
-                    low[p] = low[x]
-    return count == n, bridges
-
+# Diagram oracle
 
 def edge_connectivity_class(d: Diagram) -> ConnectivityClass:
-    """Brute-force edge connectivity of a diagram.
+    """Edge connectivity of a diagram, from one spanning tree.
 
-    The adjacency lists of (neighbour, edge id) are built once.  One bridge
-    search on the diagram gives Disconnected or One.  Otherwise an edge pair
-    {i, j} disconnects exactly when j is a bridge of the diagram less i, so
-    one bridge search per removed edge i decides Two.  Pairs with both edges
-    incident to the root vertex are exempt from the 3-connectedness test.
-    Diagrams with at most one vertex are vacuously ThreePlus.
+    A breadth-first search from the first vertex finds the tree, or that
+    the diagram is Disconnected.  Each non-tree edge gets its own bit,
+    XORed into both of its ends, and a reverse pass over the search order
+    labels each tree edge with the XOR of the vertices below it.  A label
+    of 0 is a bridge (One).  Two edges of a bridgeless diagram disconnect
+    it exactly when their labels are equal (the cycle-space test of
+    Pritchard and Thurimella, exact with one bit per non-tree edge), which
+    makes it Two unless both are at the root vertex.  Diagrams with at
+    most one vertex are vacuously ThreePlus.
     """
-    if len(d.vertices) <= 1:
+    n = len(d.vertices)
+    if n <= 1:
         return ConnectivityClass.ThreePlus
     index_of = {v: i for i, v in enumerate(d.vertices)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in d.vertices]
-    for i, (u, v) in enumerate(d.edges):
-        adj[index_of[u]].append((index_of[v], i))
-        adj[index_of[v]].append((index_of[u], i))
-    connected, bridges = _bridges(adj)
-    if not connected:
+    ends = [(index_of[u], index_of[v]) for u, v in d.edges]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(ends):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    via = [-1] * n  # the tree edge into each vertex
+    up = [0] * n  # and the vertex it comes from
+    order = [0]
+    for x in order:
+        for y, i in adj[x]:
+            if via[y] < 0 and y:
+                via[y], up[y] = i, x
+                order.append(y)
+    if len(order) < n:
         return ConnectivityClass.Disconnected
-    if bridges:
+    tree = set(via)
+    label = [0 if i in tree else 1 << i for i in range(len(ends))]
+    below = [0] * n
+    for (u, v), bit in zip(ends, label):
+        below[u] ^= bit
+        below[v] ^= bit
+    for y in reversed(order[1:]):
+        label[via[y]] = below[y]
+        below[up[y]] ^= below[y]
+    if 0 in label:
         return ConnectivityClass.One
     at_root = [d.root in e for e in d.edges]
-    for i in range(len(d.edges)):
-        for j in _bridges(adj, i)[1]:
-            if not (at_root[i] and at_root[j]):
-                return ConnectivityClass.Two
+    others = [lab for lab, r in zip(label, at_root) if not r]
+    rooted = {lab for lab, r in zip(label, at_root) if r}
+    if len(set(others)) < len(others) or not rooted.isdisjoint(others):
+        return ConnectivityClass.Two
     return ConnectivityClass.ThreePlus

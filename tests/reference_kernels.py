@@ -1,8 +1,11 @@
-"""Skeleton helpers that several test modules share and the library does
-not need: every plane unary-binary tree, a pre-order node listing, and a
-unary chain over a subtree.  Not a test module; the tests import it."""
+"""Helpers that several test modules share and the library does not need:
+every plane unary-binary tree, a pre-order node listing, a unary chain over
+a subtree, and the bridge-search edge-connectivity oracle that the
+library's labelling pass replaced, kept as its reference.  Not a test
+module; the tests import it."""
 
-from lambdamaps.lambda_core import LEAF, Binary, Skeleton, Unary
+from lambdamaps.connectivity import ConnectivityClass
+from lambdamaps.lambda_core import LEAF, Binary, Diagram, Skeleton, Unary
 
 
 def iter_unary_binary(nleaf: int, nunary: int):
@@ -42,3 +45,77 @@ def wrap_unary(s: Skeleton, k: int) -> Skeleton:
     for _ in range(k):
         s = Unary(s)
     return s
+
+
+def _bridges(adj: list[list[tuple[int, int]]], skip: int = -1) -> tuple[bool, list[int]]:
+    """Whether the graph with adjacency lists of (neighbour, edge id), less
+    the edge skip, is connected, and its bridges.
+
+    One lowlink depth-first search from vertex 0, by an explicit stack.  A
+    tree edge is a bridge when nothing below it reaches back above it; the
+    search leaves a vertex by the edge id it came in on, not by its parent
+    vertex, so a parallel edge is a back edge and self-loops are inert.
+    """
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    via = [-1] * n  # edge id that reached the vertex
+    nxt = [0] * n  # next position in its adjacency list
+    disc[0] = 0
+    count = 1
+    bridges: list[int] = []
+    stack = [0]
+    while stack:
+        x = stack[-1]
+        k = nxt[x]
+        if k < len(adj[x]):
+            nxt[x] = k + 1
+            y, i = adj[x][k]
+            if i == skip or i == via[x]:
+                continue
+            if disc[y] < 0:
+                disc[y] = low[y] = count
+                count += 1
+                via[y] = i
+                stack.append(y)
+            elif disc[y] < low[x]:
+                low[x] = disc[y]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                if low[x] > disc[p]:
+                    bridges.append(via[x])
+                elif low[x] < low[p]:
+                    low[p] = low[x]
+    return count == n, bridges
+
+
+def bridge_connectivity_class(d: Diagram) -> ConnectivityClass:
+    """Edge connectivity of a diagram by bridge search.
+
+    The adjacency lists of (neighbour, edge id) are built once.  One bridge
+    search on the diagram gives Disconnected or One.  Otherwise an edge pair
+    {i, j} disconnects exactly when j is a bridge of the diagram less i, so
+    one bridge search per removed edge i decides Two.  Pairs with both edges
+    incident to the root vertex are exempt from the 3-connectedness test.
+    Diagrams with at most one vertex are vacuously ThreePlus.
+    """
+    if len(d.vertices) <= 1:
+        return ConnectivityClass.ThreePlus
+    index_of = {v: i for i, v in enumerate(d.vertices)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in d.vertices]
+    for i, (u, v) in enumerate(d.edges):
+        adj[index_of[u]].append((index_of[v], i))
+        adj[index_of[v]].append((index_of[u], i))
+    connected, bridges = _bridges(adj)
+    if not connected:
+        return ConnectivityClass.Disconnected
+    if bridges:
+        return ConnectivityClass.One
+    at_root = [d.root in e for e in d.edges]
+    for i in range(len(d.edges)):
+        for j in _bridges(adj, i)[1]:
+            if not (at_root[i] and at_root[j]):
+                return ConnectivityClass.Two
+    return ConnectivityClass.ThreePlus

@@ -1,9 +1,11 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lambdamaps.bijections import phi_inv
 from lambdamaps.connectivity import (
     ConnectivityClass,
     InvalidReduced,
@@ -17,9 +19,10 @@ from lambdamaps.connectivity import (
     unreduce,
 )
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
+from lambdamaps.labeled_trees import LabeledTree
 from lambdamaps.lambda_core import (Diagram, MatchFailure, diagram_of, parse_skeleton,
                                     render_skeleton)
-from reference_kernels import iter_unary_binary, preorder
+from reference_kernels import bridge_connectivity_class, iter_unary_binary, preorder
 
 
 def sk(text):
@@ -93,7 +96,7 @@ def test_leading_chain():
 
 
 # ---------------------------------------------------------------------------
-# Brute-force diagram oracle
+# The diagram oracle: edge connectivity from one labelling pass
 
 def test_edge_connectivity_examples():
     assert edge_connectivity_class(diagram_of(sk("U(U(B(L,L)))"))) \
@@ -147,9 +150,24 @@ def test_mirror_matters_only_at_level3():
     assert edge_connectivity_class(diagram_of(s)) == ConnectivityClass.ThreePlus
 
 
+def test_edge_connectivity_class_on_a_deep_three_connected_diagram(shallow_recursion):
+    # a 3-connected skeleton whose diagram has 3,004 edges, on which one
+    # bridge search per removed edge took seconds
+    d = diagram_of(unreduce(phi_inv(LabeledTree(1000, (LabeledTree(0),) * 1000))))
+    assert len(d.edges) == 3004
+    t0 = time.perf_counter()
+    assert edge_connectivity_class(d) == ConnectivityClass.ThreePlus
+    assert time.perf_counter() - t0 < 1
+
+
 # ---------------------------------------------------------------------------
-# The edge-set oracle that the pair-removal one replaced, kept as a second
-# reference on random multigraphs
+# Three references on random multigraphs, each the oracle that the next one
+# replaced: the edge-set oracle below (one search over the edge list per
+# removed set of up to two edges), the pair-removal oracle after it (one
+# search per single edge and per edge pair, on adjacency lists built once),
+# and the bridge search (one lowlink search, then one per removed edge;
+# reference_kernels.bridge_connectivity_class), which the labelling pass
+# replaced
 
 def _old_connected(nvert, index_of, edges, skip):
     if nvert == 0:
@@ -195,8 +213,7 @@ def _old_edge_connectivity_class(d):
     return ConnectivityClass.ThreePlus
 
 
-# The pair-removal oracle that the bridge search replaced: one depth-first
-# search per single edge and per edge pair, on adjacency lists built once
+# The pair-removal oracle, which the bridge search replaced
 
 def _pair_connected(adj, skip_a=-1, skip_b=-1):
     n = len(adj)
@@ -263,13 +280,16 @@ def _random_diagrams(count, seed):
 def test_edge_connectivity_class_equals_old_oracle():
     diagrams = [diagram_of(s) for n in range(1, 8) for s in gen_skeletons(n, 1)]
     diagrams += [d for n in range(1, 6) for d in _matchable_diagrams(n)]
-    diagrams += _random_diagrams(3000, seed=7)
+    randoms = list(_random_diagrams(3000, seed=7))
     seen = Counter()
-    for d in diagrams:
+    for d in diagrams + randoms:
         want = _pair_edge_connectivity_class(d)
+        assert bridge_connectivity_class(d) == want, d
         assert edge_connectivity_class(d) == want, d
         seen[want] += 1
     assert set(seen) == set(ConnectivityClass)
+    for d in randoms:
+        assert _old_edge_connectivity_class(d) == _pair_edge_connectivity_class(d), d
 
 
 @st.composite
@@ -288,4 +308,5 @@ def _multigraphs(draw):
 def test_edge_connectivity_class_equals_old_oracle_on_multigraphs(d):
     want = _old_edge_connectivity_class(d)
     assert _pair_edge_connectivity_class(d) == want
+    assert bridge_connectivity_class(d) == want
     assert edge_connectivity_class(d) == want

@@ -1,6 +1,9 @@
 """The skeleton kernels read the pre-order arity word.  The object-walking
 kernels they replaced are kept here as their references, and each word
-kernel must equal its reference on every skeleton up to size 7.
+kernel must equal its reference on every skeleton up to size 7.  The
+edge-connectivity oracle must likewise equal the bridge search it replaced
+(``reference_kernels.bridge_connectivity_class``) on each skeleton's
+diagram.
 
 Run as a script (``python tests/test_word_kernels.py 8``) to make the same
 comparisons over every skeleton up to another size.
@@ -9,8 +12,8 @@ comparisons over every skeleton up to another size.
 import sys
 
 from lambdamaps.bijections import _unspine, phi, phi_inv, psi, psi_inv
-from lambdamaps.connectivity import (check_family, check_reduced, is_three_connected_skeleton,
-                                     leading_chain)
+from lambdamaps.connectivity import (check_family, check_reduced, edge_connectivity_class,
+                                     is_three_connected_skeleton, leading_chain)
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import InvalidInput, LabeledTree, parse_labeled_tree
 from lambdamaps.lambda_core import (
@@ -37,7 +40,7 @@ from lambdamaps.lambda_core import (
     term_of_skeleton,
     word_of,
 )
-from reference_kernels import iter_unary_binary, wrap_unary
+from reference_kernels import bridge_connectivity_class, iter_unary_binary, wrap_unary
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +295,15 @@ def _family(nmax):
 
 
 def compare_on_family(nmax):
-    """Every word kernel against its reference on every connected-family
-    skeleton up to size nmax; returns the number of skeletons."""
+    """Every word kernel against its reference, and the edge-connectivity
+    oracle against the bridge search, on every connected-family skeleton up
+    to size nmax; returns the number of skeletons."""
     sks = _family(nmax)
     for s in sks:
         assert term_of_skeleton(s) == _ref_term_of_skeleton(s)
-        assert diagram_of(s) == _ref_diagram_of(s)
+        d = diagram_of(s)
+        assert d == _ref_diagram_of(s)
+        assert edge_connectivity_class(d) == bridge_connectivity_class(d), s
         for level in (1, 2):
             assert check_family(s, level) == _ref_check_family(s, level)
         assert is_three_connected_skeleton(s) == _ref_is_three_connected(s)
@@ -389,4 +395,5 @@ def test_unspine_fails_as_the_recursive_one():
 
 
 if __name__ == "__main__":
-    print(compare_on_family(int(sys.argv[1])), "skeletons: every word kernel equals its reference")
+    print(compare_on_family(int(sys.argv[1])),
+          "skeletons: every word kernel and the connectivity oracle equal their references")
