@@ -202,10 +202,11 @@ def _rho_image(nmax: int) -> tuple[bool, str]:
     emax = min(nmax - 1, 5)
     bad = 0
     for e in range(emax + 1):
-        # gen_loopless_maps(e) keeps the very objects of gen_maps(e)
-        loopless = set(map(id, gen_loopless_maps(e)))
+        # both generators give the canonical labelling with root 0, so the
+        # rotation names the map
+        loopless = {m.sigma for m in gen_loopless_maps(e)}
         image = {render_labeled_tree(t) for m, t in zip(gen_maps(e), _rho_images(e))
-                 if id(m) in loopless}
+                 if m.sigma in loopless}
         bad += image != _positive_vtrees(e)
     return bad == 0, f"edges<={emax}"
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable, Sequence
 
 from . import enumeration, series
 from .bijections import (
@@ -199,24 +200,25 @@ _FAMILIES = ("s1", "s2", "s3", "rs", "map", "map-loopless", "map-bipartite",
              "dtree", "vtree", "vtree-pos")
 
 
-def enumerate_family(family: str, size: int) -> list[str]:
+def family_members(family: str, size: int) -> tuple[Sequence, Callable[..., str]]:
+    """The generated objects of a family and the function that renders
+    one: --count counts the objects, a listing renders and sorts them."""
     if family in ("s1", "s2", "s3"):
-        level = int(family[1])
-        return sorted(render_skeleton(s) for s in gen_skeletons(size, level))
+        return gen_skeletons(size, int(family[1])), render_skeleton
     if family == "rs":
-        return sorted(render_skeleton(s) for s in gen_reduced_skeletons(size))
+        return gen_reduced_skeletons(size), render_skeleton
     if family == "map":
-        return sorted(render_map(m) for m in gen_maps(size))
+        return gen_maps(size), render_map
     if family == "map-loopless":
-        return sorted(render_map(m) for m in gen_loopless_maps(size))
+        return gen_loopless_maps(size), render_map
     if family == "map-bipartite":
-        return sorted(render_map(m) for m in gen_bipartite_maps(size))
+        return gen_bipartite_maps(size), render_map
     if family == "dtree":
-        return sorted(render_labeled_tree(t) for t in gen_trees(size, "degree"))
+        return gen_trees(size, "degree"), render_labeled_tree
     if family == "vtree":
-        return sorted(render_labeled_tree(t) for t in gen_trees(size, "vtree"))
+        return gen_trees(size, "vtree"), render_labeled_tree
     if family == "vtree-pos":
-        return sorted(render_labeled_tree(t) for t in gen_trees(size, "vtree_positive"))
+        return gen_trees(size, "vtree_positive"), render_labeled_tree
     raise InvalidInput(f"unknown family {family!r}")
 
 
@@ -276,11 +278,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.verb == "enumerate":
-            items = enumerate_family(args.family, args.size)
+            members, render = family_members(args.family, args.size)
             if args.count:
-                print(len(items))
+                print(len(members))
             else:
-                for line in items:
+                for line in sorted(map(render, members)):
                     print(line)
             return 0
         if args.verb == "convert":

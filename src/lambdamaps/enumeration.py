@@ -6,11 +6,18 @@ result provably equals filtering the ambient unary-binary trees, which the
 tests confirm by full ambient scans at small sizes.  Maps are generated by
 a search that builds each rooted rotation system directly in its canonical
 labelling, so none is built twice; the tests check it against a scan over
-all rotation permutations.  Bipartite maps come from the same search with
-one more rule: each half-edge is coloured by its vertex's side when it is
-labelled (the rotation keeps the colour, the edge flip changes it), and a
-half-edge is only sent to one of its own colour.  The tests keep the old
-route, filtering every map by map_stats, as the oracle for this one.
+all rotation permutations.  Euler's bound prunes that search to the planar
+maps: a complete map with n edges closes at most n + 2 vertex and face
+cycles, exactly n + 2 when planar, and each of its 2n assignments either
+labels a new edge and closes nothing or closes at most one vertex and one
+face, so a branch that can no longer reach n + 2 is not grown.
+Bipartite and loopless maps come from the same search with one more rule
+each.  The colour rule: each half-edge is coloured by its vertex's side
+when it is labelled (the rotation keeps the colour, the edge flip changes
+it), and a half-edge is only sent to one of its own colour.  The loop rule:
+two vertex paths that hold the two halves of one edge are never joined.
+The tests keep the old route, filtering every map by map_stats, as the
+oracle for both.
 """
 
 from __future__ import annotations
@@ -101,20 +108,39 @@ def gen_reduced_skeletons(n: int) -> list[Skeleton]:
 # ---------------------------------------------------------------------------
 # Maps
 
-def _planar_rotations(n: int, bipartite: bool = False) -> list[tuple[int, ...]]:
+def _planar_rotations(n: int, bipartite: bool = False,
+                      loopless: bool = False) -> list[tuple[int, ...]]:
     """The rotation of every rooted planar map with n >= 1 edges, each
     exactly once and already in the labelling canonical_map gives it
-    (root 0); with bipartite, only the maps with 2-colourable vertices.
+    (root 0); with bipartite, only the maps with 2-colourable vertices,
+    and with loopless, only the maps in which no edge joins a vertex to
+    itself.
 
     The search replays canonical_map's breadth-first relabelling: the
     half-edge being processed takes as image either a labelled half-edge
     that has no preimage yet, or the even half of the next new edge, and
     the images and partners are queued as the relabelling queues them.
-    Each complete assignment is one connected rooted map of some genus;
-    those with V - E + F = 2 are kept.  For bipartite, half-edges 0 and 1
-    get colours 0 and 1, a new edge's even half takes the colour of h and
-    its odd half the other, and a labelled t is only tried if it has the
-    colour of h.
+    Each complete assignment is one connected rooted map.
+
+    Euler's bound keeps the search planar: a complete map has V + F closed
+    vertex and face cycles, at most n + 2 with equality exactly when it is
+    planar.  Of the 2n assignments, the n - 1 that label a new edge close
+    no cycle (their image and its partner are fresh), and each other one
+    closes at most one vertex and one face.  So after k assignments with c
+    cycles closed and ne edges labelled, at most c + 2(n - k + ne) cycles
+    can still be reached, and slack = c + 2(n - k + ne) - (n + 2) must stay
+    >= 0: a new edge leaves it as it is, and any other assignment adds its
+    closed cycles and takes 2.  An image that would make it negative is not
+    tried, and every complete assignment reached is a planar map.
+
+    For bipartite, half-edges 0 and 1 get colours 0 and 1, a new edge's
+    even half takes the colour of h and its odd half the other, and a
+    labelled t is only tried if it has the colour of h.  For loopless, a
+    labelled t on another vertex path than h is not tried if the two
+    paths, walked along sigma, hold the two halves of one edge.  Every
+    open path is then loop-free: a new edge's half joins a path with its
+    partner still alone, and closing a path into a vertex joins it to
+    itself.  So every vertex of every map reached is loop-free.
     """
     nh = 2 * n
     sigma = [-1] * nh
@@ -129,20 +155,43 @@ def _planar_rotations(n: int, bipartite: bool = False) -> list[tuple[int, ...]]:
     # the last half-edge of each open path to its first, vend/fend back.
     vbeg, vend, fbeg, fend = (list(range(nh)) for _ in range(4))
 
-    def extend(i: int, ne: int, cycles: int) -> None:
+    def joins_a_loop(h: int, t: int) -> bool:
+        """Whether the vertex path ending at h and the one starting at t
+        hold the two halves of one edge."""
+        ends = {h}
+        x = vbeg[h]
+        while x != h:
+            ends.add(x)
+            x = sigma[x]
+        x, last = t, vend[t]
+        while x ^ 1 not in ends:
+            if x == last:
+                return False
+            x = sigma[x]
+        return True
+
+    def extend(i: int, ne: int, slack: int) -> None:
         if i == len(order):
-            if ne == n and cycles == n + 2:
+            if ne == n:
                 out.append(tuple(sigma))
             return
         h = order[i]
+        vb, fb = vbeg[h], fbeg[h]
         for t in range(2 * ne + (ne < n)):
             if hit[t]:
                 continue
+            new = t == 2 * ne
+            u = t ^ 1
+            left = slack if new else slack + (vb == t) + (fb == u) - 2
+            if left < 0:
+                continue
             if bipartite:
-                if t == 2 * ne:
-                    colour[t], colour[t ^ 1] = colour[h], colour[h] ^ 1
+                if new:
+                    colour[t], colour[u] = colour[h], colour[h] ^ 1
                 elif colour[t] != colour[h]:
                     continue
+            if loopless and not new and vb != t and joins_a_loop(h, t):
+                continue
             sigma[h] = t
             hit[t] = True
             mark = len(order)
@@ -150,13 +199,12 @@ def _planar_rotations(n: int, bipartite: bool = False) -> list[tuple[int, ...]]:
                 if not seen[x]:
                     seen[x] = True
                     order.append(x)
-            u = t ^ 1
-            vb, ve, fb, fe = vbeg[h], vend[t], fbeg[h], fend[u]
+            ve, fe = vend[t], fend[u]
             if vb != t:
                 vend[vb], vbeg[ve] = ve, vb
             if fb != u:
                 fend[fb], fbeg[fe] = fe, fb
-            extend(i + 1, ne + (t == 2 * ne), cycles + (vb == t) + (fb == u))
+            extend(i + 1, ne + new, left)
             if fb != u:
                 fend[fb], fbeg[fe] = h, u
             if vb != t:
@@ -166,16 +214,18 @@ def _planar_rotations(n: int, bipartite: bool = False) -> list[tuple[int, ...]]:
             del order[mark:]
             hit[t] = False
 
-    extend(0, 1, 0)
+    extend(0, 1, n)
     return out
 
 
-def _rooted_maps(n: int, bipartite: bool) -> tuple[RootedMap, ...]:
+def _rooted_maps(n: int, bipartite: bool = False,
+                 loopless: bool = False) -> tuple[RootedMap, ...]:
     if not 0 <= n <= MAX_MAP_EDGES:
         raise SizeTooLarge(f"edge count must be in 0..{MAX_MAP_EDGES}")
     if n == 0:
         return (EMPTY_MAP,)
-    return tuple(RootedMap(n, sigma, 0) for sigma in sorted(_planar_rotations(n, bipartite)))
+    return tuple(RootedMap(n, sigma, 0)
+                 for sigma in sorted(_planar_rotations(n, bipartite, loopless)))
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +233,7 @@ def gen_maps(n: int) -> tuple[RootedMap, ...]:
     """Distinct rooted planar maps with n edges, each built once directly in
     canonical labelling, sorted by rotation and checked against the closed
     formula."""
-    maps = _rooted_maps(n, False)
+    maps = _rooted_maps(n)
     if len(maps) != maps_formula(n):
         raise AssertionFailure(
             f"generator yields {len(maps)} maps, formula says {maps_formula(n)}")
@@ -197,12 +247,16 @@ def gen_bipartite_maps(n: int) -> tuple[RootedMap, ...]:
     other map is built.  The tests keep the filter of gen_maps(n) by
     map_stats as the oracle of this generator; the counts are compared
     with the closed formula by the checks and the count table."""
-    return _rooted_maps(n, True)
+    return _rooted_maps(n, bipartite=True)
 
 
 @lru_cache(maxsize=None)
 def gen_loopless_maps(n: int) -> tuple[RootedMap, ...]:
-    return tuple(m for m in gen_maps(n) if map_stats(m).loopless)
+    """The loopless maps among gen_maps(n), in the same order, built by the
+    same search with the loop rule of _planar_rotations.  The tests keep
+    the filter of gen_maps(n) by map_stats as the oracle of this
+    generator."""
+    return _rooted_maps(n, loopless=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lambdamaps import checks, lambda_core
+from lambdamaps import checks, cli, lambda_core
 from lambdamaps.cli import convert, from_word, main, run_verify, stats_lines, to_word
 from lambdamaps.enumeration import gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import render_labeled_tree
@@ -53,12 +53,29 @@ def test_verify_roundtrip_documented():
 # Behavior
 
 def test_count_equals_listing_length(capsys):
-    assert main(["enumerate", "--family", "vtree", "--size", "2"]) == 0
-    listing = capsys.readouterr().out.rstrip("\n").split("\n")
-    assert main(["enumerate", "--family", "vtree", "--size", "2", "--count"]) == 0
-    count = int(capsys.readouterr().out)
-    assert count == len(listing) == 9
-    assert listing == sorted(listing)
+    for size, want in ((2, 9), (5, 2916)):
+        assert main(["enumerate", "--family", "vtree", "--size", str(size)]) == 0
+        listing = capsys.readouterr().out.rstrip("\n").split("\n")
+        assert main(["enumerate", "--family", "vtree", "--size", str(size), "--count"]) == 0
+        count = int(capsys.readouterr().out)
+        assert count == len(listing) == want
+        assert listing == sorted(listing)
+
+
+def test_count_renders_and_sorts_nothing(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--count rendered or sorted the family")
+
+    for attr in ("render_skeleton", "render_map", "render_labeled_tree", "sorted"):
+        monkeypatch.setattr(cli, attr, refuse, raising=False)
+    counts = {"s1": 9, "s2": 3, "s3": 1, "rs": 1, "map": 54, "map-loopless": 13,
+              "map-bipartite": 12, "dtree": 12, "vtree": 54, "vtree-pos": 13}
+    for family, want in counts.items():
+        assert main(["enumerate", "--family", family, "--size", "3", "--count"]) == 0
+        assert capsys.readouterr().out == f"{want}\n"
+    # the patch reaches the listing
+    with pytest.raises(AssertionError):
+        main(["enumerate", "--family", "map", "--size", "3"])
 
 
 def test_enumerate_all_families(capsys):

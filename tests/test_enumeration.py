@@ -1,3 +1,11 @@
+"""The generators against their oracles.
+
+Run as a script (``python tests/test_enumeration.py 7``) to compare the
+maps of the rotation search with the rho_inv image of the v-trees at
+another edge count.
+"""
+
+import sys
 from itertools import permutations
 from math import comb
 
@@ -7,6 +15,7 @@ from lambdamaps.connectivity import check_family, is_three_connected_skeleton
 from lambdamaps.enumeration import (
     MAX_MAP_EDGES,
     SizeTooLarge,
+    _planar_rotations,
     bipartite_maps_formula,
     compare_stat_multisets,
     count_table,
@@ -193,11 +202,20 @@ def test_gen_maps_equals_permutation_scan():
         assert got == want, n
 
 
-def test_gen_maps_six_edges_equals_vtree_image():
-    forms = [canonical_form(m) for m in gen_maps(6)]
-    image = {canonical_form(canonical_map(rho_inv(t))) for t in gen_trees(6, "vtree")}
+def search_equals_vtree_image(n: int) -> int:
+    """The maps of the rotation search with n edges against the canonical
+    forms of rho_inv over every v-tree with n edges; returns the number of
+    maps.  The search is called directly, so that n may exceed
+    MAX_MAP_EDGES."""
+    forms = [canonical_form(RootedMap(n, sigma, 0)) for sigma in _planar_rotations(n)]
+    image = {canonical_form(canonical_map(rho_inv(t))) for t in gen_trees(n, "vtree")}
     assert set(forms) == image
-    assert len(image) == 24057
+    assert len(forms) == len(image) == maps_formula(n)
+    return len(forms)
+
+
+def test_gen_maps_six_edges_equals_vtree_image():
+    assert search_equals_vtree_image(6) == 24057
 
 
 def test_gen_maps_size_guard():
@@ -211,6 +229,21 @@ def test_gen_bipartite_maps_equals_map_stats_filter():
         got = [(m.n, m.sigma, m.root) for m in gen_bipartite_maps(n)]
         want = [(m.n, m.sigma, m.root) for m in gen_maps(n) if map_stats(m).bipartite]
         assert got == want, n
+
+
+def test_gen_loopless_maps_equals_map_stats_filter():
+    # the filter gen_loopless_maps replaced, kept as its oracle
+    for n in range(0, 7):
+        got = [(m.n, m.sigma, m.root) for m in gen_loopless_maps(n)]
+        want = [(m.n, m.sigma, m.root) for m in gen_maps(n) if map_stats(m).loopless]
+        assert got == want, n
+
+
+def test_searches_at_seven_edges():
+    # one size above MAX_MAP_EDGES: the loopless count is OEIS A000260
+    assert len(_planar_rotations(7)) == maps_formula(7) == 208494
+    assert len(_planar_rotations(7, bipartite=True)) == bipartite_maps_formula(7) == 9152
+    assert len(_planar_rotations(7, loopless=True)) == 16965
 
 
 def test_gen_bipartite_maps_size_guard():
@@ -321,3 +354,8 @@ def test_compare_stat_multisets_n2_values():
         (d.rlabel, d.lnode, d.znode, d.edge)
         for d in (degree_tree_stats(t) for t in gen_trees(2, "degree")))
     assert tuples == [(1, 1, 1, ((1, 1),)), (2, 1, 2, ()), (2, 2, 1, ())]
+
+
+if __name__ == "__main__":
+    print(search_equals_vtree_image(int(sys.argv[1])),
+          "maps: the rotation search equals the rho_inv image of the v-trees")
