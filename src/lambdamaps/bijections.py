@@ -31,13 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import check_reduced, in_family, unreduce
-from .lambda_core import Binary, Leaf, Skeleton, Unary, skeleton_of_word, word_of
-from .labeled_trees import (
-    InvalidInput,
-    LabeledTree,
-    validate_degree_tree,
-    validate_vtree,
-)
+from .lambda_core import (Binary, InvalidInput, Leaf, Skeleton, Unary, skeleton_of_word,
+                          word_of)
+from .labeled_trees import LabeledTree, validate_degree_tree, validate_vtree
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ from typing import NoReturn
 from .bijections import degree_tree_stats, phi, phi_inv, psi, psi_inv, skeleton_stats
 from .connectivity import (ConnectivityClass, check_family, edge_connectivity_class,
                            is_three_connected_skeleton)
-from .enumeration import (MAX_SKELETON_SIZE, SizeTooLarge, bipartite_maps_formula,
+from .enumeration import (MAX_SKELETON_SIZE, bipartite_maps_formula,
                           compare_stat_multisets, gen_bipartite_maps, gen_loopless_maps,
                           gen_maps, gen_reduced_skeletons, gen_skeletons, gen_trees,
                           maps_formula)
-from .labeled_trees import InvalidInput, LabeledTree, render_labeled_tree
-from .lambda_core import (Skeleton, alpha_equal, diagram_of, listing_of_word,
-                          parse_listing, parse_term, render_listing, render_term,
-                          term_of_skeleton, word_of)
+from .labeled_trees import LabeledTree, render_labeled_tree
+from .lambda_core import (InvalidInput, Skeleton, SizeTooLarge, alpha_equal, diagram_of,
+                          listing_of_word, parse_listing, parse_term, render_listing,
+                          render_term, term_of_skeleton, word_of)
 from .planar_maps import (RootedMap, attach_root_edge, canonical_form, is_one_corner, outv,
                           pi, rho, rho_direct, rho_inv)
 from .series import check_gf_relation, limit_pmf, pmf_diagnostics

@@ -37,13 +37,13 @@ from .enumeration import (
     render_count_table,
 )
 from .labeled_trees import (
-    InvalidInput,
     parse_labeled_tree,
     render_labeled_tree,
     validate_degree_tree,
     validate_vtree,
 )
 from .lambda_core import (
+    InvalidInput,
     _listing_defect,
     is_normal,
     listing_of_word,

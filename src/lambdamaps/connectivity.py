@@ -20,20 +20,13 @@ from enum import IntEnum
 from .lambda_core import (
     Binary,
     Diagram,
+    InvalidInput,
     LEAF,
     Leaf,
     Skeleton,
     Unary,
     word_of,
 )
-
-
-class NotReducible(ValueError):
-    pass
-
-
-class InvalidReduced(ValueError):
-    pass
 
 
 class ConnectivityClass(IntEnum):
@@ -80,7 +73,7 @@ def in_family(word: bytes, level: int) -> bool:
     node.
     """
     if level not in (1, 2):
-        raise ValueError(f"level must be 1 or 2, got {level}")
+        raise InvalidInput(f"level must be 1 or 2, got {level}")
     if word.count(0) != word.count(1) or _UNARY_LEFT_CHILD in word:
         return False
     least = level - 1
@@ -140,9 +133,9 @@ def reduce_skeleton(s: Skeleton) -> Skeleton:
     leaf; returns that node's right subtree."""
     _k, node = leading_chain(s)
     if isinstance(node, Leaf):
-        raise NotReducible("skeleton has no binary node")
+        raise InvalidInput("skeleton has no binary node")
     if not isinstance(node.left, Leaf):
-        raise NotReducible("left child of the first binary node is not a leaf")
+        raise InvalidInput("left child of the first binary node is not a leaf")
     return node.right
 
 
@@ -151,7 +144,7 @@ def unreduce(s: Skeleton) -> Skeleton:
     binary node with a leaf left child and s as right subtree."""
     d = s.deficit()
     if d <= 0:
-        raise InvalidReduced(f"deficit {d} is not positive")
+        raise InvalidInput(f"deficit {d} is not positive")
     s = Binary(LEAF, s)
     for _ in range(d + 1):
         s = Unary(s)

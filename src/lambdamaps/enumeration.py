@@ -35,20 +35,12 @@ from .connectivity import (
     reduce_skeleton,
 )
 from .labeled_trees import LabeledTree, has_zero
-from .lambda_core import Binary, LEAF, Skeleton, Unary
+from .lambda_core import Binary, LEAF, InvalidInput, SizeTooLarge, Skeleton, Unary
 from .planar_maps import (
     EMPTY_MAP,
     RootedMap,
     map_stats,
 )
-
-
-class SizeTooLarge(ValueError):
-    pass
-
-
-class AssertionFailure(AssertionError):
-    pass
 
 
 MAX_SKELETON_SIZE = 8
@@ -97,7 +89,7 @@ def gen_skeletons(n: int, level: int) -> list[Skeleton]:
         return [s for s in base if check_family(s, 2)]
     if level == 3:
         return [s for s in base if is_three_connected_skeleton(s)]
-    raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    raise InvalidInput(f"level must be 1, 2 or 3, got {level}")
 
 
 def gen_reduced_skeletons(n: int) -> list[Skeleton]:
@@ -235,7 +227,7 @@ def gen_maps(n: int) -> tuple[RootedMap, ...]:
     formula."""
     maps = _rooted_maps(n)
     if len(maps) != maps_formula(n):
-        raise AssertionFailure(
+        raise AssertionError(
             f"generator yields {len(maps)} maps, formula says {maps_formula(n)}")
     return maps
 
@@ -324,7 +316,7 @@ def gen_trees(n: int, kind: str) -> list[LabeledTree]:
         if kind == "vtree_positive":
             out = [t for t in out if not has_zero(t)]
         return out
-    raise ValueError(f"unknown kind {kind!r}")
+    raise InvalidInput(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +412,8 @@ def compare_stat_multisets(n: int) -> StatReport:
     if dtuples != btuples:
         for a, b in zip(dtuples, btuples):
             if a != b:
-                raise AssertionFailure(f"first mismatching tuple: {a} vs {b}")
-        raise AssertionFailure("side lengths differ")
+                raise AssertionError(f"first mismatching tuple: {a} vs {b}")
+        raise AssertionError("side lengths differ")
     reduced = gen_reduced_skeletons(n + 2)
     sk = [skeleton_stats(r) for r in reduced]
     stuples = sorted((s.applv, s.appla, s.uc) for s in sk)
@@ -429,11 +421,11 @@ def compare_stat_multisets(n: int) -> StatReport:
     if stuples != mtuples:
         for a, b in zip(stuples, mtuples):
             if a != b:
-                raise AssertionFailure(f"first mismatching tuple: {a} vs {b}")
-        raise AssertionFailure("side lengths differ")
+                raise AssertionError(f"first mismatching tuple: {a} vs {b}")
+        raise AssertionError("side lengths differ")
     chains = sorted(leading_chain(s)[0] for s in gen_skeletons(n + 2, 3))
     outdegs = sorted(t[0] for t in btuples)
     shift = chains[0] - outdegs[0]
     if chains != [o + shift for o in outdegs]:
-        raise AssertionFailure("abstraction counts are not a constant shift of outdegs")
+        raise AssertionError("abstraction counts are not a constant shift of outdegs")
     return StatReport(n, len(dtuples), shift)

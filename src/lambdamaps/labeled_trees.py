@@ -26,10 +26,6 @@ from typing import NamedTuple
 from .lambda_core import ParseError
 
 
-class InvalidInput(ValueError):
-    """An object that is not a valid input of the requested conversion."""
-
-
 class LabeledTree:
     """A node label and a tuple of child subtrees, equal to another tree
     exactly when the labels and the children are."""

@@ -37,15 +37,24 @@ from dataclasses import dataclass
 
 
 class ParseError(ValueError):
-    """Syntax error, with the offset of the offending position."""
+    """A term, skeleton or tree text that does not parse, with the offset
+    of the offending position.  The arguments are kept as given, so an
+    error pickled in one process unpickles whole in another."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at offset {position}")
+        super().__init__(message, position)
         self.position = position
 
+    def __str__(self):
+        return f"{self.args[0]} at offset {self.position}"
 
-class MatchFailure(ValueError):
-    """The pre-order parenthesis word of a skeleton is not balanced."""
+
+class InvalidInput(ValueError):
+    """An object or argument outside the domain of the operation."""
+
+
+class SizeTooLarge(ValueError):
+    """A size outside the cap of the operation."""
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +659,7 @@ def _match(word: bytes, right_first: bool = False) -> list[int]:
     subtree's start comes from the subtree ends of one reverse scan.  A
     unary node is pushed when reached and popped by the next leaf.
     Returns each leaf's binder position, -1 at internal nodes.  Raises
-    MatchFailure when a leaf finds an empty stack, unmatched unary nodes
+    InvalidInput when a leaf finds an empty stack, unmatched unary nodes
     remain, or a pairing crosses scopes (the popped unary node is not an
     ancestor of the leaf, so it could not bind it).
     """
@@ -673,10 +682,10 @@ def _match(word: bytes, right_first: bool = False) -> list[int]:
                 nid += 1
         else:
             if not open_unary:
-                raise MatchFailure(f"leaf {nid} has no enclosing unary node")
+                raise InvalidInput(f"leaf {nid} has no enclosing unary node")
             unary = open_unary.pop()
             if not unary < nid < end[unary]:
-                raise MatchFailure(
+                raise InvalidInput(
                     f"nesting violated: unary {unary} paired with leaf {nid} "
                     f"outside its subtree")
             binder[nid] = unary
@@ -684,7 +693,7 @@ def _match(word: bytes, right_first: bool = False) -> list[int]:
                 break
             nid = todo.pop()
     if open_unary:
-        raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
+        raise InvalidInput(f"{len(open_unary)} unary nodes left unmatched")
     return binder
 
 
@@ -695,7 +704,7 @@ def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
     outside it they can disagree.
 
     Returns {unary id: leaf id} over pre-order node ids.  Raises
-    MatchFailure as :func:`_match` does.
+    InvalidInput as :func:`_match` does.
     """
     binder = _match(word_of(s), right_first)
     return {unary: leaf for leaf, unary in enumerate(binder) if unary >= 0}
@@ -705,7 +714,7 @@ def listing_of_word(word: bytes) -> tuple[bytes, list[str]]:
     """The listing of the planar linear term whose skeleton has this
     pre-order arity word: the i-th abstraction in pre-order binds xi, and
     each atom is named after the binder the stack matcher gives it.  Raises
-    MatchFailure when the skeleton admits no planar linear binding."""
+    InvalidInput when the skeleton admits no planar linear binding."""
     binder = _match(word)
     names: list[str] = []
     name_at = [""] * len(word)

@@ -40,23 +40,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .labeled_trees import InvalidInput, LabeledTree, validate_vtree
-
-
-class InvalidMap(ValueError):
-    pass
-
-
-class WouldDisconnect(ValueError):
-    pass
-
-
-class EmptyMapError(ValueError):
-    pass
-
-
-class IndexOutOfRange(ValueError):
-    pass
+from .labeled_trees import LabeledTree, validate_vtree
+from .lambda_core import InvalidInput
 
 
 _set = object.__setattr__
@@ -167,17 +152,17 @@ def validate_map(m: RootedMap) -> bool:
 
 
 def _check(m: RootedMap) -> None:
-    """Raise InvalidMap unless m is valid; mark m once it is found valid."""
+    """Raise InvalidInput unless m is valid; mark m once it is found valid."""
     if not m._valid:
         if defect := map_defect(m):
-            raise InvalidMap(defect)
+            raise InvalidInput(defect)
         _set(m, "_valid", True)
 
 
 def outer_walk(m: RootedMap) -> list[int]:
     """Outer-face corner reps in ccw contour order, ending at the root."""
     if m.n == 0:
-        raise EmptyMapError("the empty map has no half-edges")
+        raise InvalidInput("the empty map has no half-edges")
     walk = []
     h = m.sigma[m.root] ^ 1
     while h != m.root:
@@ -316,35 +301,35 @@ def render_map(m: RootedMap) -> str:
 def parse_map(text: str) -> RootedMap:
     toks = text.split()
     if not toks or toks[0] != "map":
-        raise InvalidMap("expected 'map n=...'")
+        raise InvalidInput("expected 'map n=...'")
     fields = " ".join(toks[1:])
     mn = re.match(r"n=(\d+)\s*(.*)$", fields)
     if not mn:
-        raise InvalidMap("missing n=")
+        raise InvalidInput("missing n=")
     n = int(mn.group(1))
     rest = mn.group(2)
     if n == 0:
         if rest:
-            raise InvalidMap(f"unexpected text after n=0: {rest[:40]!r}")
+            raise InvalidInput(f"unexpected text after n=0: {rest[:40]!r}")
         return EMPTY_MAP
     ms = re.match(r"sigma=((?:\([\d ]*\))+)\s+root=(\d+)$", rest)
     if not ms:
-        raise InvalidMap("missing sigma=...(cycles) root=...")
+        raise InvalidInput("missing sigma=...(cycles) root=...")
     cycles = [[int(x) for x in cyc.split()] for cyc in re.findall(r"\(([\d ]*)\)", ms.group(1))]
     # Omitted half-edges are fixed points.  In a connected map with n >= 2
     # edges no edge has both halves fixed, so a valid text lists at least
     # n - 1 half-edges; checking that first keeps a huge n from allocating.
     listed = sum(len(vals) for vals in cycles)
     if listed < n - 1:
-        raise InvalidMap(f"n={n} needs at least {n - 1} half-edges in sigma, got {listed}")
+        raise InvalidInput(f"n={n} needs at least {n - 1} half-edges in sigma, got {listed}")
     sigma = list(range(2 * n))
     listed_at = bytearray(2 * n)
     for vals in cycles:
         for i, h in enumerate(vals):
             if not 0 <= h < 2 * n:
-                raise InvalidMap(f"half-edge {h} out of range")
+                raise InvalidInput(f"half-edge {h} out of range")
             if listed_at[h]:
-                raise InvalidMap(f"half-edge {h} listed twice in sigma")
+                raise InvalidInput(f"half-edge {h} listed twice in sigma")
             listed_at[h] = 1
             sigma[h] = vals[(i + 1) % len(vals)]
     m = RootedMap(n, tuple(sigma), int(ms.group(2)))
@@ -399,16 +384,16 @@ def pi(u: RootedMap) -> RootedMap:
     """Delete the root edge and re-root at the corner its far end stems
     from; an isolated old root vertex disappears."""
     if u.n == 0:
-        raise EmptyMapError("pi needs a nonempty one-corner component")
+        raise InvalidInput("pi needs a nonempty one-corner component")
     if u.n == 1:
         return EMPTY_MAP
     succ = list(u.sigma)
     stem = _delete_root_edge(succ, _inverse(succ), u.root)
     if stem == u.root ^ 1:
-        raise WouldDisconnect("far end of the root edge carries no other edge")
+        raise InvalidInput("far end of the root edge carries no other edge")
     out = _extract(succ, [stem])[0]
     if out.n != u.n - 1:
-        raise WouldDisconnect("deleting the root edge disconnects the map")
+        raise InvalidInput("deleting the root edge disconnects the map")
     return out
 
 
@@ -425,7 +410,7 @@ def attach_root_edge(m: RootedMap, i: int) -> RootedMap:
     """
     k = outv(m)
     if not 0 <= i <= k:
-        raise IndexOutOfRange(f"i must be in 0..{k}, got {i}")
+        raise InvalidInput(f"i must be in 0..{k}, got {i}")
     a = 2 * m.n
     succ = list(m.sigma) + [a, a + 1]
     r = m.root if m.n else a
@@ -443,7 +428,7 @@ def decompose(m: RootedMap) -> list[RootedMap]:
     """Split at every outer corner of the root vertex, duplicating it;
     the one-corner components come counterclockwise from the root corner."""
     if m.n == 0:
-        raise EmptyMapError("cannot decompose the empty map")
+        raise InvalidInput("cannot decompose the empty map")
     cuts = _root_corners(m)
     succ = list(m.sigma)
     _cut(succ, cuts)

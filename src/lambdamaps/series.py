@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .lambda_core import InvalidInput, SizeTooLarge
+
 
 class TruncatedSeries:
     """Polynomial in t, x, p_1..p_K truncated at t-degree and x-degree N.
@@ -42,7 +44,7 @@ class TruncatedSeries:
 
     def _check(self, other: "TruncatedSeries"):
         if self.trunc != other.trunc or self.kmax != other.kmax:
-            raise ValueError("incompatible truncation parameters")
+            raise InvalidInput("incompatible truncation parameters")
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -136,7 +138,7 @@ def solve_zu(n: int, kmax: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     u = x(1 + u z), truncated at t-degree n.  Each iteration gains one
     t-order, so n iterations reach the fixed point."""
     if n < 1 or kmax < 0:
-        raise ValueError("need n >= 1 and kmax >= 0")
+        raise SizeTooLarge("need n >= 1 and kmax >= 0")
     t = monomial(n, kmax, 1, 1)
     x = monomial(n, kmax, 1, 0, 1)
     z = zero(n, kmax)
@@ -161,8 +163,6 @@ def f_bipartite(n: int, kmax: int) -> TruncatedSeries:
     evaluated verbatim (the inner sum runs over l = 1..k-1), for n in
     1..MAX_GF_ORDER and kmax in 0..MAX_GF_ORDER (n = kmax = 8 takes about a
     second)."""
-    from .enumeration import SizeTooLarge
-
     if not (1 <= n <= MAX_GF_ORDER and 0 <= kmax <= MAX_GF_ORDER):
         raise SizeTooLarge(f"N must be in 1..{MAX_GF_ORDER} and K in 0..{MAX_GF_ORDER}, "
                            f"got N={n}, K={kmax}")
@@ -241,7 +241,7 @@ def check_gf_relation(n_max: int) -> GfReport:
     t^2 * x * (bipartite series), both built from enumeration; also report
     cell-by-cell how the printed closed form compares (not asserted)."""
     if not 2 <= n_max <= 6:
-        raise ValueError("n_max must be in 2..6")
+        raise SizeTooLarge("n_max must be in 2..6")
     kmax = n_max
     lhs = f_reduced_skeletons_enumerated(n_max, kmax)
     fb = f_bipartite_enumerated(n_max, kmax)

@@ -1,7 +1,6 @@
 import pytest
 
 from lambdamaps.bijections import (
-    InvalidInput,
     degree_tree_stats,
     phi,
     phi_inv,
@@ -18,7 +17,7 @@ from lambdamaps.labeled_trees import (
     validate_degree_tree,
     validate_vtree,
 )
-from lambdamaps.lambda_core import LEAF, Binary, parse_skeleton
+from lambdamaps.lambda_core import LEAF, Binary, InvalidInput, parse_skeleton
 from reference_kernels import wrap_unary
 
 

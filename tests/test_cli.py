@@ -361,13 +361,13 @@ def test_verify_small_sizes_match_the_stored_lines(capsys, max_size):
 
 
 def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
-    # a broken matcher raised MatchFailure out of verify, which then exited 2
+    # a broken matcher raised InvalidInput out of verify, which then exited 2
     # as if the input were bad
     from lambdamaps import lambda_core
-    from lambdamaps.lambda_core import MatchFailure
+    from lambdamaps.lambda_core import InvalidInput
 
     def broken(_word, _right_first=False):
-        raise MatchFailure("leaf 1 has no enclosing unary node")
+        raise InvalidInput("leaf 1 has no enclosing unary node")
 
     monkeypatch.setattr(lambda_core, "_match", broken)
     ok, lines = run_verify("roundtrip", 3)
@@ -415,6 +415,29 @@ def test_verify_raises_the_first_exception_in_check_order(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: the earlier check\n"
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
+def test_verify_reports_a_parse_error_raised_in_a_worker(monkeypatch, capsys):
+    # the worker pickles the error to the caller, which must unpickle it
+    # whole: the same message and offset as on one CPU
+    caller = os.getpid()
+    text = r"\x.\y.(y x"
+    with pytest.raises(lambda_core.ParseError) as raised:
+        parse_term(text)
+
+    def check(_nmax):
+        if os.getpid() != caller:
+            parse_term(text)
+        time.sleep(0.05)  # a worker takes a check meanwhile
+        return True, ""
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, check) for name, _fn in checks.CHECKS))
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {raised.value}\n"
     assert_no_child_left()
 
 

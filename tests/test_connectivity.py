@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from lambdamaps.bijections import phi_inv
 from lambdamaps.connectivity import (
     ConnectivityClass,
-    InvalidReduced,
-    NotReducible,
     check_family,
     check_reduced,
     edge_connectivity_class,
@@ -20,7 +18,7 @@ from lambdamaps.connectivity import (
 )
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import LabeledTree
-from lambdamaps.lambda_core import (Diagram, MatchFailure, diagram_of, parse_skeleton,
+from lambdamaps.lambda_core import (Diagram, InvalidInput, diagram_of, parse_skeleton,
                                     render_skeleton)
 from reference_kernels import bridge_connectivity_class, iter_unary_binary, preorder
 
@@ -67,9 +65,9 @@ def test_check_reduced_degenerate_cases():
 def test_reduce_examples():
     assert render_skeleton(reduce_skeleton(sk("U(U(U(B(L,B(L,L)))))"))) == "B(L,L)"
     assert render_skeleton(reduce_skeleton(sk("U(U(B(L,L)))"))) == "L"
-    with pytest.raises(NotReducible):
+    with pytest.raises(InvalidInput):
         reduce_skeleton(sk("U(B(U(L),L))"))
-    with pytest.raises(NotReducible):
+    with pytest.raises(InvalidInput):
         reduce_skeleton(sk("U(L)"))
 
 
@@ -79,7 +77,7 @@ def test_unreduce_examples():
     # unreduce is purely structural: membership failures are reported by
     # check_reduced, not here
     assert render_skeleton(unreduce(sk("B(L,U(L))"))) == "U(U(B(L,B(L,U(L)))))"
-    with pytest.raises(InvalidReduced):
+    with pytest.raises(InvalidInput):
         unreduce(sk("U(L)"))
 
 
@@ -259,7 +257,7 @@ def _matchable_diagrams(nleaf):
     for s in iter_unary_binary(nleaf, nleaf):
         try:
             yield diagram_of(s)
-        except MatchFailure:
+        except InvalidInput:
             pass
 
 

@@ -14,7 +14,6 @@ import pytest
 from lambdamaps.connectivity import check_family, is_three_connected_skeleton
 from lambdamaps.enumeration import (
     MAX_MAP_EDGES,
-    SizeTooLarge,
     _planar_rotations,
     bipartite_maps_formula,
     compare_stat_multisets,
@@ -28,7 +27,7 @@ from lambdamaps.enumeration import (
     render_count_table,
 )
 from lambdamaps.labeled_trees import render_labeled_tree, validate_degree_tree, validate_vtree
-from lambdamaps.lambda_core import render_skeleton
+from lambdamaps.lambda_core import InvalidInput, SizeTooLarge, render_skeleton
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
     RootedMap,
@@ -290,7 +289,7 @@ def test_gen_trees_counts():
 def test_gen_trees_size_guard():
     with pytest.raises(SizeTooLarge):
         gen_trees(8, "vtree")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         gen_trees(2, "nonsense")
 
 

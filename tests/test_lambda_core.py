@@ -8,9 +8,9 @@ from lambdamaps.lambda_core import (
     App,
     Binary,
     Diagram,
+    InvalidInput,
     LEAF,
     Leaf,
-    MatchFailure,
     ParseError,
     Unary,
     Var,
@@ -31,7 +31,6 @@ from lambdamaps.lambda_core import (
     term_of_skeleton,
     word_of,
 )
-from lambdamaps.bijections import InvalidInput
 from lambdamaps.enumeration import gen_skeletons
 from reference_kernels import iter_unary_binary, preorder
 
@@ -371,14 +370,14 @@ def test_preorder_ids():
 def test_planar_match_examples():
     assert planar_match(parse_skeleton("U(U(B(L,L)))")) == {1: 3, 0: 4}
     assert planar_match(parse_skeleton("U(B(L,U(L)))")) == {0: 2, 3: 4}
-    with pytest.raises(MatchFailure):
+    with pytest.raises(InvalidInput):
         planar_match(parse_skeleton("U(B(L,L))"))
 
 
 def test_planar_match_rejects_scope_crossing():
     # balanced word, but the outer unary node would bind a leaf outside
     # its subtree
-    with pytest.raises(MatchFailure):
+    with pytest.raises(InvalidInput):
         planar_match(parse_skeleton("U(B(B(L,U(U(L))),L))"))
 
 
@@ -409,7 +408,7 @@ def test_match_success_implies_balanced_word():
         for s in iter_unary_binary(n, n):
             try:
                 planar_match(s)
-            except MatchFailure:
+            except InvalidInput:
                 continue
             assert _word_balanced(parenthesis_word(s))
 
@@ -446,7 +445,7 @@ def test_is_normal_agrees_with_redex_search():
         for s in iter_unary_binary(n, n):
             try:
                 term = term_of_skeleton(s)
-            except MatchFailure:
+            except InvalidInput:
                 continue
             assert is_normal(s) == (not has_beta_redex(term))
 
@@ -476,7 +475,7 @@ def test_diagram_size_and_connectivity():
         for s in iter_unary_binary(n, n):
             try:
                 d = diagram_of(s)
-            except MatchFailure:
+            except InvalidInput:
                 continue
             assert len(d.vertices) == 2 * n - 1
             assert len(d.edges) == 3 * n - 2
@@ -515,7 +514,7 @@ def _linear_terms(free, k, depth, memo):
 def _is_term_of_its_skeleton(t):
     try:
         return alpha_equal(t, term_of_skeleton(skeleton_of(t)))
-    except MatchFailure:
+    except InvalidInput:
         return False
 
 
@@ -696,15 +695,15 @@ def _ref_planar_match(s, right_first=False):
             todo += (left, right) if right_first else (right, left)
         else:
             if not open_unary:
-                raise MatchFailure(f"leaf {nid} has no enclosing unary node")
+                raise InvalidInput(f"leaf {nid} has no enclosing unary node")
             unary, end = open_unary.pop()
             if not unary < nid < end:
-                raise MatchFailure(
+                raise InvalidInput(
                     f"nesting violated: unary {unary} paired with leaf {nid} "
                     f"outside its subtree")
             match[unary] = nid
     if open_unary:
-        raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
+        raise InvalidInput(f"{len(open_unary)} unary nodes left unmatched")
     return match
 
 
@@ -743,10 +742,10 @@ def _ref_diagram_of(s):
 
 
 def _outcome(fn, *args):
-    """The result, or the MatchFailure message."""
+    """The result, or the InvalidInput message."""
     try:
         return fn(*args)
-    except MatchFailure as exc:
+    except InvalidInput as exc:
         return str(exc)
 
 

@@ -15,15 +15,15 @@ from lambdamaps.bijections import _unspine, phi, phi_inv, psi, psi_inv
 from lambdamaps.connectivity import (check_family, check_reduced, edge_connectivity_class,
                                      is_three_connected_skeleton, leading_chain)
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
-from lambdamaps.labeled_trees import InvalidInput, LabeledTree, parse_labeled_tree
+from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree
 from lambdamaps.lambda_core import (
     LEAF,
     Abs,
     App,
     Binary,
     Diagram,
+    InvalidInput,
     Leaf,
-    MatchFailure,
     ParseError,
     Unary,
     Var,
@@ -79,16 +79,16 @@ def _ref_match(s, right_first=False):
                     up, nid, node = nid, nid + 1, left
             else:
                 if not open_unary:
-                    raise MatchFailure(f"leaf {nid} has no enclosing unary node")
+                    raise InvalidInput(f"leaf {nid} has no enclosing unary node")
                 unary, end = open_unary.pop()
                 if not unary < nid < end:
-                    raise MatchFailure(
+                    raise InvalidInput(
                         f"nesting violated: unary {unary} paired with leaf {nid} "
                         f"outside its subtree")
                 binder[nid] = unary
                 break
     if open_unary:
-        raise MatchFailure(f"{len(open_unary)} unary nodes left unmatched")
+        raise InvalidInput(f"{len(open_unary)} unary nodes left unmatched")
     return nodes, parent, binder
 
 
@@ -286,7 +286,7 @@ def _outcome(fn, *args):
     """The result, or the exception's type and message."""
     try:
         return fn(*args)
-    except (MatchFailure, ParseError, InvalidInput) as exc:
+    except (ParseError, InvalidInput) as exc:
         return type(exc).__name__, str(exc)
 
 
