@@ -6,14 +6,17 @@ suite of a check is the part of its name before the first dot.
 
 The checks share no mutable state, so `run_verify` runs them on every
 usable CPU: one forked process per CPU, the caller included, takes the next
-check from a shared queue until none is left.  The lines come out in
-CHECKS order whatever the order the checks finish in.  Memory is per
-process: a cache that two checks read (`_rho_images`, `_gf_report`, the
-generators' caches) is filled once in each process that runs one of them.
+entry of SCHEDULE from a shared queue until none is left.  The checks that
+read one derived cache (`_rho_images`, `_gf_report`) form one entry, so
+that one process fills it; the caller fills the generators' caches that
+entries in different processes read before it forks, and copy-on-write
+shares them.  The lines come out in CHECKS order whatever the order the
+checks finish in.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
@@ -286,42 +289,92 @@ CHECKS = (
 SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, _fn in CHECKS))
 
 
-def _workers(nchecks: int) -> int:
-    """How many processes run nchecks checks: one per usable CPU and at
-    most one per check; only the caller where the platform cannot fork."""
+# The queue entries, heaviest first by their seconds at --max-size 8 on two
+# CPUs (BENCH_19.json): longest-first list scheduling, so that the light
+# entries at the end even out the processes' loads.  A group reads one
+# derived cache: `_rho_images` or `_gf_report`.
+SCHEDULE = (
+    ("oracle.connectivity",),
+    ("roundtrip.term-text",),
+    ("roundtrip.psi",),
+    ("counts.psi-2conn-image",),
+    ("stats.multisets",),
+    ("roundtrip.phi",),
+    ("roundtrip.rho", "oracle.rho-direct", "counts.rho-loopless-image"),
+    ("counts.connected",),
+    ("gf.chain-identity", "gf.printed-form"),
+    ("roundtrip.term-map-term",),
+    ("counts.2-connected",),
+    ("oracle.preimages",),
+    ("gf.pmf-tv",),
+    ("counts.3-connected",),
+    ("gf.pmf-sum",),
+)
+
+# The generators' caches that checks of several entries read: how the
+# caller fills each (skeletons to the size cap, maps to the 5 edges of the
+# rho checks) and the checks that read it.
+SHARED_CACHES = (
+    (_skeletons, frozenset({
+        "roundtrip.term-text", "roundtrip.phi", "roundtrip.psi", "roundtrip.term-map-term",
+        "oracle.connectivity", "counts.connected", "counts.2-connected",
+        "counts.3-connected", "counts.psi-2conn-image", "stats.multisets",
+        "gf.chain-identity", "gf.printed-form"})),
+    (lambda nmax: [gen_maps(e) for e in range(min(nmax, 5) + 1)], frozenset({
+        "roundtrip.rho", "oracle.rho-direct", "oracle.preimages", "counts.connected",
+        "counts.rho-loopless-image"})),
+)
+
+
+def _entries(indices: list[int]) -> list[list[int]]:
+    """The SCHEDULE entries of the checks at indices, in SCHEDULE order,
+    each as the CHECKS indices of its checks."""
+    index = {CHECKS[i][0]: i for i in indices}
+    entries = [[index[name] for name in entry if name in index] for entry in SCHEDULE]
+    return [entry for entry in entries if entry]
+
+
+def _prefill(entries: list[list[int]], nmax: int) -> None:
+    """Fill each of SHARED_CACHES that checks of two or more entries read."""
+    for fill, readers in SHARED_CACHES:
+        if sum(any(CHECKS[i][0] in readers for i in entry) for entry in entries) > 1:
+            fill(nmax)
+
+
+def _workers(nentries: int) -> int:
+    """How many processes run nentries queue entries: one per usable CPU
+    and at most one per entry; only the caller where the platform cannot
+    fork."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(nchecks, cpus)
+    return min(nentries, cpus)
 
 
-def _take_checks(queue: int, nmax: int) -> dict:
-    """Run the checks whose CHECKS indices this process reads from the
-    queue, one byte each, until the queue is empty.  Maps each index taken
-    to ``(ok, detail)`` or to the exception the check raised."""
+def _take_checks(queue: int, entries: list[list[int]], nmax: int) -> dict:
+    """Run the checks of the entries whose positions this process reads
+    from the queue, one byte each, until the queue is empty.  Maps the
+    CHECKS index of each check run to ``(ok, detail)`` or to the exception
+    the check raised; a check that raises stops nothing else."""
     results: dict = {}
-    while index := os.read(queue, 1):
-        i = index[0]
-        try:
-            results[i] = CHECKS[i][1](nmax)
-        except Exception as exc:
-            results[i] = exc
-            # every check before this one is taken already, and only the
-            # first exception in CHECKS order is raised: drop the rest
-            while os.read(queue, len(CHECKS)):
-                pass
+    while position := os.read(queue, 1):
+        for i in entries[position[0]]:
+            try:
+                results[i] = CHECKS[i][1](nmax)
+            except Exception as exc:
+                results[i] = exc
     return results
 
 
-def _worker(queue: int, out: int, nmax: int) -> NoReturn:
+def _worker(queue: int, out: int, entries: list[list[int]], nmax: int) -> NoReturn:
     """A forked worker: take checks, pickle the results into the pipe out,
     and exit without returning into the caller's stack."""
     code = 1
     try:
-        data = pickle.dumps(_take_checks(queue, nmax))
+        data = pickle.dumps(_take_checks(queue, entries, nmax))
         with os.fdopen(out, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -334,15 +387,23 @@ def _run_checks(indices: list[int], nmax: int) -> dict:
     caller is one of them.  Returns what `_take_checks` returns, merged
     over the processes.  Every worker is reaped before this returns or
     raises."""
+    entries = _entries(indices)
+    nproc = _workers(len(entries))
+    if nproc > 1:
+        _prefill(entries, nmax)
     queue, feed = os.pipe()
-    os.write(feed, bytes(indices))
+    os.write(feed, bytes(range(len(entries))))
     os.close(feed)
     sys.stdout.flush()
     sys.stderr.flush()
     children = {}  # pid -> the read end of its result pipe
     finished = False
     try:
-        for _ in range(_workers(len(indices)) - 1):
+        # a collection writes to every object it scans, which would copy the
+        # pages that the processes share: the objects made so far are left
+        # out of the collections until the checks are done
+        gc.freeze()
+        for _ in range(nproc - 1):
             out, into = os.pipe()
             try:
                 pid = os.fork()
@@ -351,16 +412,17 @@ def _run_checks(indices: list[int], nmax: int) -> dict:
                 os.close(into)
                 break
             if pid == 0:
-                _worker(queue, into, nmax)
+                _worker(queue, into, entries, nmax)
             os.close(into)
             children[pid] = os.fdopen(out, "rb")
-        results = _take_checks(queue, nmax)
+        results = _take_checks(queue, entries, nmax)
         for pipe in children.values():
             data = pipe.read()
             if data:  # empty when the worker died before it reported
                 results.update(pickle.loads(data))
         finished = True
     finally:
+        gc.unfreeze()
         os.close(queue)
         for pid, pipe in children.items():
             pipe.close()
@@ -377,8 +439,9 @@ def run_verify(suite: str, nmax: int) -> tuple[bool, list[str]]:
     check followed by a summary line.  Raises before any check runs when
     the suite is unknown or nmax is outside 2..MAX_SKELETON_SIZE.  When
     checks raise, the exception of the first of them in CHECKS order is
-    raised again here; one raised in a worker process comes without the
-    worker's frames, which a run on one CPU (``taskset -c 0``) shows.
+    raised again here, ahead of any check missing because a worker died;
+    one raised in a worker process comes without the worker's frames, which
+    a run on one CPU (``taskset -c 0``) shows.
     """
     if suite != "all" and suite not in SUITES:
         raise InvalidInput(f"unknown suite {suite!r}")
@@ -387,13 +450,14 @@ def run_verify(suite: str, nmax: int) -> tuple[bool, list[str]]:
     selected = [i for i, (name, _fn) in enumerate(CHECKS)
                 if suite in ("all", name.split(".", 1)[0])]
     results = _run_checks(selected, nmax)
+    for i in selected:
+        if isinstance(results.get(i), Exception):
+            raise results[i]
     lines = []
     for i in selected:
         name = CHECKS[i][0]
         if i not in results:
             raise RuntimeError(f"a verify worker process ended before it reported {name}")
-        if isinstance(results[i], Exception):
-            raise results[i]
         ok, detail = results[i]
         lines.append(f"{'ok' if ok else 'FAIL'} {name} {detail}")
     total = len(lines)

@@ -128,7 +128,7 @@ def _detect_kind(text: str) -> str:
         return "map"
     if t and t[0] in "LUB":
         return "skeleton"
-    if t and (t[0].isdigit()):
+    if t and t[0] in "0123456789":
         return "tree"
     return "term"
 

@@ -84,7 +84,7 @@ def parse_labeled_tree(text: str) -> LabeledTree:
     def number() -> int:
         nonlocal pos
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and s[pos] in "0123456789":
             pos += 1
         if pos == start:
             raise ParseError("expected a label", start)

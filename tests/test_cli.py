@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lambdamaps import checks, cli, lambda_core
+from lambdamaps import checks, cli, enumeration, lambda_core
 from lambdamaps.cli import convert, from_word, main, run_verify, stats_lines, to_word
 from lambdamaps.enumeration import gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import render_labeled_tree
@@ -214,6 +214,21 @@ def test_usage_errors_exit_2():
     code, _out, _err = run_cli("convert", "--from", "term", "--to", "map",
                                r"\x.x (\y.y")
     assert code == 2
+
+
+def test_non_ascii_digits_are_bad_input(capsys):
+    # "²" passed str.isdigit() in the tree parser and in the kind
+    # detection, and then int() raised a builtin ValueError
+    for text in ("²", "١"):
+        with pytest.raises(lambda_core.ParseError):
+            stats_lines(text, None)
+    with pytest.raises(lambda_core.ParseError, match="expected a label at offset 2"):
+        convert("vtree", "map", "1[²]")
+    for argv, error in ((["stats", "²"], "unexpected character '²' at offset 0"),
+                        (["convert", "--from", "vtree", "--to", "map", "1[²]"],
+                         "expected a label at offset 2")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_stats_map_with_huge_edge_count(capsys):
@@ -482,4 +497,81 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
     monkeypatch.setattr(checks, "CHECKS", tuple((name, check) for name, _fn in checks.CHECKS))
     with pytest.raises(RuntimeError, match="ended before it reported gf[.]"):
         run_verify("gf", 3)
+    assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# verify's schedule
+
+def _caches() -> set:
+    """The lru caches of the checks and of the generators."""
+    return {f for module in (checks, enumeration) for f in vars(module).values()
+            if hasattr(f, "cache_clear")}
+
+
+def _filled_by(run) -> set:
+    """The caches that run() fills when it starts with all of them empty."""
+    for cache in _caches():
+        cache.cache_clear()
+    run()
+    return {cache for cache in _caches() if cache.cache_info().currsize}
+
+
+def test_every_check_is_in_exactly_one_queue_entry():
+    queued = [name for entry in checks.SCHEDULE for name in entry]
+    assert sorted(queued) == sorted(name for name, _fn in checks.CHECKS)
+    assert len(set(queued)) == len(queued)
+
+
+def test_groups_and_shared_caches_are_the_checks_that_read_them():
+    # run alone on empty caches, a check fills the caches it reads
+    filled = {name: _filled_by(lambda: fn(4)) for name, fn in checks.CHECKS}
+
+    def readers(cache):
+        return {name for name, caches in filled.items() if cache in caches}
+
+    derived = {cache for cache in _caches() if cache.__module__ == checks.__name__}
+    groups = {frozenset(entry) for entry in checks.SCHEDULE if len(entry) > 1}
+    assert {frozenset(readers(cache)) for cache in derived} == groups
+    for fill, names in checks.SHARED_CACHES:
+        (cache,) = _filled_by(lambda: fill(4))
+        assert readers(cache) == names
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])  # 8: more processes than cores
+@pytest.mark.parametrize("suite", checks.SUITES)
+def test_a_suite_prints_its_lines_of_the_full_run(monkeypatch, capsys, suite, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+    stored = (DATA / "verify_max4.txt").read_text().splitlines()[:-1]
+    lines = [line for line in stored if line.split()[1].split(".")[0] == suite]
+    assert main(["verify", "--suite", suite, "--max-size", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == lines + [f"all checks passed ({len(lines)}/{len(lines)})"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_reports_a_check_queued_late_but_early_in_check_order(monkeypatch, capsys,
+                                                                    cpus):
+    # a process goes on taking entries after a check raised, so the check
+    # queued last runs and raises, and its error is reported: it comes
+    # first in CHECKS order among the checks that raise
+    names = [name for name, _fn in checks.CHECKS]
+    last = checks.SCHEDULE[-1][0]
+    raising = names[names.index(last):]
+    assert set(raising) - set(checks.SCHEDULE[-1])  # one is queued before it
+
+    def check(name):
+        def run(_nmax):
+            if name in raising:
+                raise ValueError(f"{name} failed")
+            return True, ""
+        return run
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, check(name)) for name in names))
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {last} failed\n"
     assert_no_child_left()

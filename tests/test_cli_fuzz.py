@@ -28,7 +28,7 @@ KINDS = ("term", "skeleton", "vtree", "dtree", "map")
 ALPHABETS = {
     "term": "\\.() xyz12",
     "skeleton": "LUB(), ",
-    "vtree": "0123[], ",
+    "vtree": "0123[], ²",  # "²" passes str.isdigit() but not int()
     "dtree": "0123[], ",
     "map": "map n=sigroot()0123 ",
 }

@@ -27,6 +27,14 @@ def test_text_rejects_garbage():
             parse_labeled_tree(bad)
 
 
+def test_labels_are_ascii_digits_only():
+    # str.isdigit() holds for "²" and "١", but int() refuses "²", which
+    # raised a builtin ValueError in place of a ParseError
+    for text, offset in (("²", 0), ("1[²]", 2), ("١", 0), ("1[0,١]", 4)):
+        with pytest.raises(ParseError, match=f"^expected a label at offset {offset}$"):
+            parse_labeled_tree(text)
+
+
 def test_validate_degree_tree_examples():
     assert validate_degree_tree(lt("2[1[0]]"))
     assert not validate_degree_tree(lt("0[0]"))
