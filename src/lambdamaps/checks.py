@@ -16,7 +16,6 @@ checks finish in.
 
 from __future__ import annotations
 
-import gc
 import os
 import pickle
 import signal
@@ -44,6 +43,9 @@ from .series import check_gf_relation, limit_pmf, pmf_diagnostics
 # 3-connected terms of size 2..7 (= bipartite maps with 0..5 edges).
 CONNECTED_COUNTS = (1, 2, 9, 54, 378, 2916, 24057)
 THREE_CONNECTED_COUNTS = (1, 1, 3, 12, 56, 288)
+
+# The rho checks run on the maps with at most this many edges.
+RHO_MAX_EDGES = 5
 
 
 def _skeletons(nmax: int) -> list[Skeleton]:
@@ -104,9 +106,10 @@ def _psi_roundtrip(nmax: int) -> tuple[bool, str]:
 
 
 def _rho_roundtrip(nmax: int) -> tuple[bool, str]:
-    pairs = _maps(min(nmax, 5))
+    emax = min(nmax, RHO_MAX_EDGES)
+    pairs = _maps(emax)
     bad = sum(canonical_form(rho_inv(t)) != canonical_form(m) for m, t in pairs)
-    return bad == 0, f"edges<={min(nmax, 5)} ({len(pairs)} maps)"
+    return bad == 0, f"edges<={emax} ({len(pairs)} maps)"
 
 
 def _term_map_term(nmax: int) -> tuple[bool, str]:
@@ -139,9 +142,10 @@ def _connectivity(nmax: int) -> tuple[bool, str]:
 
 def _rho_direct(nmax: int) -> tuple[bool, str]:
     """rho_direct equals rho, and the root label is the outer vertex count."""
-    pairs = _maps(min(nmax, 5))
+    emax = min(nmax, RHO_MAX_EDGES)
+    pairs = _maps(emax)
     bad = sum(rho_direct(m) != t or t.label != outv(m) for m, t in pairs)
-    return bad == 0, f"edges<={min(nmax, 5)} ({len(pairs)} maps)"
+    return bad == 0, f"edges<={emax} ({len(pairs)} maps)"
 
 
 def _preimages(nmax: int) -> tuple[bool, str]:
@@ -312,15 +316,17 @@ SCHEDULE = (
 )
 
 # The generators' caches that checks of several entries read: how the
-# caller fills each (skeletons to the size cap, maps to the 5 edges of the
-# rho checks) and the checks that read it.
+# caller fills each (skeletons to the size cap, maps to the rho checks'
+# cap) and the checks that read it.  A cache that one entry alone reads is
+# left to that entry, which may read less of it: `--suite gf` reads the
+# skeletons to size 6 only.
 SHARED_CACHES = (
     (_skeletons, frozenset({
         "roundtrip.term-text", "roundtrip.phi", "roundtrip.psi", "roundtrip.term-map-term",
         "oracle.connectivity", "counts.connected", "counts.2-connected",
         "counts.3-connected", "counts.psi-2conn-image", "stats.multisets",
         "gf.chain-identity", "gf.printed-form"})),
-    (lambda nmax: [gen_maps(e) for e in range(min(nmax, 5) + 1)], frozenset({
+    (lambda nmax: [gen_maps(e) for e in range(min(nmax, RHO_MAX_EDGES) + 1)], frozenset({
         "roundtrip.rho", "oracle.rho-direct", "oracle.preimages", "counts.connected",
         "counts.rho-loopless-image"})),
 )
@@ -399,10 +405,6 @@ def _run_checks(indices: list[int], nmax: int) -> dict:
     children = {}  # pid -> the read end of its result pipe
     finished = False
     try:
-        # a collection writes to every object it scans, which would copy the
-        # pages that the processes share: the objects made so far are left
-        # out of the collections until the checks are done
-        gc.freeze()
         for _ in range(nproc - 1):
             out, into = os.pipe()
             try:
@@ -422,7 +424,6 @@ def _run_checks(indices: list[int], nmax: int) -> dict:
                 results.update(pickle.loads(data))
         finished = True
     finally:
-        gc.unfreeze()
         os.close(queue)
         for pid, pipe in children.items():
             pipe.close()
