@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .connectivity import check_reduced, in_family, unreduce
 from .lambda_core import (Binary, InvalidInput, Leaf, Skeleton, Unary, skeleton_of_word,
                           word_of)
-from .labeled_trees import LabeledTree, validate_degree_tree, validate_vtree
+from .labeled_trees import LabeledTree, validate_degree_tree
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,8 @@ def _unspine(children: tuple[LabeledTree, ...], shift: int) -> bytearray:
 
     A core with children c_1 .. c_m has deficit 1 + sum(shift + label(c_i)),
     so the chain above each right subtree is known before its word is
-    written, and one pre-order loop writes the whole word.
+    written, and one pre-order loop writes the whole word.  A label below
+    0 or beyond the deficit raises InvalidInput: a bad v-tree node.
     """
     word = bytearray(b"\x02" * len(children))
     word.append(0)
@@ -89,8 +90,9 @@ def _unspine(children: tuple[LabeledTree, ...], shift: int) -> bytearray:
         chain = 1 + shift * (len(u.children) - 1) - u.label
         for c in u.children:
             chain += c.label
-        if chain < 0:
-            raise InvalidInput("label exceeds attainable deficit")
+        if chain < 0 or u.label < 0:
+            raise InvalidInput("negative label" if u.label < 0 else
+                               "label exceeds attainable deficit")
         word += b"\x01" * chain
         word += b"\x02" * len(u.children)
         word.append(0)
@@ -129,10 +131,14 @@ def vtree_of_word(word: bytes) -> LabeledTree:
 
 def word_of_vtree(v: LabeledTree) -> bytes:
     """psi_inv as a pre-order arity word: unary nodes inserted on right
-    branches only, the root label becoming the leading chain."""
-    if not validate_vtree(v).valid:
+    branches only, the root label becoming the leading chain; _unspine
+    checks the other labels."""
+    if v.label != 1 + sum(c.label for c in v.children):
         raise InvalidInput("not a valid v-tree")
-    return b"\x01" * v.label + _unspine(v.children, 0)
+    try:
+        return b"\x01" * v.label + _unspine(v.children, 0)
+    except InvalidInput:
+        raise InvalidInput("not a valid v-tree") from None
 
 
 def psi(s: Skeleton) -> LabeledTree:

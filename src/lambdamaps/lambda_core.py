@@ -9,7 +9,9 @@ ones, the stack discipline pairs each abstraction with the atom it binds.
 
 Terms (``Var``, ``App``, ``Abs``) and skeleton nodes (``Leaf``, ``Unary``,
 ``Binary``) are plain classes with ``__slots__``.  Terms compare and hash
-as their listings (below), which determine them.
+as their listings (below), which determine them.  Every term from
+``parse_term`` and ``term_of_skeleton`` keeps its listing, so reading it
+walks no tree.
 
 The skeleton kernels read a skeleton's pre-order arity word: a ``bytes``
 value with one byte per node in pre-order, 0 for a leaf, 1 for a unary node
@@ -24,7 +26,8 @@ names of its variables and binders in pre-order.  The parser reads text
 into a listing, one loop over a listing checks that it is closed, linear
 and planar, and the printer writes a listing as text, so ``parse_term``,
 ``render_term``, ``term_of_skeleton`` and ``term_defect`` convert between
-listings and term objects at the edges.
+listings and term objects at the edges.  ``alpha_equal`` compares two
+listings.
 
 Every walk here, over a term, a skeleton or a text, is a loop over an
 explicit stack or a word, so depth is not bounded by the recursion limit.
@@ -62,9 +65,11 @@ class SizeTooLarge(ValueError):
 
 class _Term:
     """Equality and hash of Var, App and Abs: two terms are equal exactly
-    when their listings are, that is when their types and fields are."""
+    when their listings are, that is when their types and fields are.  A
+    term built from a listing keeps it in ``_listing``, so no term may be
+    changed once built."""
 
-    __slots__ = ()
+    __slots__ = ("_listing",)
 
     def __eq__(self, other):
         if not isinstance(other, _Term):
@@ -149,7 +154,12 @@ def _syntax_error(text: str, i: int, message: str) -> ParseError:
 # text can be checked without building terms.
 
 def _listing_of(t: LambdaTerm) -> tuple[bytes, list[str]]:
-    """The listing of a term, by one pre-order walk."""
+    """The listing of a term: the one it was built from, or else one
+    pre-order walk."""
+    try:
+        return t._listing
+    except AttributeError:
+        pass
     word = bytearray()
     names: list[str] = []
     stack = [t]
@@ -171,7 +181,7 @@ def _listing_of(t: LambdaTerm) -> tuple[bytes, list[str]]:
 
 def _term_of_listing(word: bytes, names: list[str]) -> LambdaTerm:
     """Bottom up in reverse pre-order: a node's children are built before
-    it, its function on top of its argument."""
+    it, its function on top of its argument; the result keeps the listing."""
     out: list[LambdaTerm] = []
     i = len(names)
     for kind in reversed(word):
@@ -184,7 +194,9 @@ def _term_of_listing(word: bytes, names: list[str]) -> LambdaTerm:
         else:
             fun = out.pop()
             out[-1] = App(fun, out[-1])
-    return out[0]
+    t = out[0]
+    t._listing = (word, names)
+    return t
 
 
 # Frames of parse_listing: an abstraction awaiting its body, an application
@@ -417,40 +429,42 @@ def term_defect(t: LambdaTerm) -> str | None:
     return _listing_defect(*_listing_of(t))
 
 
-def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
-    """Equality up to consistent renaming of bound variables.
-
-    Both terms are walked in parallel.  Each side maps a name to the depth
-    of its innermost open binder, so two atoms agree when both are free
-    under the same name or both are bound at the same depth.
-    """
-    env_a: dict[str, int | None] = {}
-    env_b: dict[str, int | None] = {}
-    depth = 0
-    stack: list[tuple] = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        kind = type(x)
-        if kind is not type(y):
-            return False
-        if kind is Var:
-            dx = env_a.get(x.name)
-            if dx != env_b.get(y.name) or (dx is None and x.name != y.name):
-                return False
-        elif kind is App:
-            stack.append((x.arg, y.arg))
-            stack.append((x.fun, y.fun))
-        elif kind is Abs:
-            # popped once the bodies are done, to restore the shadowed depths
-            stack.append(((x.var, env_a.get(x.var)), (y.var, env_b.get(y.var))))
-            env_a[x.var] = env_b[y.var] = depth
-            depth += 1
-            stack.append((x.body, y.body))
+def _atom_binders(word: bytes, names: list[str]) -> list[int | str]:
+    """For each atom in pre-order, the name index of its binder, the
+    innermost open abstraction over its name, or its name when it is free.
+    Scopes close as in _listing_scan."""
+    out: list[int | str] = []
+    open_binders: dict[str, list[int]] = {}
+    closing: list[int] = []
+    i = 0
+    for kind in word:
+        if kind == 2:
+            closing.append(-1)
+            continue
+        name = names[i]
+        if kind == 1:
+            open_binders.setdefault(name, []).append(i)
+            closing.append(i)
         else:
-            depth -= 1
-            env_a[x[0]] = x[1]
-            env_b[y[0]] = y[1]
-    return True
+            scope = open_binders.get(name)
+            out.append(scope[-1] if scope else name)
+            while closing:
+                j = closing.pop()
+                if j < 0:
+                    break
+                open_binders[names[j]].pop()
+        i += 1
+    return out
+
+
+def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
+    """Equality up to consistent renaming of bound variables: equal words,
+    and equal names or, atom by atom, the same binder or the same free
+    name."""
+    word, names_a = _listing_of(a)
+    word_b, names_b = _listing_of(b)
+    return word == word_b and (names_a == names_b or
+                               _atom_binders(word, names_a) == _atom_binders(word, names_b))
 
 
 # ---------------------------------------------------------------------------

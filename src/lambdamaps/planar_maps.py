@@ -31,6 +31,8 @@ A RootedMap is read-only.  Each kernel that takes a map from outside
 (parse_map, rho, rho_direct, map_stats) checks it with map_defect, and the
 first successful check marks the map, so each map object is validated once
 however many kernels read it; an invalid map is rejected on every call.
+map_defect counts the vertices in its connectivity search and the faces in
+one more pass.  rho_inv checks each v-tree label in the pass that reads it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .labeled_trees import LabeledTree, validate_vtree
+from .labeled_trees import LabeledTree
 from .lambda_core import InvalidInput
 
 
@@ -129,19 +131,29 @@ def map_defect(m: RootedMap) -> str | None:
         return "sigma is not a permutation of the half-edges"
     if not (0 <= m.root < 2 * m.n):
         return "root half-edge out of range"
-    seen = [False] * (2 * m.n)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        h = stack.pop()
-        for nxt in (m.sigma[h], h ^ 1):
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    if not all(seen):
+    # A search from half-edge 0 walks each vertex it reaches once and
+    # queues the partners of its half-edges: connected when all 2n are.
+    sigma = m.sigma
+    mark = bytearray(2 * m.n)
+    v = 0
+    todo = [0]
+    for h in todo:
+        if not mark[h]:
+            v += 1
+            while not mark[h]:
+                mark[h] = 1
+                todo.append(h ^ 1)
+                h = sigma[h]
+    if len(todo) != 2 * m.n + 1:
         return "map is not connected"
-    v = _orbits(m.sigma)[1]
-    f = _orbits([s ^ 1 for s in m.sigma])[1]
+    f = 0  # faces, the orbits of h -> sigma(h) ^ 1, each unmarked as walked
+    for start in range(2 * m.n):
+        if mark[start]:
+            f += 1
+            h = start
+            while mark[h]:
+                mark[h] = 0
+                h = sigma[h] ^ 1
     if v - m.n + f != 2:
         return f"genus is not zero (V-E+F = {v - m.n + f})"
     return None
@@ -303,7 +315,7 @@ def parse_map(text: str) -> RootedMap:
     if not toks or toks[0] != "map":
         raise InvalidInput("expected 'map n=...'")
     fields = " ".join(toks[1:])
-    mn = re.match(r"n=(\d+)\s*(.*)$", fields)
+    mn = re.match(r"n=([0-9]+)\s*(.*)$", fields)
     if not mn:
         raise InvalidInput("missing n=")
     n = int(mn.group(1))
@@ -312,10 +324,10 @@ def parse_map(text: str) -> RootedMap:
         if rest:
             raise InvalidInput(f"unexpected text after n=0: {rest[:40]!r}")
         return EMPTY_MAP
-    ms = re.match(r"sigma=((?:\([\d ]*\))+)\s+root=(\d+)$", rest)
+    ms = re.match(r"sigma=((?:\([0-9 ]*\))+)\s+root=([0-9]+)$", rest)
     if not ms:
         raise InvalidInput("missing sigma=...(cycles) root=...")
-    cycles = [[int(x) for x in cyc.split()] for cyc in re.findall(r"\(([\d ]*)\)", ms.group(1))]
+    cycles = [list(map(int, cyc.split())) for cyc in re.findall(r"\(([0-9 ]*)\)", ms.group(1))]
     # Omitted half-edges are fixed points.  In a connected map with n >= 2
     # edges no edge has both halves fixed, so a valid text lists at least
     # n - 1 half-edges; checking that first keeps a huge n from allocating.
@@ -325,13 +337,14 @@ def parse_map(text: str) -> RootedMap:
     sigma = list(range(2 * n))
     listed_at = bytearray(2 * n)
     for vals in cycles:
-        for i, h in enumerate(vals):
-            if not 0 <= h < 2 * n:
+        for h in vals:  # [0-9]+ reads no negative number
+            if h >= 2 * n:
                 raise InvalidInput(f"half-edge {h} out of range")
             if listed_at[h]:
                 raise InvalidInput(f"half-edge {h} listed twice in sigma")
             listed_at[h] = 1
-            sigma[h] = vals[(i + 1) % len(vals)]
+        for h, s in zip(vals, vals[1:] + vals[:1]):
+            sigma[h] = s
     m = RootedMap(n, tuple(sigma), int(ms.group(2)))
     _check(m)
     return m
@@ -506,9 +519,10 @@ def rho_inv(v: LabeledTree) -> RootedMap:
     component's list is L[k-i:] plus its new root; a glue's list joins its
     components' lists without their roots, then adds the last root.  The
     lists are links in one array `nxt`, so an attach walks only the prefix
-    it drops, and the pass is linear.
+    it drops, and the pass is linear.  Each non-root label is checked
+    against 0..k where it is read.
     """
-    if not validate_vtree(v).valid:
+    if v.label != 1 + sum(c.label for c in v.children):
         raise InvalidInput("not a valid v-tree")
     if not v.children:
         return EMPTY_MAP
@@ -543,6 +557,8 @@ def rho_inv(v: LabeledTree) -> RootedMap:
                 head = first
                 k += label
         i = node.label
+        if not 0 <= i <= k:
+            raise InvalidInput("not a valid v-tree")
         succ += [a, a + 1]
         nxt += [-1, -1]
         if i == k:
@@ -582,6 +598,7 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     succ = list(m.sigma)
     pred = _inverse(succ)
     vid, nv = _orbits(succ)
+    outer = len({vid[h] for h in outer_walk(m)})  # the root label, outv(m)
     seen_at = [-1] * nv  # vertex -> last step that counted it
     labels = [0] * (2 * m.n)  # far half of a first-traversed edge -> label of its end
     visited = [False] * m.n  # edge -> already traversed
@@ -618,7 +635,7 @@ def rho_direct(m: RootedMap) -> LabeledTree:
         labels[h ^ 1] = value
         cur = pred[h ^ 1]
     assert cur == m.root and all(visited)
-    return LabeledTree(outv(m), _read_tree(succ, labels, m.root))
+    return LabeledTree(outer, _read_tree(succ, labels, m.root))
 
 
 def _read_tree(succ: list[int], labels: list[int], root: int) -> tuple[LabeledTree, ...]:

@@ -1,11 +1,13 @@
 """Helpers that several test modules share and the library does not need:
 every plane unary-binary tree, a pre-order node listing, a unary chain over
-a subtree, and the bridge-search edge-connectivity oracle that the
-library's labelling pass replaced, kept as its reference.  Not a test
-module; the tests import it."""
+a subtree, a copy of a term built by the constructors, the bridge-search
+edge-connectivity oracle that the library's labelling pass replaced, and
+the parallel tree walk that ``alpha_equal`` ran before it compared
+listings, each kept as a reference.  Not a test module; the tests import
+it."""
 
 from lambdamaps.connectivity import ConnectivityClass
-from lambdamaps.lambda_core import LEAF, Binary, Diagram, Skeleton, Unary
+from lambdamaps.lambda_core import LEAF, Abs, App, Binary, Diagram, Skeleton, Unary, Var
 
 
 def iter_unary_binary(nleaf: int, nunary: int):
@@ -119,3 +121,51 @@ def bridge_connectivity_class(d: Diagram) -> ConnectivityClass:
             if not (at_root[i] and at_root[j]):
                 return ConnectivityClass.Two
     return ConnectivityClass.ThreePlus
+
+
+def rebuilt(t, rename=None):
+    """A copy of term t built by the constructors, so it keeps no listing,
+    with each variable and binder x named rename.get(x, x)."""
+    rename = rename or {}
+    if type(t) is Var:
+        return Var(rename.get(t.name, t.name))
+    if type(t) is Abs:
+        return Abs(rename.get(t.var, t.var), rebuilt(t.body, rename))
+    return App(rebuilt(t.fun, rename), rebuilt(t.arg, rename))
+
+
+def tree_alpha_equal(a, b) -> bool:
+    """Equality of two terms up to renaming of bound variables, by walking
+    both trees in parallel.
+
+    Each side maps a name to the depth of its innermost open binder, so two
+    atoms agree when both are free under the same name or both are bound at
+    the same depth.
+    """
+    env_a: dict = {}
+    env_b: dict = {}
+    depth = 0
+    stack: list[tuple] = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        kind = type(x)
+        if kind is not type(y):
+            return False
+        if kind is Var:
+            dx = env_a.get(x.name)
+            if dx != env_b.get(y.name) or (dx is None and x.name != y.name):
+                return False
+        elif kind is App:
+            stack.append((x.arg, y.arg))
+            stack.append((x.fun, y.fun))
+        elif kind is Abs:
+            # popped once the bodies are done, to restore the shadowed depths
+            stack.append(((x.var, env_a.get(x.var)), (y.var, env_b.get(y.var))))
+            env_a[x.var] = env_b[y.var] = depth
+            depth += 1
+            stack.append((x.body, y.body))
+        else:
+            depth -= 1
+            env_a[x[0]] = x[1]
+            env_b[y[0]] = y[1]
+    return True

@@ -231,6 +231,17 @@ def test_non_ascii_digits_are_bad_input(capsys):
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def test_non_ascii_digits_in_a_map_are_bad_input(capsys):
+    # parse_map read its numbers with "\d", which matches every Unicode
+    # digit, so this text was the one-edge map
+    text = "map n=\u0661 sigma=(\u0660)(\u0661) root=\u0660"
+    for argv in (["stats", text], ["convert", "--from", "map", "--to", "vtree", text]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: missing n=\n")
+    code, out, err = run_cli("stats", text)
+    assert (code, out, err) == (2, "", "error: missing n=\n")
+
+
 def test_stats_map_with_huge_edge_count(capsys):
     # Rejected before sigma is allocated: the text lists one half-edge only.
     assert main(["stats", "map n=1000000000000000000 sigma=(0) root=0"]) == 2

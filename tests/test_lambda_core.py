@@ -1,3 +1,5 @@
+import pickle
+import random
 from itertools import product
 
 import pytest
@@ -32,7 +34,7 @@ from lambdamaps.lambda_core import (
     word_of,
 )
 from lambdamaps.enumeration import gen_skeletons
-from reference_kernels import iter_unary_binary, preorder
+from reference_kernels import iter_unary_binary, preorder, rebuilt, tree_alpha_equal
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +804,92 @@ def test_alpha_equal_equals_the_reference_on_random_pairs(a, b, names):
     assert alpha_equal(a, b) == _ref_alpha_equal(a, b)
     renamed = _rename_everywhere(a, names)
     assert alpha_equal(a, renamed) == _ref_alpha_equal(a, renamed)
+
+
+def _words(nmax, umax):
+    """The word of every unary-binary tree with at most nmax leaves and at
+    most umax unary nodes, nor more than it has leaves."""
+    return [word_of(s) for n in range(1, nmax + 1) for u in range(min(n, umax) + 1)
+            for s in iter_unary_binary(n, u)]
+
+
+def _named(word, names):
+    """The term of this listing, kept on it, and the same term built by the
+    constructors, which keeps none."""
+    t = _term_of_listing(word, list(names))
+    return t, rebuilt(t)
+
+
+def _alpha_outcomes(a, b):
+    """alpha_equal on two (cached, constructed) pairs: both cached, and in
+    either order one cached and one not, each checked against the tree
+    walk; the set of results."""
+    seen = set()
+    for p, q in ((a[0], b[0]), (a[0], b[1]), (b[0], a[1])):
+        got = alpha_equal(p, q)
+        assert got == tree_alpha_equal(p, q), (render_term(p), render_term(q))
+        seen.add(got)
+    return seen
+
+
+def test_alpha_equal_equals_the_tree_walk_on_every_pair_of_small_namings():
+    # every naming from {x, y} of every word with at most 3 atoms and 2
+    # abstractions: free atoms, shadowing binders, renamings and captures;
+    # every pair of namings of one word
+    outcomes = {True: 0, False: 0}
+    for word in _words(3, 2):
+        slots = len(word) - word.count(2)
+        terms = [_named(word, names) for names in product("xy", repeat=slots)]
+        for a in terms:
+            for b in terms:
+                for got in _alpha_outcomes(a, b):
+                    outcomes[got] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 10000
+    assert _alpha_outcomes(_named(b"\x00", "x"), _named(b"\x01\x00", "xx")) == {False}
+
+
+def test_alpha_equal_equals_the_tree_walk_to_five_atoms():
+    # a seeded sample of words with 3 to 5 atoms and as many abstractions
+    # or fewer, each named from {x, y, z} and compared with a renaming of
+    # all its names by a bijection (equal when closed), with one name
+    # changed, and with a fresh naming
+    rng = random.Random(20)
+    outcomes = {True: 0, False: 0}
+    words = [w for w in _words(5, 5) if w.count(0) >= 3]
+    for word in rng.sample(words, 3000):
+        slots = len(word) - word.count(2)
+        names = [rng.choice("xyz") for _ in range(slots)]
+        swap = dict(zip("xyz", rng.sample("xyz", 3)))
+        changed = list(names)
+        changed[rng.randrange(slots)] = rng.choice("xyz")
+        fresh = [rng.choice("xyz") for _ in range(slots)]
+        a = _named(word, names)
+        for other in ([swap[x] for x in names], changed, fresh):
+            for got in _alpha_outcomes(a, _named(word, other)):
+                outcomes[got] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000
+
+
+def test_a_kept_listing_is_the_listing_of_the_constructed_term():
+    # every planar term to size 6, and every naming from {x, y} of every
+    # word with at most 3 atoms and 3 abstractions
+    terms = [term_of_skeleton(s) for n in range(1, 7) for s in gen_skeletons(n, 1)]
+    for word in _words(3, 3):
+        slots = len(word) - word.count(2)
+        terms += [_term_of_listing(word, list(names)) for names in product("xy", repeat=slots)]
+    for t in terms:
+        copy = rebuilt(t)
+        with pytest.raises(AttributeError):
+            copy._listing  # a constructed term keeps no listing
+        assert t._listing is _listing_of(t)
+        assert _listing_of(copy) == _listing_of(t)
+        assert copy == t and t == copy and hash(copy) == hash(t)
+        assert render_term(copy) == render_term(t)
+        assert term_defect(copy) == term_defect(t)
+        for back in (pickle.loads(pickle.dumps(t)), pickle.loads(pickle.dumps(copy))):
+            assert _listing_of(back) == _listing_of(t)
+            assert back == t and hash(back) == hash(t)
+    assert len(terms) > 5000
 
 
 def _ref_fields_equal(a, b):

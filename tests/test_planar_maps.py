@@ -1,16 +1,17 @@
 import gc
 import pickle
 import random
+from itertools import product
 
 import pytest
 
-from lambdamaps.bijections import psi, psi_inv
+from lambdamaps.bijections import psi, psi_inv, vtree_of_word, word_of_vtree
 from lambdamaps.cli import convert
 from lambdamaps.connectivity import check_family, edge_connectivity_class, is_three_connected_skeleton
 from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree, render_labeled_tree, validate_vtree
 from lambdamaps.lambda_core import (InvalidInput, alpha_equal, diagram_of, parse_term, render_term,
-                                    skeleton_of, term_of_skeleton)
+                                    skeleton_of, term_of_skeleton, word_of)
 from lambdamaps import planar_maps
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
@@ -170,6 +171,17 @@ def test_parse_map_rejects_garbage():
                 "map n=2 sigma=(0 1)(2 3) root=0"]:
         with pytest.raises(InvalidInput):
             parse_map(bad)
+
+
+def test_parse_map_reads_ascii_digits_only():
+    # "\d" matched every Unicode decimal digit, so Arabic-Indic digits
+    # parsed as the map n=1 sigma=(0)(1) root=0
+    for text, error in (("map n=\u0661 sigma=(\u0660)(\u0661) root=\u0660", "missing n="),
+                        ("map n=1 sigma=(\u0660)(\u0661) root=0", "missing sigma="),
+                        ("map n=1 sigma=(0)(1) root=\u0660", "missing sigma="),
+                        ("map n=1 sigma=(0)(\u0661) root=0", "missing sigma=")):
+        with pytest.raises(InvalidInput, match=error):
+            parse_map(text)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +488,60 @@ def test_one_corner_steps_equal_the_reference_to_five_edges():
                     pi(m)
             else:
                 assert _fields(pi(m)) == want
+
+
+def _shapes(edges):
+    """Every plane tree with this many edges, as nested tuples of children."""
+    if edges == 0:
+        return [()]
+    return [(first, *rest) for j in range(edges) for first in _shapes(j)
+            for rest in _shapes(edges - 1 - j)]
+
+
+def _labelled(shape, labels):
+    """The tree of this shape with labels taken from an iterator in
+    pre-order."""
+    return LabeledTree(next(labels), tuple(_labelled(c, labels) for c in shape))
+
+
+def _size(shape):
+    return 1 + sum(_size(c) for c in shape)
+
+
+def _outcome(fn, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_vtree_kernels_reject_exactly_what_validate_vtree_rejects():
+    # every plane tree with at most 4 edges under every labelling from
+    # -1..4; rho_inv and word_of_vtree check the labels in their own pass
+    rejected = ("InvalidInput", "not a valid v-tree")
+    accepted = set()
+    for edges in range(5):
+        for shape in _shapes(edges):
+            for labels in product(range(-1, 5), repeat=_size(shape)):
+                t = _labelled(shape, iter(labels))
+                valid = validate_vtree(t).valid
+                got = [_outcome(k, t) for k in (rho_inv, word_of_vtree, psi_inv)]
+                text = render_labeled_tree(t) if min(labels) >= 0 else None
+                if text is not None:
+                    got += [_outcome(convert, "vtree", to, text) for to in ("map", "term")]
+                if not valid:
+                    assert got == [rejected] * len(got), render_labeled_tree(t)
+                    continue
+                accepted.add(text)
+                m, word, s = got[:3]
+                assert rho(m) == rho_direct(m) == t
+                assert vtree_of_word(word) == psi(s) == t and word_of(s) == word
+                assert convert("map", "vtree", got[3]) == text
+                assert convert("term", "vtree", got[4]) == text
+    # all v-trees to 4 edges but those with a label 5, a root over 4 leaves
+    vtrees = {render_labeled_tree(t) for e in range(5) for t in gen_trees(e, "vtree")}
+    assert accepted == {text for text in vtrees if "5" not in text}
 
 
 def test_rho_roundtrip_on_large_vtrees():

@@ -3,7 +3,9 @@ kernels they replaced are kept here as their references, and each word
 kernel must equal its reference on every skeleton up to size 7.  The
 edge-connectivity oracle must likewise equal the bridge search it replaced
 (``reference_kernels.bridge_connectivity_class``) on each skeleton's
-diagram.
+diagram, and ``alpha_equal``, which compares listings, the tree walk
+(``reference_kernels.tree_alpha_equal``) on each skeleton's term against
+renamings of it.
 
 Run as a script (``python tests/test_word_kernels.py 8``) to make the same
 comparisons over every skeleton up to another size.
@@ -28,6 +30,8 @@ from lambdamaps.lambda_core import (
     Unary,
     Var,
     _listing_of,
+    _term_of_listing,
+    alpha_equal,
     diagram_of,
     listing_of_word,
     parse_listing,
@@ -40,7 +44,8 @@ from lambdamaps.lambda_core import (
     term_of_skeleton,
     word_of,
 )
-from reference_kernels import bridge_connectivity_class, iter_unary_binary, wrap_unary
+from reference_kernels import (bridge_connectivity_class, iter_unary_binary, rebuilt,
+                               tree_alpha_equal, wrap_unary)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +295,38 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _compare_alpha_equal(term):
+    """alpha_equal against the tree walk, in both orders, between a term
+    and: its names with y prefixed (alpha-equal), its first two atoms'
+    names swapped, and a copy built by the constructors of each."""
+    word, names = _listing_of(term)
+    atoms = [i for i, kind in enumerate(k for k in word if k != 2) if kind == 0]
+    swapped = list(names)
+    if len(atoms) > 1:
+        a, b = atoms[:2]
+        swapped[a], swapped[b] = names[b], names[a]
+    for other in (["y" + x for x in names], swapped):
+        t = _term_of_listing(word, other)
+        for u in (t, rebuilt(t)):
+            assert alpha_equal(term, u) == tree_alpha_equal(term, u)
+            assert alpha_equal(u, term) == tree_alpha_equal(u, term)
+    assert alpha_equal(term, _term_of_listing(word, ["y" + x for x in names]))
+
+
 def _family(nmax):
     return [s for n in range(1, nmax + 1) for s in gen_skeletons(n, 1)]
 
 
 def compare_on_family(nmax):
-    """Every word kernel against its reference, and the edge-connectivity
-    oracle against the bridge search, on every connected-family skeleton up
-    to size nmax; returns the number of skeletons."""
+    """Every word kernel against its reference, the edge-connectivity
+    oracle against the bridge search, and alpha_equal against the tree
+    walk, on every connected-family skeleton up to size nmax; returns the
+    number of skeletons."""
     sks = _family(nmax)
     for s in sks:
-        assert term_of_skeleton(s) == _ref_term_of_skeleton(s)
+        term = term_of_skeleton(s)
+        assert term == _ref_term_of_skeleton(s)
+        _compare_alpha_equal(term)
         d = diagram_of(s)
         assert d == _ref_diagram_of(s)
         assert edge_connectivity_class(d) == bridge_connectivity_class(d), s
@@ -396,4 +422,5 @@ def test_unspine_fails_as_the_recursive_one():
 
 if __name__ == "__main__":
     print(compare_on_family(int(sys.argv[1])),
-          "skeletons: every word kernel and the connectivity oracle equal their references")
+          "skeletons: every word kernel, the connectivity oracle and alpha_equal "
+          "equal their references")
