@@ -78,12 +78,13 @@ def _unspine(children: tuple[LabeledTree, ...], shift: int) -> bytearray:
     inverse of _spine.
 
     A core with children c_1 .. c_m has deficit 1 + sum(shift + label(c_i)),
-    so the chain above each right subtree is known before its word is
-    written, and one pre-order loop writes the whole word.  A label below
-    0 or beyond the deficit raises InvalidInput: a bad v-tree node.
+    so the chain above each right subtree is known from its node's label
+    and its children's.  One pre-order loop computes every chain, raising
+    InvalidInput at a label below 0 or beyond the deficit, a bad v-tree
+    node; the word is written after it, so no chain of an unchecked label
+    is allocated.
     """
-    word = bytearray(b"\x02" * len(children))
-    word.append(0)
+    chains: list[tuple[int, int]] = []  # per node in pre-order: chain, children
     todo = list(children)  # the last child's right subtree comes first
     while todo:
         u = todo.pop()
@@ -91,12 +92,15 @@ def _unspine(children: tuple[LabeledTree, ...], shift: int) -> bytearray:
         for c in u.children:
             chain += c.label
         if chain < 0 or u.label < 0:
-            raise InvalidInput("negative label" if u.label < 0 else
-                               "label exceeds attainable deficit")
-        word += b"\x01" * chain
-        word += b"\x02" * len(u.children)
-        word.append(0)
+            raise InvalidInput("label exceeds attainable deficit")
+        chains.append((chain, len(u.children)))
         todo += u.children
+    word = bytearray(b"\x02" * len(children))
+    word.append(0)
+    for chain, k in chains:
+        word += b"\x01" * chain
+        word += b"\x02" * k
+        word.append(0)
     return word
 
 
@@ -131,14 +135,15 @@ def vtree_of_word(word: bytes) -> LabeledTree:
 
 def word_of_vtree(v: LabeledTree) -> bytes:
     """psi_inv as a pre-order arity word: unary nodes inserted on right
-    branches only, the root label becoming the leading chain; _unspine
-    checks the other labels."""
+    branches only, the root label becoming the leading chain, written once
+    _unspine has checked the other labels."""
     if v.label != 1 + sum(c.label for c in v.children):
         raise InvalidInput("not a valid v-tree")
     try:
-        return b"\x01" * v.label + _unspine(v.children, 0)
+        core = _unspine(v.children, 0)
     except InvalidInput:
         raise InvalidInput("not a valid v-tree") from None
+    return b"\x01" * v.label + core
 
 
 def psi(s: Skeleton) -> LabeledTree:

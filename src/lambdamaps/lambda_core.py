@@ -27,7 +27,7 @@ into a listing, one loop over a listing checks that it is closed, linear
 and planar, and the printer writes a listing as text, so ``parse_term``,
 ``render_term``, ``term_of_skeleton`` and ``term_defect`` convert between
 listings and term objects at the edges.  ``alpha_equal`` compares two
-listings.
+listings, atom by atom through that one loop when their names differ.
 
 Every walk here, over a term, a skeleton or a text, is a loop over an
 explicit stack or a word, so depth is not bounded by the recursion limit.
@@ -352,22 +352,26 @@ def render_term(t: LambdaTerm) -> str:
     return render_listing(*_listing_of(t))
 
 
-def _listing_scan(word: bytes, names: list[str]) -> tuple[list[str], list[int], set[str], str | None]:
+def _listing_scan(word: bytes, names: list[str]
+                  ) -> tuple[list[str], list[int], set[str], str | None, list[int | str]]:
     """One loop over a term's listing.
 
     Returns the variables of its abstractions in pre-order (function before
     argument), the number of atoms each one binds, the names of the free
-    atoms, and why the binding breaks the stack discipline, or None.  An
-    atom is bound by the innermost open abstraction over its name; with
-    none open it is free.  The stack discipline holds when each bound atom
-    is bound by the innermost abstraction that has bound no atom before it.
-    A stack holds, above each pending argument (-1), the abstractions whose
-    scopes close when the subterm being read ends, which is at an atom.
+    atoms, why the binding breaks the stack discipline, or None, and for
+    each atom in pre-order its binder's position in the first list, or its
+    name when it is free.  An atom is bound by the innermost open
+    abstraction over its name; with none open it is free.  The stack
+    discipline holds when each bound atom is bound by the innermost
+    abstraction that has bound no atom before it.  A stack holds, above
+    each pending argument (-1), the abstractions whose scopes close when
+    the subterm being read ends, which is at an atom.
     """
     binders: list[str] = []
     counts: list[int] = []
     free: set[str] = set()
     crossing: str | None = None
+    atoms: list[int | str] = []
     open_binders: dict[str, list[int]] = {}
     unmatched: list[int] = []
     closing: list[int] = []
@@ -388,25 +392,27 @@ def _listing_scan(word: bytes, names: list[str]) -> tuple[list[str], list[int], 
         scope = open_binders.get(name)
         if scope:
             b = scope[-1]
+            atoms.append(b)
             counts[b] += 1
             if unmatched and unmatched[-1] == b:
                 unmatched.pop()
             elif crossing is None and unmatched:
                 crossing = f"{name} is used before {binders[unmatched[-1]]}"
         else:
+            atoms.append(name)
             free.add(name)
         while closing:
             b = closing.pop()
             if b < 0:
                 break
             open_binders[binders[b]].pop()
-    return binders, counts, free, crossing
+    return binders, counts, free, crossing, atoms
 
 
 def _listing_defect(word: bytes, names: list[str]) -> str | None:
     """term_defect on the term's listing, so that a parsed text is checked
     without building the term."""
-    binders, counts, free, crossing = _listing_scan(word, names)
+    binders, counts, free, crossing, _atoms = _listing_scan(word, names)
     if free:
         return f"term is not closed: free {sorted(free)}"
     for var, c in zip(binders, counts):
@@ -429,34 +435,6 @@ def term_defect(t: LambdaTerm) -> str | None:
     return _listing_defect(*_listing_of(t))
 
 
-def _atom_binders(word: bytes, names: list[str]) -> list[int | str]:
-    """For each atom in pre-order, the name index of its binder, the
-    innermost open abstraction over its name, or its name when it is free.
-    Scopes close as in _listing_scan."""
-    out: list[int | str] = []
-    open_binders: dict[str, list[int]] = {}
-    closing: list[int] = []
-    i = 0
-    for kind in word:
-        if kind == 2:
-            closing.append(-1)
-            continue
-        name = names[i]
-        if kind == 1:
-            open_binders.setdefault(name, []).append(i)
-            closing.append(i)
-        else:
-            scope = open_binders.get(name)
-            out.append(scope[-1] if scope else name)
-            while closing:
-                j = closing.pop()
-                if j < 0:
-                    break
-                open_binders[names[j]].pop()
-        i += 1
-    return out
-
-
 def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
     """Equality up to consistent renaming of bound variables: equal words,
     and equal names or, atom by atom, the same binder or the same free
@@ -464,7 +442,7 @@ def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
     word, names_a = _listing_of(a)
     word_b, names_b = _listing_of(b)
     return word == word_b and (names_a == names_b or
-                               _atom_binders(word, names_a) == _atom_binders(word, names_b))
+                               _listing_scan(word, names_a)[4] == _listing_scan(word, names_b)[4])
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,19 @@ def test_non_ascii_digits_in_a_map_are_bad_input(capsys):
     assert (code, out, err) == (2, "", "error: missing n=\n")
 
 
+def test_vtree_with_huge_labels_is_bad_input(capsys):
+    # each text passes the root check; its huge labels below the root are
+    # refused before a chain as long as one is written
+    for text in ("100000000000000000001[100000000000000000000]",
+                 "1[0[100000000000000000000]]"):
+        for to in ("term", "map", "skeleton"):
+            assert main(["convert", "--from", "vtree", "--to", to, text]) == 2
+            assert capsys.readouterr() == ("", "error: not a valid v-tree\n")
+    code, out, err = run_cli("convert", "--from", "vtree", "--to", "term",
+                             "100000000000000000001[100000000000000000000]")
+    assert (code, out, err) == (2, "", "error: not a valid v-tree\n")
+
+
 def test_stats_map_with_huge_edge_count(capsys):
     # Rejected before sigma is allocated: the text lists one half-edge only.
     assert main(["stats", "map n=1000000000000000000 sigma=(0) root=0"]) == 2

@@ -220,8 +220,8 @@ def _shadow_mutants(t, scope=()):
 
 def test_linearity_defect_examples():
     # closed and linear, though not planar
-    binders, counts, free, _crossing = _listing_scan(*_listing_of(parse_term(r"\x.\y.x y")))
-    assert (binders, counts, free) == (["x", "y"], [1, 1], set())
+    binders, counts, free, _crossing, atoms = _listing_scan(*_listing_of(parse_term(r"\x.\y.x y")))
+    assert (binders, counts, free, atoms) == (["x", "y"], [1, 1], set(), [0, 1])
     assert term_defect(parse_term(r"\x.\y.x x")) == "abstraction over x binds 2 atoms, not 1"
     assert term_defect(parse_term(r"\x.\x.x x")) == "abstraction over x binds 0 atoms, not 1"
     assert term_defect(parse_term("y (x y)")) == "term is not closed: free ['x', 'y']"
@@ -237,7 +237,7 @@ def test_linearity_defect_matches_old_check():
                 cases += [*_atom_mutants(term), *_shadow_mutants(term)]
             for t in cases:
                 old = _old_linearity_defect(t)
-                binders, counts, free, crossing = _listing_scan(*_listing_of(t))
+                binders, counts, free, crossing, _atoms = _listing_scan(*_listing_of(t))
                 assert free == _old_free_variables(t)
                 if old is None:
                     # term_defect reports linearity first, planarity after
@@ -252,9 +252,10 @@ def test_linearity_defect_matches_old_check():
 def _binding_scan(t):
     """The walk over term objects that the defect functions made before they
     read listings: the variables of the abstractions in pre-order, the
-    number of atoms each one binds, the names of the free atoms, and the
-    first atom that breaks the stack discipline, as a message, or None."""
-    binders, counts, free, crossing = [], [], set(), None
+    number of atoms each one binds, the names of the free atoms, the
+    first atom that breaks the stack discipline, as a message, or None, and
+    each atom's binder position, or its name when free."""
+    binders, counts, free, crossing, atoms = [], [], set(), None, []
     open_binders = {}
     unmatched = []
     stack = [t]
@@ -264,12 +265,14 @@ def _binding_scan(t):
             scope = open_binders.get(x.name)
             if scope:
                 b = scope[-1]
+                atoms.append(b)
                 counts[b] += 1
                 if unmatched and unmatched[-1] == b:
                     unmatched.pop()
                 elif crossing is None and unmatched:
                     crossing = f"{x.name} is used before {binders[unmatched[-1]]}"
             else:
+                atoms.append(x.name)
                 free.add(x.name)
         elif isinstance(x, App):
             stack.append(x.arg)
@@ -283,12 +286,12 @@ def _binding_scan(t):
             stack.append(x.body)
         else:
             open_binders[x].pop()
-    return binders, counts, free, crossing
+    return binders, counts, free, crossing, atoms
 
 
 def _ref_term_defect(t):
     """term_defect by the reference scan."""
-    binders, counts, free, crossing = _binding_scan(t)
+    binders, counts, free, crossing, _atoms = _binding_scan(t)
     if free:
         return f"term is not closed: free {sorted(free)}"
     for var, c in zip(binders, counts):
@@ -526,7 +529,7 @@ def test_term_defect_accepts_exactly_the_terms_of_their_skeletons():
         terms = _linear_terms((), n, 0, memo)
         planar = 0
         for t in terms:
-            _binders, counts, free, _crossing = _listing_scan(*_listing_of(t))
+            _binders, counts, free, _crossing, _atoms = _listing_scan(*_listing_of(t))
             assert not free and counts == [1] * n
             defect = term_defect(t)
             assert (defect is None) == _is_term_of_its_skeleton(t), render_term(t)

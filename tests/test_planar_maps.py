@@ -1,6 +1,7 @@
 import gc
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -542,6 +543,25 @@ def test_vtree_kernels_reject_exactly_what_validate_vtree_rejects():
     # all v-trees to 4 edges but those with a label 5, a root over 4 leaves
     vtrees = {render_labeled_tree(t) for e in range(5) for t in gen_trees(e, "vtree")}
     assert accepted == {text for text in vtrees if "5" not in text}
+
+
+def test_vtree_kernels_check_every_label_before_they_allocate():
+    # each tree passes the root check with a huge label below the root; the
+    # kernels must refuse it before they write a chain as long as a label
+    rejected = ("InvalidInput", "not a valid v-tree")
+    for big in (10 ** 7, 10 ** 20):
+        for text in (f"1[0[{big}]]", f"{big + 1}[{big}]", f"2[0[{big}],1]"):
+            t = parse_labeled_tree(text)
+            assert not validate_vtree(t).valid
+            tracemalloc.start()
+            try:
+                got = [_outcome(k, t) for k in (rho_inv, word_of_vtree, psi_inv)]
+                got += [_outcome(convert, "vtree", to, text) for to in ("map", "term")]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == [rejected] * len(got), text
+            assert peak < 10 ** 6, text
 
 
 def test_rho_roundtrip_on_large_vtrees():
