@@ -1,17 +1,19 @@
 """The named checks behind `lambdamaps verify` and the acceptance suite.
 
-Each entry of CHECKS is ``(name, fn)``: ``fn(nmax)`` checks one claim
-exhaustively up to the size cap nmax and returns ``(ok, detail)``.  The
-suite of a check is the part of its name before the first dot.
+Each row of CHECKS is ``(name, fn, seconds, derived_cache,
+generator_caches)``: ``fn(nmax)`` checks one claim exhaustively up to the
+size cap nmax and returns ``(ok, detail)``; the rest weigh it and name the
+caches it reads.  The suite of a check is the part of its name before the
+first dot.
 
 The checks share no mutable state, so `run_verify` runs them on every
 usable CPU: one forked process per CPU, the caller included, takes the next
-entry of SCHEDULE from a shared queue until none is left.  The checks that
-read one derived cache (`_rho_images`, `_gf_report`) form one entry, so
-that one process fills it; the caller fills the generators' caches that
-entries in different processes read before it forks, and copy-on-write
-shares them.  The lines come out in CHECKS order whatever the order the
-checks finish in.
+entry from a shared queue until none is left.  The checks that read one
+derived cache form one entry, so that one process fills it; every other
+check is an entry of its own; the entries go heaviest first by summed
+seconds.  Before it forks, the caller fills the generator caches that
+checks of two or more entries read, and copy-on-write shares them.  The
+lines come out in CHECKS order whatever the order the checks finish in.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import pickle
 import signal
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NoReturn
@@ -269,81 +272,55 @@ def _pmf_tv(nmax: int) -> tuple[bool, str]:
                                      f"(full tv={rep.tv_distance:.3f}, floored by the tail mass)")
 
 
+def _map_cache(nmax: int) -> None:
+    """Fill gen_maps' cache to the rho checks' edge cap."""
+    for e in range(min(nmax, RHO_MAX_EDGES) + 1):
+        gen_maps(e)
+
+
+# The seconds are the queue entries' medians at --max-size 8 on two CPUs
+# (BENCH_19.json), an entry of several checks split evenly among them.
 CHECKS = (
-    ("roundtrip.term-text", _term_text),
-    ("roundtrip.phi", _phi_roundtrip),
-    ("roundtrip.psi", _psi_roundtrip),
-    ("roundtrip.rho", _rho_roundtrip),
-    ("roundtrip.term-map-term", _term_map_term),
-    ("oracle.connectivity", _connectivity),
-    ("oracle.rho-direct", _rho_direct),
-    ("oracle.preimages", _preimages),
-    ("counts.connected", _connected_counts),
-    ("counts.2-connected", _two_connected_counts),
-    ("counts.3-connected", _three_connected_counts),
-    ("counts.psi-2conn-image", _psi_image),
-    ("counts.rho-loopless-image", _rho_image),
-    ("stats.multisets", _stat_multisets),
-    ("gf.chain-identity", _chain_identity),
-    ("gf.printed-form", _printed_form),
-    ("gf.pmf-sum", _pmf_sum),
-    ("gf.pmf-tv", _pmf_tv),
+    ("roundtrip.term-text", _term_text, 14.056, None, (_skeletons,)),
+    ("roundtrip.phi", _phi_roundtrip, 0.461, None, (_skeletons,)),
+    ("roundtrip.psi", _psi_roundtrip, 10.262, None, (_skeletons,)),
+    ("roundtrip.rho", _rho_roundtrip, 0.117, _rho_images, (_map_cache,)),
+    ("roundtrip.term-map-term", _term_map_term, 0.123, None, (_skeletons,)),
+    ("oracle.connectivity", _connectivity, 16.863, None, (_skeletons,)),
+    ("oracle.rho-direct", _rho_direct, 0.117, _rho_images, (_map_cache,)),
+    ("oracle.preimages", _preimages, 0.082, None, (_map_cache,)),
+    ("counts.connected", _connected_counts, 0.239, None, (_skeletons, _map_cache)),
+    ("counts.2-connected", _two_connected_counts, 0.117, None, (_skeletons,)),
+    ("counts.3-connected", _three_connected_counts, 0.04, None, (_skeletons,)),
+    ("counts.psi-2conn-image", _psi_image, 2.373, None, (_skeletons,)),
+    ("counts.rho-loopless-image", _rho_image, 0.117, _rho_images, (_map_cache,)),
+    ("stats.multisets", _stat_multisets, 0.586, None, (_skeletons,)),
+    ("gf.chain-identity", _chain_identity, 0.076, _gf_report, (_skeletons,)),
+    ("gf.printed-form", _printed_form, 0.075, _gf_report, (_skeletons,)),
+    ("gf.pmf-sum", _pmf_sum, 0.005, None, ()),
+    ("gf.pmf-tv", _pmf_tv, 0.064, None, ()),
 )
 
-SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, _fn in CHECKS))
-
-
-# The queue entries, heaviest first by their seconds at --max-size 8 on two
-# CPUs (BENCH_19.json): longest-first list scheduling, so that the light
-# entries at the end even out the processes' loads.  A group reads one
-# derived cache: `_rho_images` or `_gf_report`.
-SCHEDULE = (
-    ("oracle.connectivity",),
-    ("roundtrip.term-text",),
-    ("roundtrip.psi",),
-    ("counts.psi-2conn-image",),
-    ("stats.multisets",),
-    ("roundtrip.phi",),
-    ("roundtrip.rho", "oracle.rho-direct", "counts.rho-loopless-image"),
-    ("counts.connected",),
-    ("gf.chain-identity", "gf.printed-form"),
-    ("roundtrip.term-map-term",),
-    ("counts.2-connected",),
-    ("oracle.preimages",),
-    ("gf.pmf-tv",),
-    ("counts.3-connected",),
-    ("gf.pmf-sum",),
-)
-
-# The generators' caches that checks of several entries read: how the
-# caller fills each (skeletons to the size cap, maps to the rho checks'
-# cap) and the checks that read it.  A cache that one entry alone reads is
-# left to that entry, which may read less of it: `--suite gf` reads the
-# skeletons to size 6 only.
-SHARED_CACHES = (
-    (_skeletons, frozenset({
-        "roundtrip.term-text", "roundtrip.phi", "roundtrip.psi", "roundtrip.term-map-term",
-        "oracle.connectivity", "counts.connected", "counts.2-connected",
-        "counts.3-connected", "counts.psi-2conn-image", "stats.multisets",
-        "gf.chain-identity", "gf.printed-form"})),
-    (lambda nmax: [gen_maps(e) for e in range(min(nmax, RHO_MAX_EDGES) + 1)], frozenset({
-        "roundtrip.rho", "oracle.rho-direct", "oracle.preimages", "counts.connected",
-        "counts.rho-loopless-image"})),
-)
+SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, *_row in CHECKS))
 
 
 def _entries(indices: list[int]) -> list[list[int]]:
-    """The SCHEDULE entries of the checks at indices, in SCHEDULE order,
-    each as the CHECKS indices of its checks."""
-    index = {CHECKS[i][0]: i for i in indices}
-    entries = [[index[name] for name in entry if name in index] for entry in SCHEDULE]
-    return [entry for entry in entries if entry]
+    """The queue entries of the checks at indices, heaviest first, each as
+    CHECKS indices: one per derived cache, holding the checks that read
+    it, and one for each other check."""
+    entries: dict = {}
+    for i in indices:
+        entries.setdefault(CHECKS[i][3] or i, []).append(i)
+    return sorted(entries.values(), key=lambda entry: -sum(CHECKS[i][2] for i in entry))
 
 
 def _prefill(entries: list[list[int]], nmax: int) -> None:
-    """Fill each of SHARED_CACHES that checks of two or more entries read."""
-    for fill, readers in SHARED_CACHES:
-        if sum(any(CHECKS[i][0] in readers for i in entry) for entry in entries) > 1:
+    """Fill each generator cache that checks of two or more entries read;
+    one entry alone may read less of it (`--suite gf`: skeletons to 6)."""
+    readers = Counter(fill for entry in entries
+                      for fill in dict.fromkeys(f for i in entry for f in CHECKS[i][4]))
+    for fill, nentries in readers.items():
+        if nentries > 1:
             fill(nmax)
 
 
@@ -448,7 +425,7 @@ def run_verify(suite: str, nmax: int) -> tuple[bool, list[str]]:
         raise InvalidInput(f"unknown suite {suite!r}")
     if not 2 <= nmax <= MAX_SKELETON_SIZE:
         raise SizeTooLarge(f"max size must be in 2..{MAX_SKELETON_SIZE}, got {nmax}")
-    selected = [i for i, (name, _fn) in enumerate(CHECKS)
+    selected = [i for i, (name, *_row) in enumerate(CHECKS)
                 if suite in ("all", name.split(".", 1)[0])]
     results = _run_checks(selected, nmax)
     for i in selected:

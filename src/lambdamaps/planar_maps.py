@@ -233,28 +233,46 @@ def map_stats(m: RootedMap) -> MapStats:
     _check(m)
     if m.n == 0:
         return MapStats(1, True, 0, 1, True, 0, ())
-    vid, nv = _orbits(m.sigma)
+    sigma = m.sigma
+    vid, nv = _orbits(sigma)
     loopless = all(vid[h] != vid[h + 1] for h in range(0, 2 * m.n, 2))
-    n_outer = len({vid[h] for h in outer_walk(m)})
-    # 2-colour the vertices through their half-edges: sigma keeps the colour
-    # and alpha flips it; the root vertex is black (colour 0).
-    side = [-1] * (2 * m.n)
-    side[m.root] = 0
-    stack = [m.root]
-    while stack:
-        h = stack.pop()
-        for nxt, c in ((m.sigma[h], side[h]), (h ^ 1, side[h] ^ 1)):
-            if side[nxt] < 0:
-                side[nxt] = c
-                stack.append(nxt)
-            elif side[nxt] != c:
+    walk = outer_walk(m)
+    n_outer = len({vid[h] for h in walk})
+    # 2-colour the vertices: walk the half-edges of each coloured vertex
+    # and give each partner's vertex the other colour; the root vertex is
+    # black (colour 0).
+    colour = [-1] * nv
+    colour[vid[m.root]] = 0
+    todo = [m.root]
+    for start in todo:
+        c = colour[vid[start]] ^ 1
+        h = start
+        while True:
+            w = vid[h ^ 1]
+            if colour[w] < 0:
+                colour[w] = c
+                todo.append(h ^ 1)
+            elif colour[w] != c:
                 return MapStats(n_outer, False, None, None, loopless, None, None)
-    black = len({vid[h] for h in range(2 * m.n) if side[h] == 0})
-    fid, nf = _orbits([s ^ 1 for s in m.sigma])
-    size = Counter(fid)
-    outer = fid[m.root]
-    face = Counter(size[f] // 2 for f in range(nf) if f != outer)
-    return MapStats(n_outer, True, nv - black, black, loopless, size[outer] // 2,
+            h = sigma[h]
+            if h == start:
+                break
+    black = colour.count(0)
+    # the inner faces, the orbits of h -> sigma(h) ^ 1 off the outer walk
+    seen = bytearray(2 * m.n)
+    for h in walk:
+        seen[h] = 1
+    face: Counter = Counter()
+    for start in range(2 * m.n):
+        size = 0
+        h = start
+        while not seen[h]:
+            seen[h] = 1
+            size += 1
+            h = sigma[h] ^ 1
+        if size:
+            face[size // 2] += 1
+    return MapStats(n_outer, True, nv - black, black, loopless, len(walk) // 2,
                     tuple(sorted(face.items())))
 
 

@@ -431,6 +431,12 @@ def test_verify_leaves_no_worker_process(capsys):
     assert_no_child_left()
 
 
+def _replace_fns(monkeypatch, fn_of):
+    """Give each check the fn fn_of(its name), keeping the rest of its row."""
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, fn_of(name), *row)
+                                                for name, _fn, *row in checks.CHECKS))
+
+
 @pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
 def test_verify_raises_the_first_exception_in_check_order(monkeypatch, capsys):
     caller = os.getpid()
@@ -449,7 +455,7 @@ def test_verify_raises_the_first_exception_in_check_order(monkeypatch, capsys):
             return True, ""
         return run
 
-    monkeypatch.setattr(checks, "CHECKS", tuple((name, check(name)) for name, _fn in checks.CHECKS))
+    _replace_fns(monkeypatch, check)
     assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -472,7 +478,7 @@ def test_verify_reports_a_parse_error_raised_in_a_worker(monkeypatch, capsys):
         time.sleep(0.05)  # a worker takes a check meanwhile
         return True, ""
 
-    monkeypatch.setattr(checks, "CHECKS", tuple((name, check) for name, _fn in checks.CHECKS))
+    _replace_fns(monkeypatch, lambda _name: check)
     assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -500,7 +506,7 @@ def test_an_interrupt_in_the_caller_kills_and_reaps_the_workers(monkeypatch):
         time.sleep(60)
         return True, ""
 
-    monkeypatch.setattr(checks, "CHECKS", tuple((name, check) for name, _fn in checks.CHECKS))
+    _replace_fns(monkeypatch, lambda _name: check)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_verify("gf", 3)
@@ -518,7 +524,7 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
         time.sleep(0.2)  # a worker takes a check meanwhile
         return True, ""
 
-    monkeypatch.setattr(checks, "CHECKS", tuple((name, check) for name, _fn in checks.CHECKS))
+    _replace_fns(monkeypatch, lambda _name: check)
     with pytest.raises(RuntimeError, match="ended before it reported gf[.]"):
         run_verify("gf", 3)
     assert_no_child_left()
@@ -541,25 +547,64 @@ def _filled_by(run) -> set:
     return {cache for cache in _caches() if cache.cache_info().currsize}
 
 
-def test_every_check_is_in_exactly_one_queue_entry():
-    queued = [name for entry in checks.SCHEDULE for name in entry]
-    assert sorted(queued) == sorted(name for name, _fn in checks.CHECKS)
-    assert len(set(queued)) == len(queued)
+# The queue entries at --max-size 8 on two CPUs, heaviest first, as chosen
+# by their measured seconds (BENCH_19.json).
+MEASURED_SCHEDULE = [
+    ["oracle.connectivity"],
+    ["roundtrip.term-text"],
+    ["roundtrip.psi"],
+    ["counts.psi-2conn-image"],
+    ["stats.multisets"],
+    ["roundtrip.phi"],
+    ["roundtrip.rho", "oracle.rho-direct", "counts.rho-loopless-image"],
+    ["counts.connected"],
+    ["gf.chain-identity", "gf.printed-form"],
+    ["roundtrip.term-map-term"],
+    ["counts.2-connected"],
+    ["oracle.preimages"],
+    ["gf.pmf-tv"],
+    ["counts.3-connected"],
+    ["gf.pmf-sum"],
+]
+
+
+def _selected(suite: str) -> list[int]:
+    return [i for i, (name, *_row) in enumerate(checks.CHECKS)
+            if suite in ("all", name.split(".", 1)[0])]
+
+
+def test_the_rows_give_the_measured_schedule():
+    entries = checks._entries(_selected("all"))
+    assert [[checks.CHECKS[i][0] for i in entry] for entry in entries] == MEASURED_SCHEDULE
+    for suite in ("all", *checks.SUITES):
+        queued = [i for entry in checks._entries(_selected(suite)) for i in entry]
+        assert sorted(queued) == _selected(suite)
 
 
 def test_groups_and_shared_caches_are_the_checks_that_read_them():
     # run alone on empty caches, a check fills the caches it reads
-    filled = {name: _filled_by(lambda: fn(4)) for name, fn in checks.CHECKS}
-
-    def readers(cache):
-        return {name for name, caches in filled.items() if cache in caches}
-
+    filled = {name: _filled_by(lambda: fn(4)) for name, fn, *_row in checks.CHECKS}
     derived = {cache for cache in _caches() if cache.__module__ == checks.__name__}
-    groups = {frozenset(entry) for entry in checks.SCHEDULE if len(entry) > 1}
-    assert {frozenset(readers(cache)) for cache in derived} == groups
-    for fill, names in checks.SHARED_CACHES:
-        (cache,) = _filled_by(lambda: fill(4))
-        assert readers(cache) == names
+    fills = {fill for *_row, generators in checks.CHECKS for fill in generators}
+    cache_of = {fill: _filled_by(lambda: fill(4)) for fill in fills}
+    assert all(len(caches) == 1 for caches in cache_of.values())
+    generated = set().union(*cache_of.values())
+    for name, _fn, _seconds, derived_cache, generators in checks.CHECKS:
+        assert filled[name] & derived == ({derived_cache} if derived_cache else set()), name
+        assert filled[name] & generated == set().union(*map(cache_of.get, generators)), name
+
+
+PREFILLED = {"gf": (), "roundtrip": ("_skeletons",), "all": ("_skeletons", "_map_cache")}
+
+
+@pytest.mark.parametrize("suite", PREFILLED)
+def test_prefill_fills_the_generator_caches_of_two_or_more_entries(suite):
+    # --suite gf reads the skeletons in one entry, to size 6 alone: filling
+    # them to the size cap before it forks cost it 1.97 s against 0.41 s
+    expected = set().union(*(_filled_by(lambda: getattr(checks, fill)(4))
+                             for fill in PREFILLED[suite]))
+    filled = _filled_by(lambda: checks._prefill(checks._entries(_selected(suite)), 4))
+    assert filled == expected
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])  # 8: more processes than cores
@@ -580,10 +625,11 @@ def test_verify_reports_a_check_queued_late_but_early_in_check_order(monkeypatch
     # a process goes on taking entries after a check raised, so the check
     # queued last runs and raises, and its error is reported: it comes
     # first in CHECKS order among the checks that raise
-    names = [name for name, _fn in checks.CHECKS]
-    last = checks.SCHEDULE[-1][0]
+    names = [name for name, *_row in checks.CHECKS]
+    last_entry = [names[i] for i in checks._entries(_selected("all"))[-1]]
+    last = last_entry[0]
     raising = names[names.index(last):]
-    assert set(raising) - set(checks.SCHEDULE[-1])  # one is queued before it
+    assert set(raising) - set(last_entry)  # one is queued before it
 
     def check(name):
         def run(_nmax):
@@ -593,7 +639,7 @@ def test_verify_reports_a_check_queued_late_but_early_in_check_order(monkeypatch
         return run
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(checks, "CHECKS", tuple((name, check(name)) for name in names))
+    _replace_fns(monkeypatch, check)
     assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

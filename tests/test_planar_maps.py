@@ -128,11 +128,28 @@ def test_stats_empty_map():
 def test_bipartite_invariants():
     from lambdamaps.planar_maps import vertex_cycles
 
-    for n in range(0, 5):
+    def face_degrees(m):
+        # the orbits of h -> sigma(h) ^ 1, read without map_stats; the
+        # empty map has one face of degree 0
+        seen, degrees = set(), []
+        for start in range(2 * m.n):
+            if start not in seen:
+                degrees.append(0)
+                h = start
+                while h not in seen:
+                    seen.add(h)
+                    degrees[-1] += 1
+                    h = m.sigma[h] ^ 1
+        return degrees or [0]
+
+    for n in range(0, 6):
         for m in gen_maps(n):
             st = map_stats(m)
+            assert st.bipartite == all(d % 2 == 0 for d in face_degrees(m))
             if st.bipartite:
                 assert sum(2 * k * c for k, c in st.face) + 2 * st.outdeg == 2 * m.n
+                # Euler: vertices + faces (the outer one included) = edges + 2
+                assert st.white + st.black + sum(c for _k, c in st.face) + 1 == m.n + 2
                 if m.n:
                     assert st.white + st.black == len(vertex_cycles(m))
 
