@@ -24,15 +24,16 @@ Both directions work on the skeleton's pre-order arity word (see
 pre-order loop over the plane tree writes the word back, so neither
 recurses.  ``vtree_of_word`` and ``word_of_vtree`` are psi and psi_inv on
 the word itself; ``psi`` and ``psi_inv`` convert the skeleton at the edge.
+``skeleton_stats`` reads the reduced skeleton's word as well, so no
+function here walks node objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import check_reduced, in_family, unreduce
-from .lambda_core import (Binary, InvalidInput, Leaf, Skeleton, Unary, skeleton_of_word,
-                          word_of)
+from .connectivity import check_reduced, in_family
+from .lambda_core import InvalidInput, Skeleton, skeleton_of_word, word_of
 from .labeled_trees import LabeledTree, validate_degree_tree
 
 
@@ -183,36 +184,36 @@ class DegreeTreeStats:
     edge: tuple[tuple[int, int], ...]
 
 
-def _chain_profile(s: Skeleton) -> dict[int, int]:
-    """Multiplicities of maximal unary chain lengths: the runs of unary
-    nodes in the word."""
-    out: dict[int, int] = {}
-    for run in word_of(s).split(b"\x00"):
-        for chain in run.split(b"\x02"):
-            if chain:
-                out[len(chain)] = out.get(len(chain), 0) + 1
-    return out
-
-
 def skeleton_stats(r: Skeleton) -> SkeletonStats:
+    """One reverse scan of the unreduced skeleton's word below its leading
+    chain, 2 0 R, which keeps the kind of each finished subtree's root: at
+    a binary node the left child's kind is on top and the right child's
+    under it.  The runs of 1s are the maximal unary chains of R."""
     if not check_reduced(r):
         raise InvalidInput("not a valid reduced skeleton")
-    splus = unreduce(r)
-    applv = appla = 0
-    stack = [splus]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Unary):
-            stack.append(node.child)
-        elif isinstance(node, Binary):
-            if isinstance(node.right, Leaf):
+    word = word_of(r)
+    applv = appla = chain = 0
+    uc: dict[int, int] = {}
+    kinds: list[int] = []
+    for k in reversed(b"\x02\x00" + word):
+        if k == 1:
+            kinds[-1] = 1
+            chain += 1
+            continue
+        if chain:
+            uc[chain] = uc.get(chain, 0) + 1
+            chain = 0
+        if k == 0:
+            kinds.append(0)
+        else:
+            kinds.pop()
+            if kinds[-1] == 0:
                 applv += 1
-            elif isinstance(node.right, Binary):
+            elif kinds[-1] == 2:
                 appla += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    uc = tuple(sorted(_chain_profile(r).items()))
-    return SkeletonStats(r.deficit(), applv, appla, uc)
+            kinds[-1] = 2
+    ex = word.count(0) - word.count(1)
+    return SkeletonStats(ex, applv, appla, tuple(sorted(uc.items())))
 
 
 def degree_tree_stats(d: LabeledTree) -> DegreeTreeStats:

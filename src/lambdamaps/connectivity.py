@@ -10,23 +10,16 @@ cross-checked exhaustively in ``verify`` and the tests.
 The structural tests read the skeleton's pre-order arity word (see
 ``lambda_core``): a unary node's child follows it, so the unary chain
 above a node is the run of 1s before it, and one reverse scan with a stack
-of subtree deficits checks every node.
+of subtree deficits checks every node.  ``reduce_skeleton`` and
+``unreduce`` cut and prefix the word, so no kernel here walks node
+objects.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 
-from .lambda_core import (
-    Binary,
-    Diagram,
-    InvalidInput,
-    LEAF,
-    Leaf,
-    Skeleton,
-    Unary,
-    word_of,
-)
+from .lambda_core import Diagram, InvalidInput, Skeleton, skeleton_of_word, word_of
 
 
 class ConnectivityClass(IntEnum):
@@ -34,15 +27,6 @@ class ConnectivityClass(IntEnum):
     One = 1
     Two = 2
     ThreePlus = 3
-
-
-def leading_chain(s: Skeleton) -> tuple[int, Skeleton]:
-    """Length of the unary chain at the top of s, and the subtree below."""
-    k = 0
-    while isinstance(s, Unary):
-        k += 1
-        s = s.child
-    return k, s
 
 
 # A binary node directly followed by a unary node: its left child is unary.
@@ -130,25 +114,24 @@ def check_reduced(s: Skeleton) -> bool:
 
 def reduce_skeleton(s: Skeleton) -> Skeleton:
     """Strip the leading unary chain, the first binary node and its left
-    leaf; returns that node's right subtree."""
-    _k, node = leading_chain(s)
-    if isinstance(node, Leaf):
+    leaf; returns that node's right subtree, the rest of the word."""
+    word = word_of(s)
+    core = len(word) - len(word.lstrip(b"\x01"))
+    if word[core] == 0:
         raise InvalidInput("skeleton has no binary node")
-    if not isinstance(node.left, Leaf):
+    if word[core + 1] != 0:
         raise InvalidInput("left child of the first binary node is not a leaf")
-    return node.right
+    return skeleton_of_word(word[core + 2:])
 
 
 def unreduce(s: Skeleton) -> Skeleton:
     """Inverse of reduce_skeleton: a chain of deficit+1 unary nodes over a
     binary node with a leaf left child and s as right subtree."""
-    d = s.deficit()
+    word = word_of(s)
+    d = word.count(0) - word.count(1)
     if d <= 0:
         raise InvalidInput(f"deficit {d} is not positive")
-    s = Binary(LEAF, s)
-    for _ in range(d + 1):
-        s = Unary(s)
-    return s
+    return skeleton_of_word(b"\x01" * (d + 1) + b"\x02\x00" + word)
 
 
 def is_three_connected_skeleton(s: Skeleton) -> bool:

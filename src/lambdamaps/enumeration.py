@@ -28,14 +28,9 @@ from itertools import product
 from math import comb
 
 from .bijections import degree_tree_stats, skeleton_stats
-from .connectivity import (
-    check_family,
-    is_three_connected_skeleton,
-    leading_chain,
-    reduce_skeleton,
-)
+from .connectivity import check_family, is_three_connected_skeleton, reduce_skeleton
 from .labeled_trees import LabeledTree, has_zero
-from .lambda_core import Binary, LEAF, InvalidInput, SizeTooLarge, Skeleton, Unary
+from .lambda_core import Binary, LEAF, InvalidInput, SizeTooLarge, Skeleton, Unary, word_of
 from .planar_maps import (
     EMPTY_MAP,
     RootedMap,
@@ -423,7 +418,8 @@ def compare_stat_multisets(n: int) -> StatReport:
             if a != b:
                 raise AssertionError(f"first mismatching tuple: {a} vs {b}")
         raise AssertionError("side lengths differ")
-    chains = sorted(leading_chain(s)[0] for s in gen_skeletons(n + 2, 3))
+    chains = sorted(len(w) - len(w.lstrip(b"\x01"))
+                    for w in map(word_of, gen_skeletons(n + 2, 3)))
     outdegs = sorted(t[0] for t in btuples)
     shift = chains[0] - outdegs[0]
     if chains != [o + shift for o in outdegs]:

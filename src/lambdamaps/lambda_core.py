@@ -17,9 +17,11 @@ The skeleton kernels read a skeleton's pre-order arity word: a ``bytes``
 value with one byte per node in pre-order, 0 for a leaf, 1 for a unary node
 and 2 for a binary node.  ``word_of`` computes it once per object and
 ``skeleton_of_word`` builds the object back; skeletons compare and hash as
-their words.  One stack matcher, ``_match``, pairs unary nodes with leaves
-in one walk of the word and gives each leaf its binder's position;
-``planar_match``, ``listing_of_word`` and ``diagram_of`` read it.
+their words.  Only ``skeleton_of_word`` and the generator in
+``enumeration`` build node objects.  One stack matcher, ``_match``, pairs
+unary nodes with leaves in one walk of the word and gives each leaf its
+binder's position; ``planar_match``, ``listing_of_word`` and
+``diagram_of`` read it.
 
 A term's listing is the same word for its syntax tree together with the
 names of its variables and binders in pre-order.  The parser reads text
@@ -462,9 +464,6 @@ class Skeleton:
     @property
     def nunary(self) -> int:
         return word_of(self).count(1)
-
-    def deficit(self) -> int:
-        return self.nleaf - self.nunary
 
     def __eq__(self, other):
         if self is other:

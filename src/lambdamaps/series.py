@@ -1,7 +1,7 @@
 """Truncated multivariate formal power series with exact coefficients.
 
 Series live in variables t (the size variable, truncated at a fixed order),
-x, and a finite family p_1..p_K; coefficients are exact rationals.  The
+x, and a finite family p_1..p_K; coefficients are integers.  The
 module evaluates the announced closed system for bipartite maps
 
     z = t * (1 + sum_k C(2k-1, k) p_k z^k)
@@ -31,13 +31,14 @@ class TruncatedSeries:
     """Polynomial in t, x, p_1..p_K truncated at t-degree and x-degree N.
 
     Monomial keys are (t_deg, x_deg, p_multidegree); coefficients are
-    Fractions and zero coefficients are never stored.
+    integers, or Fractions where a caller gives one, and zero coefficients
+    are never stored.
     """
 
     __slots__ = ("trunc", "kmax", "coeffs")
 
     def __init__(self, trunc: int, kmax: int,
-                 coeffs: dict[tuple[int, int, tuple[int, ...]], Fraction] | None = None):
+                 coeffs: dict[tuple[int, int, tuple[int, ...]], int] | None = None):
         self.trunc = trunc
         self.kmax = kmax
         self.coeffs = {} if coeffs is None else coeffs
@@ -56,7 +57,7 @@ class TruncatedSeries:
         self._check(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
@@ -85,7 +86,7 @@ class TruncatedSeries:
                 if td > self.trunc or xd > self.trunc:
                     continue
                 key = (td, xd, tuple(a + b for a, b in zip(p1, p2)))
-                s = out.get(key, Fraction(0)) + c1 * c2
+                s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -116,16 +117,16 @@ def zero(trunc: int, kmax: int) -> TruncatedSeries:
 
 
 def one(trunc: int, kmax: int) -> TruncatedSeries:
-    return monomial(trunc, kmax, Fraction(1), 0, 0)
+    return monomial(trunc, kmax, 1, 0, 0)
 
 
-def monomial(trunc: int, kmax: int, coeff: Fraction | int,
+def monomial(trunc: int, kmax: int, coeff: int | Fraction,
              t_deg: int, x_deg: int = 0,
              p_deg: tuple[int, ...] | None = None) -> TruncatedSeries:
     if t_deg > trunc or x_deg > trunc or not coeff:
         return TruncatedSeries(trunc, kmax)
     key = (t_deg, x_deg, p_deg if p_deg is not None else (0,) * kmax)
-    return TruncatedSeries(trunc, kmax, {key: Fraction(coeff)})
+    return TruncatedSeries(trunc, kmax, {key: coeff})
 
 
 def _p_var(trunc: int, kmax: int, k: int) -> TruncatedSeries:
@@ -196,7 +197,7 @@ def _counted(trunc: int, kmax: int, keys) -> TruncatedSeries:
     for key in keys:
         if key[0] <= trunc and key[1] <= trunc:
             counts[key] = counts.get(key, 0) + 1
-    return TruncatedSeries(trunc, kmax, {key: Fraction(c) for key, c in counts.items()})
+    return TruncatedSeries(trunc, kmax, counts)
 
 
 def f_bipartite_enumerated(n: int, kmax: int) -> TruncatedSeries:
@@ -223,8 +224,8 @@ def f_reduced_skeletons_enumerated(n: int, kmax: int) -> TruncatedSeries:
 @dataclass(frozen=True)
 class GfCell:
     key: tuple[int, int, tuple[int, ...]]
-    enumerated: Fraction
-    printed: Fraction
+    enumerated: int
+    printed: int
     match: bool
 
 
@@ -251,8 +252,8 @@ def check_gf_relation(n_max: int) -> GfReport:
     if not identity_ok:
         keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))
         for key in keys:
-            a = lhs.coeffs.get(key, Fraction(0))
-            b = rhs.coeffs.get(key, Fraction(0))
+            a = lhs.coeffs.get(key, 0)
+            b = rhs.coeffs.get(key, 0)
             if a != b:
                 first = f"coefficient at {key}: skeletons {a}, maps {b}"
                 break
@@ -260,8 +261,8 @@ def check_gf_relation(n_max: int) -> GfReport:
     cells = []
     all_match = True
     for key in sorted(set(fb.coeffs) | set(printed.coeffs)):
-        a = fb.coeffs.get(key, Fraction(0))
-        b = printed.coeffs.get(key, Fraction(0))
+        a = fb.coeffs.get(key, 0)
+        b = printed.coeffs.get(key, 0)
         ok = a == b
         all_match = all_match and ok
         cells.append(GfCell(key, a, b, ok))

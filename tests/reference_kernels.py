@@ -1,10 +1,10 @@
 """Helpers that several test modules share and the library does not need:
 every plane unary-binary tree, a pre-order node listing, a unary chain over
-a subtree, a copy of a term built by the constructors, the bridge-search
-edge-connectivity oracle that the library's labelling pass replaced, and
-the parallel tree walk that ``alpha_equal`` ran before it compared
-listings, each kept as a reference.  Not a test module; the tests import
-it."""
+a subtree, the one at the top of a skeleton, a copy of a term built by
+the constructors, the bridge-search edge-connectivity oracle that
+the library's labelling pass replaced, and the parallel tree walk that
+``alpha_equal`` ran before it compared listings, each kept as a reference.
+Not a test module; the tests import it."""
 
 from lambdamaps.connectivity import ConnectivityClass
 from lambdamaps.lambda_core import LEAF, Abs, App, Binary, Diagram, Skeleton, Unary, Var
@@ -47,6 +47,15 @@ def wrap_unary(s: Skeleton, k: int) -> Skeleton:
     for _ in range(k):
         s = Unary(s)
     return s
+
+
+def leading_chain(s: Skeleton) -> tuple[int, Skeleton]:
+    """Length of the unary chain at the top of s, and the subtree below."""
+    k = 0
+    while isinstance(s, Unary):
+        k += 1
+        s = s.child
+    return k, s
 
 
 def _bridges(adj: list[list[tuple[int, int]]], skip: int = -1) -> tuple[bool, list[int]]:

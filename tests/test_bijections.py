@@ -8,7 +8,7 @@ from lambdamaps.bijections import (
     psi_inv,
     skeleton_stats,
 )
-from lambdamaps.connectivity import leading_chain, reduce_skeleton
+from lambdamaps.connectivity import reduce_skeleton
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import (
     LabeledTree,
@@ -18,7 +18,7 @@ from lambdamaps.labeled_trees import (
     validate_vtree,
 )
 from lambdamaps.lambda_core import LEAF, Binary, InvalidInput, parse_skeleton
-from reference_kernels import wrap_unary
+from reference_kernels import leading_chain, wrap_unary
 
 
 def sk(text):

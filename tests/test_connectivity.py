@@ -12,7 +12,6 @@ from lambdamaps.connectivity import (
     check_reduced,
     edge_connectivity_class,
     is_three_connected_skeleton,
-    leading_chain,
     reduce_skeleton,
     unreduce,
 )
@@ -20,7 +19,8 @@ from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import LabeledTree
 from lambdamaps.lambda_core import (Diagram, InvalidInput, diagram_of, parse_skeleton,
                                     render_skeleton)
-from reference_kernels import bridge_connectivity_class, iter_unary_binary, preorder
+from reference_kernels import (bridge_connectivity_class, iter_unary_binary, leading_chain,
+                               preorder)
 
 
 def sk(text):

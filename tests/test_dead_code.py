@@ -2,11 +2,16 @@
 
 A top-level function that no other definition in the package refers to is
 dead code or a test helper, and belongs in the tests; so does a method,
-dunder methods aside, whose name nothing in the package refers to.  The
-re-exports of ``__init__.py`` are not callers; ``__main__.py`` is.  The
-functions that ``perfbench/spans.py`` traces by name are kept for the
-benchmark, and ``term_defect`` is the public check of a term object;
-``convert`` runs the same check on listings.
+dunder methods aside, whose name nothing in the package refers to.
+``__init__.py`` is only its docstring, so callers import the modules and
+nothing is re-exported; ``__main__.py`` is a caller.  The functions that
+``perfbench/spans.py`` traces by name are kept for the benchmark, and
+``term_defect`` is the public check of a term object; ``convert`` runs the
+same check on listings.
+
+A skeleton is a tree of node objects only in ``lambda_core``, which
+converts it to and from its word, and in ``enumeration``, whose generator
+builds the trees; no other module names a node class.
 """
 
 import ast
@@ -35,8 +40,6 @@ def _functions() -> tuple[set[str], set[str], set[str]]:
     methods: set[str] = set()
     referenced: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for node in ast.parse(path.read_text()).body:
             own = node.name if isinstance(node, ast.FunctionDef) else None
             if own:
@@ -66,3 +69,28 @@ def test_every_top_level_function_has_a_caller():
 def test_every_method_has_a_caller():
     _defined, _uncalled, uncalled_methods = _functions()
     assert uncalled_methods == set()
+
+
+def test_only_the_core_and_the_generator_name_a_node_class():
+    nodes = {"Leaf", "Unary", "Binary", "LEAF"}
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Name):
+                names = {sub.id}
+            elif isinstance(sub, ast.Attribute):
+                names = {sub.attr}
+            elif isinstance(sub, ast.ImportFrom):
+                names = {alias.name for alias in sub.names}
+            else:
+                continue
+            if names & nodes:
+                naming.add(path.stem)
+    assert naming == {"lambda_core", "enumeration"}
+
+
+def test_the_package_namespace_binds_nothing():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert len(body) == 1
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert isinstance(body[0].value.value, str)

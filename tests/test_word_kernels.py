@@ -1,6 +1,8 @@
 """The skeleton kernels read the pre-order arity word.  The object-walking
 kernels they replaced are kept here as their references, and each word
-kernel must equal its reference on every skeleton up to size 7.  The
+kernel must equal its reference on every skeleton up to size 7: the
+matcher, the structural tests, psi and phi, reduce_skeleton, unreduce and
+skeleton_stats.  The
 edge-connectivity oracle must likewise equal the bridge search it replaced
 (``reference_kernels.bridge_connectivity_class``) on each skeleton's
 diagram, and ``alpha_equal``, which compares listings, the tree walk
@@ -13,9 +15,10 @@ comparisons over every skeleton up to another size.
 
 import sys
 
-from lambdamaps.bijections import _unspine, phi, phi_inv, psi, psi_inv
+from lambdamaps.bijections import (SkeletonStats, _unspine, phi, phi_inv, psi, psi_inv,
+                                   skeleton_stats)
 from lambdamaps.connectivity import (check_family, check_reduced, edge_connectivity_class,
-                                     is_three_connected_skeleton, leading_chain)
+                                     is_three_connected_skeleton, reduce_skeleton, unreduce)
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree
 from lambdamaps.lambda_core import (
@@ -44,8 +47,8 @@ from lambdamaps.lambda_core import (
     term_of_skeleton,
     word_of,
 )
-from reference_kernels import (bridge_connectivity_class, iter_unary_binary, rebuilt,
-                               tree_alpha_equal, wrap_unary)
+from reference_kernels import (bridge_connectivity_class, iter_unary_binary, leading_chain,
+                               rebuilt, tree_alpha_equal, wrap_unary)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +182,53 @@ def _ref_is_three_connected(s):
     if not isinstance(node, Binary) or not isinstance(node.left, Leaf):
         return False
     return _ref_check_reduced(node.right)
+
+
+def _ref_reduce_skeleton(s):
+    _k, node = leading_chain(s)
+    if isinstance(node, Leaf):
+        raise InvalidInput("skeleton has no binary node")
+    if not isinstance(node.left, Leaf):
+        raise InvalidInput("left child of the first binary node is not a leaf")
+    return node.right
+
+
+def _ref_unreduce(s):
+    d = _deficit(s)
+    if d <= 0:
+        raise InvalidInput(f"deficit {d} is not positive")
+    return wrap_unary(Binary(LEAF, s), d + 1)
+
+
+def _ref_skeleton_stats(r):
+    """The binary nodes of the unreduced skeleton by the kind of their
+    right child, and the maximal unary chains of r, each the chain at the
+    top of r or of a binary node's child."""
+    if not _ref_check_reduced(r):
+        raise InvalidInput("not a valid reduced skeleton")
+    applv = appla = 0
+    stack = [_ref_unreduce(r)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Unary):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            if isinstance(node.right, Leaf):
+                applv += 1
+            elif isinstance(node.right, Binary):
+                appla += 1
+            stack.append(node.left)
+            stack.append(node.right)
+    uc = {}
+    stack = [r]
+    while stack:
+        k, node = leading_chain(stack.pop())
+        if k:
+            uc[k] = uc.get(k, 0) + 1
+        if isinstance(node, Binary):
+            stack.append(node.left)
+            stack.append(node.right)
+    return SkeletonStats(_deficit(r), applv, appla, tuple(sorted(uc.items())))
 
 
 # The rotation behind psi and phi, recursive as it was.
@@ -320,8 +370,9 @@ def _family(nmax):
 def compare_on_family(nmax):
     """Every word kernel against its reference, the edge-connectivity
     oracle against the bridge search, and alpha_equal against the tree
-    walk, on every connected-family skeleton up to size nmax; returns the
-    number of skeletons."""
+    walk, on every connected-family skeleton up to size nmax, and the
+    kernels that take a reduced skeleton on every reduced skeleton up to
+    that size; returns the number of connected-family skeletons."""
     sks = _family(nmax)
     for s in sks:
         term = term_of_skeleton(s)
@@ -333,6 +384,8 @@ def compare_on_family(nmax):
         for level in (1, 2):
             assert check_family(s, level) == _ref_check_family(s, level)
         assert is_three_connected_skeleton(s) == _ref_is_three_connected(s)
+        assert _outcome(reduce_skeleton, s) == _outcome(_ref_reduce_skeleton, s)
+        assert _outcome(unreduce, s) == _outcome(_ref_unreduce, s)
         v = psi(s)
         assert v == _ref_psi(s)
         assert psi_inv(v) == _ref_psi_inv(v) == s
@@ -341,6 +394,8 @@ def compare_on_family(nmax):
         d = phi(r)
         assert d == _ref_phi(r)
         assert phi_inv(d) == _ref_phi_inv(d) == r
+        assert unreduce(r) == _ref_unreduce(r)
+        assert skeleton_stats(r) == _ref_skeleton_stats(r)
     return len(sks)
 
 
@@ -366,6 +421,9 @@ def test_matcher_and_structural_tests_equal_the_references_outside_the_family():
                     assert check_family(s, level) == _ref_check_family(s, level)
                 assert check_reduced(s) == _ref_check_reduced(s)
                 assert is_three_connected_skeleton(s) == _ref_is_three_connected(s)
+                assert _outcome(reduce_skeleton, s) == _outcome(_ref_reduce_skeleton, s)
+                assert _outcome(unreduce, s) == _outcome(_ref_unreduce, s)
+                assert _outcome(skeleton_stats, s) == _outcome(_ref_skeleton_stats, s)
     assert failures == {"leaf", "nesting", "unmatched"}
 
 
