@@ -19,13 +19,13 @@ minus the sum of their edge labels; under the rotation those edges are the
 binary nodes of the right subtree and their labels sum to its unary nodes,
 so the label is nleaf - 1 - nunary = deficit - 1.
 
-Both directions work on the skeleton's pre-order arity word (see
-``lambda_core``): one reverse scan of the word gives the plane tree, and one
-pre-order loop over the plane tree writes the word back, so neither
-recurses.  ``vtree_of_word`` and ``word_of_vtree`` are psi and psi_inv on
-the word itself; ``psi`` and ``psi_inv`` convert the skeleton at the edge.
-``skeleton_stats`` reads the reduced skeleton's word as well, so no
-function here walks node objects.
+Both directions work on the pre-order arity word that a ``Skeleton``
+holds (see ``lambda_core``): one reverse scan of the word gives the plane
+tree, and one pre-order loop over the plane tree writes the word back, so
+neither recurses.  ``vtree_of_word`` and ``word_of_vtree`` are psi and
+psi_inv on the word itself; ``psi`` reads a skeleton's word and
+``psi_inv`` wraps one.  ``skeleton_stats`` reads the reduced skeleton's
+word as well.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import check_reduced, in_family
-from .lambda_core import InvalidInput, Skeleton, skeleton_of_word, word_of
+from .lambda_core import InvalidInput, Skeleton
 from .labeled_trees import LabeledTree, validate_degree_tree
 
 
@@ -112,7 +112,7 @@ def phi(r: Skeleton) -> LabeledTree:
     """Degree tree of a reduced skeleton."""
     if not check_reduced(r):
         raise InvalidInput("not a valid reduced skeleton")
-    deficit, children = _spine(word_of(r), 1)
+    deficit, children = _spine(r.word, 1)
     return LabeledTree(deficit - 1, children)
 
 
@@ -121,7 +121,7 @@ def phi_inv(d: LabeledTree) -> Skeleton:
     if not validate_degree_tree(d):
         raise InvalidInput("not a valid degree tree")
     deficit = 1 + sum(1 + c.label for c in d.children)
-    return skeleton_of_word(b"\x01" * (deficit - 1 - d.label) + _unspine(d.children, 1))
+    return Skeleton(b"\x01" * (deficit - 1 - d.label) + _unspine(d.children, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +149,12 @@ def word_of_vtree(v: LabeledTree) -> bytes:
 
 def psi(s: Skeleton) -> LabeledTree:
     """V-tree of a skeleton in the connected family."""
-    return vtree_of_word(word_of(s))
+    return vtree_of_word(s.word)
 
 
 def psi_inv(v: LabeledTree) -> Skeleton:
     """Skeleton of a v-tree."""
-    return skeleton_of_word(word_of_vtree(v))
+    return Skeleton(word_of_vtree(v))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def skeleton_stats(r: Skeleton) -> SkeletonStats:
     under it.  The runs of 1s are the maximal unary chains of R."""
     if not check_reduced(r):
         raise InvalidInput("not a valid reduced skeleton")
-    word = word_of(r)
+    word = r.word
     applv = appla = chain = 0
     uc: dict[int, int] = {}
     kinds: list[int] = []

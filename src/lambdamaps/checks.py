@@ -37,7 +37,7 @@ from .enumeration import (MAX_SKELETON_SIZE, bipartite_maps_formula,
 from .labeled_trees import LabeledTree, render_labeled_tree
 from .lambda_core import (InvalidInput, Skeleton, SizeTooLarge, alpha_equal, diagram_of,
                           listing_of_word, parse_listing, parse_term, render_listing,
-                          render_term, term_of_skeleton, word_of)
+                          render_term, term_of_skeleton)
 from .planar_maps import (RootedMap, attach_root_edge, canonical_form, is_one_corner, outv,
                           pi, rho, rho_direct, rho_inv)
 from .series import check_gf_relation, limit_pmf, pmf_diagnostics
@@ -86,7 +86,7 @@ def _text_roundtrips(s: Skeleton) -> bool:
     included, which implies that the two are alpha-equal.  The term is
     compared as its listing (pre-order word and names), which the printer
     writes and the parser reads, so no term object is built."""
-    listing = listing_of_word(word_of(s))
+    listing = listing_of_word(s.word)
     return parse_listing(render_listing(*listing)) == listing
 
 

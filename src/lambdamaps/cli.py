@@ -44,6 +44,7 @@ from .labeled_trees import (
 )
 from .lambda_core import (
     InvalidInput,
+    Skeleton,
     _listing_defect,
     is_normal,
     listing_of_word,
@@ -51,8 +52,6 @@ from .lambda_core import (
     parse_skeleton,
     render_listing,
     render_skeleton,
-    skeleton_of_word,
-    word_of,
 )
 from .planar_maps import (
     canonical_form,
@@ -82,11 +81,11 @@ def to_word(kind: str, text: str) -> bytes:
             raise InvalidInput(defect)
         return word
     if kind == "skeleton":
-        return word_of(parse_skeleton(text))
+        return parse_skeleton(text).word
     if kind == "vtree":
         return word_of_vtree(parse_labeled_tree(text))
     if kind == "dtree":
-        return word_of(unreduce(phi_inv(parse_labeled_tree(text))))
+        return unreduce(phi_inv(parse_labeled_tree(text))).word
     if kind == "map":
         return word_of_vtree(rho_direct(parse_map(text)))
     raise InvalidInput(f"unknown object kind {kind!r}")
@@ -98,11 +97,11 @@ def from_word(kind: str, word: bytes) -> str:
     if kind == "term":
         return render_listing(*listing_of_word(word))
     if kind == "skeleton":
-        return render_skeleton(skeleton_of_word(word))
+        return render_skeleton(Skeleton(word))
     if kind == "vtree":
         return render_labeled_tree(vtree_of_word(word))
     if kind == "dtree":
-        return render_labeled_tree(phi(reduce_skeleton(skeleton_of_word(word))))
+        return render_labeled_tree(phi(reduce_skeleton(Skeleton(word))))
     if kind == "map":
         return render_map(canonical_map(rho_inv(vtree_of_word(word))))
     raise InvalidInput(f"unknown object kind {kind!r}")
@@ -154,7 +153,7 @@ def stats_lines(text: str, kind: str | None) -> list[str]:
         out.append(f"canonical\t{''.join(f'{x:0{width}x}' for x in canonical_form(m))}")
         return out
     if kind in ("term", "skeleton"):
-        s = skeleton_of_word(to_word(kind, text))
+        s = Skeleton(to_word(kind, text))
         out.append(f"size\t{s.nleaf}")
         out.append(f"unary\t{s.nunary}")
         out.append(f"normal\t{'yes' if is_normal(s) else 'no'}")

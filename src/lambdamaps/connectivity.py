@@ -7,19 +7,18 @@ syntactic diagram, whose bridges and disconnecting edge pairs one labelling
 of a spanning tree by cycle-space bits finds.  The two routes are
 cross-checked exhaustively in ``verify`` and the tests.
 
-The structural tests read the skeleton's pre-order arity word (see
-``lambda_core``): a unary node's child follows it, so the unary chain
-above a node is the run of 1s before it, and one reverse scan with a stack
-of subtree deficits checks every node.  ``reduce_skeleton`` and
-``unreduce`` cut and prefix the word, so no kernel here walks node
-objects.
+The structural tests read the pre-order arity word that a ``Skeleton``
+holds (see ``lambda_core``): a unary node's child follows it, so the unary
+chain above a node is the run of 1s before it, and one reverse scan with a
+stack of subtree deficits checks every node.  ``reduce_skeleton`` and
+``unreduce`` cut and prefix the word.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 
-from .lambda_core import Diagram, InvalidInput, Skeleton, skeleton_of_word, word_of
+from .lambda_core import Diagram, InvalidInput, Skeleton
 
 
 class ConnectivityClass(IntEnum):
@@ -36,7 +35,7 @@ _UNARY_LEFT_CHILD = b"\x02\x01"
 def check_family(s: Skeleton, level: int) -> bool:
     """Structural membership test for the connected (level 1) and
     2-connected (level 2) families; see in_family."""
-    return in_family(word_of(s), level)
+    return in_family(s.word, level)
 
 
 def in_family(word: bytes, level: int) -> bool:
@@ -109,29 +108,29 @@ def check_reduced(s: Skeleton) -> bool:
     directly above u.  The single leaf is admitted (the size-2 degenerate
     case); a bare unary chain is not, which the deficit condition enforces.
     """
-    return _reduced(word_of(s))
+    return _reduced(s.word)
 
 
 def reduce_skeleton(s: Skeleton) -> Skeleton:
     """Strip the leading unary chain, the first binary node and its left
     leaf; returns that node's right subtree, the rest of the word."""
-    word = word_of(s)
+    word = s.word
     core = len(word) - len(word.lstrip(b"\x01"))
     if word[core] == 0:
         raise InvalidInput("skeleton has no binary node")
     if word[core + 1] != 0:
         raise InvalidInput("left child of the first binary node is not a leaf")
-    return skeleton_of_word(word[core + 2:])
+    return Skeleton(word[core + 2:])
 
 
 def unreduce(s: Skeleton) -> Skeleton:
     """Inverse of reduce_skeleton: a chain of deficit+1 unary nodes over a
     binary node with a leaf left child and s as right subtree."""
-    word = word_of(s)
+    word = s.word
     d = word.count(0) - word.count(1)
     if d <= 0:
         raise InvalidInput(f"deficit {d} is not positive")
-    return skeleton_of_word(b"\x01" * (d + 1) + b"\x02\x00" + word)
+    return Skeleton(b"\x01" * (d + 1) + b"\x02\x00" + word)
 
 
 def is_three_connected_skeleton(s: Skeleton) -> bool:
@@ -140,7 +139,7 @@ def is_three_connected_skeleton(s: Skeleton) -> bool:
     On the word: the leading unary chain, then a binary node whose left
     child is a leaf; the rest of the word is the reduced skeleton.
     """
-    word = word_of(s)
+    word = s.word
     core = len(word) - len(word.lstrip(b"\x01"))
     return word[core:core + 2] == b"\x02\x00" and _reduced(word[core + 2:])
 

@@ -1,9 +1,12 @@
 """Exhaustive generators for every object family, with count cross-checks.
 
 Skeleton generation is recursive with pruning (normality, chain conditions
-and nonnegative leaf/unary deficit are maintained during construction); the
-result provably equals filtering the ambient unary-binary trees, which the
-tests confirm by full ambient scans at small sizes.  Maps are generated by
+and nonnegative leaf/unary deficit are maintained during construction) and
+builds each skeleton's pre-order arity word, which ``gen_skeletons`` wraps
+in a ``Skeleton``; the result provably equals filtering the ambient
+unary-binary trees, which the tests confirm by full ambient scans at small
+sizes, and the tests keep the generator of node objects it replaced as its
+reference.  Maps are generated by
 a search that builds each rooted rotation system directly in its canonical
 labelling, so none is built twice; the tests check it against a scan over
 all rotation permutations.  Euler's bound prunes that search to the planar
@@ -30,7 +33,7 @@ from math import comb
 from .bijections import degree_tree_stats, skeleton_stats
 from .connectivity import check_family, is_three_connected_skeleton, reduce_skeleton
 from .labeled_trees import LabeledTree, has_zero
-from .lambda_core import Binary, LEAF, InvalidInput, SizeTooLarge, Skeleton, Unary, word_of
+from .lambda_core import InvalidInput, SizeTooLarge, Skeleton
 from .planar_maps import (
     EMPTY_MAP,
     RootedMap,
@@ -47,28 +50,31 @@ MAX_TREE_EDGES = 7
 # Skeletons
 
 @lru_cache(maxsize=None)
-def _gen_lin(nleaf: int, nunary: int) -> tuple[Skeleton, ...]:
-    """Unary-binary trees with the given leaf/unary counts that are normal,
-    satisfy the chain condition at every node below the top chain, and have
-    nonnegative deficit (so they can still be capped or closed)."""
+def _gen_lin(nleaf: int, nunary: int) -> tuple[bytes, ...]:
+    """The pre-order arity words of the unary-binary trees with the given
+    leaf/unary counts that are normal, satisfy the chain condition at
+    every node below the top chain, and have nonnegative deficit (so they
+    can still be capped or closed).  A unary node's word is 1 and its
+    child's; a binary node's is 2, its left child's, which is not unary,
+    and its right child's."""
     if nleaf < 1 or nunary < 0 or nleaf - nunary < 0:
         return ()
-    out: list[Skeleton] = []
+    out: list[bytes] = []
     if nleaf == 1 and nunary == 0:
-        out.append(LEAF)
+        out.append(b"\x00")
     if nunary >= 1:
-        out.extend(Unary(t) for t in _gen_lin(nleaf, nunary - 1))
+        out.extend(b"\x01" + t for t in _gen_lin(nleaf, nunary - 1))
     for a in range(1, nleaf):
         b = nleaf - a
         for c in range(0, min(a, nunary) + 1):
             d = nunary - c
             if b - d < 0:
                 continue
-            lefts = [t for t in _gen_lin(a, c) if not isinstance(t, Unary)]
+            lefts = [t for t in _gen_lin(a, c) if t[0] != 1]
             if not lefts:
                 continue
             rights = _gen_lin(b, d)
-            out.extend(Binary(l, r) for l in lefts for r in rights)
+            out.extend(b"\x02" + l + r for l in lefts for r in rights)
     return tuple(out)
 
 
@@ -77,7 +83,7 @@ def gen_skeletons(n: int, level: int) -> list[Skeleton]:
     3-connected (3) family, in a deterministic order."""
     if not 1 <= n <= MAX_SKELETON_SIZE:
         raise SizeTooLarge(f"size must be in 1..{MAX_SKELETON_SIZE}")
-    base = _gen_lin(n, n)
+    base = map(Skeleton, _gen_lin(n, n))
     if level == 1:
         return list(base)
     if level == 2:
@@ -418,8 +424,8 @@ def compare_stat_multisets(n: int) -> StatReport:
             if a != b:
                 raise AssertionError(f"first mismatching tuple: {a} vs {b}")
         raise AssertionError("side lengths differ")
-    chains = sorted(len(w) - len(w.lstrip(b"\x01"))
-                    for w in map(word_of, gen_skeletons(n + 2, 3)))
+    chains = sorted(len(s.word) - len(s.word.lstrip(b"\x01"))
+                    for s in gen_skeletons(n + 2, 3))
     outdegs = sorted(t[0] for t in btuples)
     shift = chains[0] - outdegs[0]
     if chains != [o + shift for o in outdegs]:

@@ -7,20 +7,17 @@ terms the binding structure is recovered from the skeleton alone: reading the
 pre-order word with unary nodes as opening parentheses and leaves as closing
 ones, the stack discipline pairs each abstraction with the atom it binds.
 
-Terms (``Var``, ``App``, ``Abs``) and skeleton nodes (``Leaf``, ``Unary``,
-``Binary``) are plain classes with ``__slots__``.  Terms compare and hash
-as their listings (below), which determine them.  Every term from
-``parse_term`` and ``term_of_skeleton`` keeps its listing, so reading it
-walks no tree.
+Terms (``Var``, ``App``, ``Abs``) are plain classes with ``__slots__``.
+Terms compare and hash as their listings (below), which determine them.
+Every term from ``parse_term`` and ``term_of_skeleton`` keeps its listing,
+so reading it walks no tree.
 
-The skeleton kernels read a skeleton's pre-order arity word: a ``bytes``
-value with one byte per node in pre-order, 0 for a leaf, 1 for a unary node
-and 2 for a binary node.  ``word_of`` computes it once per object and
-``skeleton_of_word`` builds the object back; skeletons compare and hash as
-their words.  Only ``skeleton_of_word`` and the generator in
-``enumeration`` build node objects.  One stack matcher, ``_match``, pairs
-unary nodes with leaves in one walk of the word and gives each leaf its
-binder's position; ``planar_match``, ``listing_of_word`` and
+A skeleton is its pre-order arity word: a ``bytes`` value with one byte per
+node in pre-order, 0 for a leaf, 1 for a unary node and 2 for a binary
+node.  ``Skeleton`` holds the word and its leaf count, and compares and
+hashes as the word; no node objects are built.  One stack matcher,
+``_match``, pairs unary nodes with leaves in one walk of the word and gives
+each leaf its binder's position; ``planar_match``, ``listing_of_word`` and
 ``diagram_of`` read it.
 
 A term's listing is the same word for its syntax tree together with the
@@ -451,111 +448,36 @@ def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
 # Skeletons
 
 class Skeleton:
-    """Plane unary-binary tree; size is the number of leaves.
+    """Plane unary-binary tree, held as its pre-order arity word (a
+    ``bytes`` value); size is the number of leaves.
 
-    Two skeletons are equal when their pre-order arity words are, and hash
-    as their word.  The word is computed once per object, when first asked
-    for; the generators share subtrees between skeletons, so only the
-    objects a kernel is given store one.
+    One byte per node in pre-order (left subtree first): 0 for a leaf, 1
+    for a unary node and 2 for a binary node.  A unary node's child and a
+    binary node's left child follow it directly, so the run of 1s before a
+    position is the unary chain directly above it.  Two skeletons are equal
+    when their words are, and hash as their word.
     """
 
-    __slots__ = ("nleaf", "_word")
+    __slots__ = ("word", "nleaf")
+
+    def __init__(self, word: bytes):
+        self.word = word
+        self.nleaf = word.count(0)
 
     @property
     def nunary(self) -> int:
-        return word_of(self).count(1)
+        return self.word.count(1)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Skeleton):
             return NotImplemented
-        return self.nleaf == other.nleaf and word_of(self) == word_of(other)
+        return self.word == other.word
 
     def __hash__(self):
-        return hash(word_of(self))
+        return hash(self.word)
 
     def __repr__(self):
         return render_skeleton(self)
-
-
-class Leaf(Skeleton):
-    __slots__ = ()
-
-    def __init__(self):
-        self.nleaf = 1
-        self._word = b"\x00"
-
-
-class Unary(Skeleton):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Skeleton):
-        self.child = child
-        self.nleaf = child.nleaf
-
-
-class Binary(Skeleton):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Skeleton, right: Skeleton):
-        self.left = left
-        self.right = right
-        self.nleaf = left.nleaf + right.nleaf
-
-
-LEAF = Leaf()
-
-
-# ---------------------------------------------------------------------------
-# The pre-order arity word: one byte per node in pre-order (left subtree
-# first), 0 for a leaf, 1 for a unary node and 2 for a binary node.  A
-# unary node's child and a binary node's left child follow it directly, so
-# the run of 1s before a position is the unary chain directly above it.
-# The skeleton kernels below read the word; these two functions convert.
-
-def word_of(s: Skeleton) -> bytes:
-    """The pre-order arity word of s, computed by one walk and kept on s."""
-    try:
-        return s._word
-    except AttributeError:
-        pass
-    word = bytearray()
-    todo: list[Skeleton] = []
-    x = s
-    while True:
-        kind = type(x)
-        if kind is Binary:
-            word.append(2)
-            todo.append(x.right)
-            x = x.left
-        elif kind is Unary:
-            word.append(1)
-            x = x.child
-        else:
-            word.append(0)
-            if not todo:
-                break
-            x = todo.pop()
-    w = s._word = bytes(word)
-    return w
-
-
-def skeleton_of_word(word: bytes) -> Skeleton:
-    """The skeleton of a pre-order arity word, built bottom up in reverse
-    pre-order; the word is kept on the result."""
-    out: list[Skeleton] = []
-    for k in reversed(word):
-        if k == 0:
-            out.append(LEAF)
-        elif k == 1:
-            out[-1] = Unary(out[-1])
-        else:
-            left = out.pop()
-            out[-1] = Binary(left, out[-1])
-    s = out[0]
-    s._word = bytes(word)
-    return s
 
 
 def _ends(word: bytes) -> list[int]:
@@ -572,7 +494,7 @@ def _ends(word: bytes) -> list[int]:
 def render_skeleton(s: Skeleton) -> str:
     out = []
     closers: list[str] = []  # what follows each open subtree
-    for k in word_of(s):
+    for k in s.word:
         if k == 2:
             out.append("B(")
             closers += (")", ",")
@@ -630,16 +552,16 @@ def parse_skeleton(text: str) -> Skeleton:
             raise ParseError(f"unexpected character {c!r}", pos)
     if pos != n:
         raise ParseError(f"trailing input {s[pos:]!r}", pos)
-    return skeleton_of_word(word)
+    return Skeleton(bytes(word))
 
 
 def skeleton_of(t: LambdaTerm) -> Skeleton:
-    return skeleton_of_word(_listing_of(t)[0])
+    return Skeleton(_listing_of(t)[0])
 
 
 def is_normal(s: Skeleton) -> bool:
     """No binary node has a unary left child."""
-    return b"\x02\x01" not in word_of(s)
+    return b"\x02\x01" not in s.word
 
 
 def _match(word: bytes, right_first: bool = False) -> list[int]:
@@ -697,7 +619,7 @@ def planar_match(s: Skeleton, right_first: bool = False) -> dict[int, int]:
     Returns {unary id: leaf id} over pre-order node ids.  Raises
     InvalidInput as :func:`_match` does.
     """
-    binder = _match(word_of(s), right_first)
+    binder = _match(s.word, right_first)
     return {unary: leaf for leaf, unary in enumerate(binder) if unary >= 0}
 
 
@@ -723,7 +645,7 @@ def listing_of_word(word: bytes) -> tuple[bytes, list[str]]:
 def term_of_skeleton(s: Skeleton) -> LambdaTerm:
     """The planar linear term of a skeleton, variables named x1, x2, ...;
     see listing_of_word."""
-    return _term_of_listing(*listing_of_word(word_of(s)))
+    return _term_of_listing(*listing_of_word(s.word))
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +674,7 @@ def diagram_of(s: Skeleton) -> Diagram:
     """The diagram, from one scan of the word: a node's parent is the node
     before it unless that one is a leaf, and then the innermost binary
     node still waiting for its right child."""
-    word = word_of(s)
+    word = s.word
     binder = _match(word, right_first=True)
     vertices = [0]
     edges = []

@@ -1,14 +1,150 @@
 """Helpers that several test modules share and the library does not need:
-every plane unary-binary tree, a pre-order node listing, a unary chain over
-a subtree, the one at the top of a skeleton, a copy of a term built by
-the constructors, the bridge-search edge-connectivity oracle that
-the library's labelling pass replaced, and the parallel tree walk that
-``alpha_equal`` ran before it compared listings, each kept as a reference.
-Not a test module; the tests import it."""
+the tree model of skeletons that the library held before a skeleton became
+its word (node objects, their word and their build from a word, and the
+generator that built them), every plane unary-binary tree, a pre-order
+node listing, a unary chain over a subtree, the one at the top of a
+skeleton, a copy of a term built by the constructors, the bridge-search
+edge-connectivity oracle that the library's labelling pass replaced, and
+the parallel tree walk that ``alpha_equal`` ran before it compared
+listings, each kept as a reference.  Not a test module; the tests import
+it."""
+
+from functools import lru_cache
 
 from lambdamaps.connectivity import ConnectivityClass
-from lambdamaps.lambda_core import LEAF, Abs, App, Binary, Diagram, Skeleton, Unary, Var
+from lambdamaps.lambda_core import Abs, App, Diagram, Skeleton, Var, render_skeleton
 
+
+# ---------------------------------------------------------------------------
+# The tree model: a skeleton as plane unary-binary node objects.  Trees
+# compare and hash as their pre-order arity words, which tree_word computes
+# once per node and keeps on it; the reference kernels walk the nodes and
+# hand Skeleton(tree_word(t)) to the library's kernels.
+
+class Tree:
+    """Plane unary-binary tree of node objects; size is the number of
+    leaves."""
+
+    __slots__ = ("nleaf", "_word")
+
+    @property
+    def nunary(self) -> int:
+        return tree_word(self).count(1)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.nleaf == other.nleaf and tree_word(self) == tree_word(other)
+
+    def __hash__(self):
+        return hash(tree_word(self))
+
+    def __repr__(self):
+        return render_skeleton(Skeleton(tree_word(self)))
+
+
+class Leaf(Tree):
+    __slots__ = ()
+
+    def __init__(self):
+        self.nleaf = 1
+        self._word = b"\x00"
+
+
+class Unary(Tree):
+    __slots__ = ("child",)
+
+    def __init__(self, child: Tree):
+        self.child = child
+        self.nleaf = child.nleaf
+
+
+class Binary(Tree):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Tree, right: Tree):
+        self.left = left
+        self.right = right
+        self.nleaf = left.nleaf + right.nleaf
+
+
+LEAF = Leaf()
+
+
+def tree_word(t: Tree) -> bytes:
+    """The pre-order arity word of t, computed by one walk and kept on t."""
+    try:
+        return t._word
+    except AttributeError:
+        pass
+    word = bytearray()
+    todo: list[Tree] = []
+    x = t
+    while True:
+        kind = type(x)
+        if kind is Binary:
+            word.append(2)
+            todo.append(x.right)
+            x = x.left
+        elif kind is Unary:
+            word.append(1)
+            x = x.child
+        else:
+            word.append(0)
+            if not todo:
+                break
+            x = todo.pop()
+    w = t._word = bytes(word)
+    return w
+
+
+def tree_of_word(word: bytes) -> Tree:
+    """The tree of a pre-order arity word, built bottom up in reverse
+    pre-order; the word is kept on the result."""
+    out: list[Tree] = []
+    for k in reversed(word):
+        if k == 0:
+            out.append(LEAF)
+        elif k == 1:
+            out[-1] = Unary(out[-1])
+        else:
+            left = out.pop()
+            out[-1] = Binary(left, out[-1])
+    t = out[0]
+    t._word = bytes(word)
+    return t
+
+
+@lru_cache(maxsize=None)
+def tree_gen_lin(nleaf: int, nunary: int) -> tuple[Tree, ...]:
+    """The trees of enumeration._gen_lin, built as node objects in the
+    same order: normal, with the chain condition at every node below the
+    top chain and nonnegative deficit."""
+    if nleaf < 1 or nunary < 0 or nleaf - nunary < 0:
+        return ()
+    out: list[Tree] = []
+    if nleaf == 1 and nunary == 0:
+        out.append(LEAF)
+    if nunary >= 1:
+        out.extend(Unary(t) for t in tree_gen_lin(nleaf, nunary - 1))
+    for a in range(1, nleaf):
+        b = nleaf - a
+        for c in range(0, min(a, nunary) + 1):
+            d = nunary - c
+            if b - d < 0:
+                continue
+            lefts = [t for t in tree_gen_lin(a, c) if not isinstance(t, Unary)]
+            if not lefts:
+                continue
+            rights = tree_gen_lin(b, d)
+            out.extend(Binary(l, r) for l in lefts for r in rights)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Trees, terms and diagrams
 
 def iter_unary_binary(nleaf: int, nunary: int):
     """Stream all plane unary-binary trees with the given counts."""
@@ -26,9 +162,9 @@ def iter_unary_binary(nleaf: int, nunary: int):
                     yield Binary(l, r)
 
 
-def preorder(s: Skeleton) -> list[tuple[int, Skeleton, int]]:
+def preorder(s: Tree) -> list[tuple[int, Tree, int]]:
     """(id, node, parent_id) with ids assigned in pre-order from 0."""
-    out: list[tuple[int, Skeleton, int]] = []
+    out: list[tuple[int, Tree, int]] = []
     stack = [(s, -1)]
     while stack:
         node, parent = stack.pop()
@@ -42,14 +178,14 @@ def preorder(s: Skeleton) -> list[tuple[int, Skeleton, int]]:
     return out
 
 
-def wrap_unary(s: Skeleton, k: int) -> Skeleton:
+def wrap_unary(s: Tree, k: int) -> Tree:
     """s under a chain of k unary nodes."""
     for _ in range(k):
         s = Unary(s)
     return s
 
 
-def leading_chain(s: Skeleton) -> tuple[int, Skeleton]:
+def leading_chain(s: Tree) -> tuple[int, Tree]:
     """Length of the unary chain at the top of s, and the subtree below."""
     k = 0
     while isinstance(s, Unary):

@@ -17,8 +17,8 @@ from lambdamaps.labeled_trees import (
     validate_degree_tree,
     validate_vtree,
 )
-from lambdamaps.lambda_core import LEAF, Binary, InvalidInput, parse_skeleton
-from reference_kernels import leading_chain, wrap_unary
+from lambdamaps.lambda_core import InvalidInput, parse_skeleton
+from reference_kernels import LEAF, Binary, leading_chain, tree_of_word, tree_word, wrap_unary
 
 
 def sk(text):
@@ -125,10 +125,10 @@ def edge_phi_inv(d):
 def test_phi_equals_edge_labelled_reference():
     for n in range(2, 8):
         for r in gen_reduced_skeletons(n):
-            assert phi(r) == edge_phi(r)
+            assert phi(r) == edge_phi(tree_of_word(r.word))
     for e in range(0, 7):
         for d in gen_trees(e, "degree"):
-            assert phi_inv(d) == edge_phi_inv(d)
+            assert phi_inv(d).word == tree_word(edge_phi_inv(d))
 
 
 def test_degree_tree_is_shifted_vtree_child():
@@ -188,7 +188,7 @@ def test_psi_2connected_restriction():
 def test_psi_root_label_is_leading_chain():
     for n in range(1, 7):
         for s in gen_skeletons(n, 1):
-            assert psi(s).label == leading_chain(s)[0]
+            assert psi(s).label == leading_chain(tree_of_word(s.word))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_convert_builds_no_term_or_skeleton_object(monkeypatch):
     def refuse(*args):
         raise AssertionError("a term or skeleton object was built")
 
-    builders = (lambda_core._term_of_listing, lambda_core.skeleton_of_word)
+    builders = (lambda_core._term_of_listing, lambda_core.Skeleton)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "lambdamaps":
             for attr, value in list(vars(module).items()):
@@ -167,6 +167,14 @@ def test_convert_roundtrip_via_map():
             term = term_of_skeleton(sk)
             out = convert("map", "term", convert("term", "map", render_term(term)))
             assert alpha_equal(parse_term(out), term)
+
+
+def test_convert_roundtrip_of_a_star_degree_tree():
+    # 10**5 leaves: phi_inv, unreduce, reduce_skeleton and phi cut and
+    # prefix the word, so no direction builds a node per leaf
+    k = 10**5
+    text = f"{k}[{','.join(['0'] * k)}]"
+    assert convert("term", "dtree", convert("dtree", "term", text)) == text
 
 
 def test_convert_rejects_nonlinear_terms():

@@ -17,10 +17,10 @@ from lambdamaps.connectivity import (
 )
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import LabeledTree
-from lambdamaps.lambda_core import (Diagram, InvalidInput, diagram_of, parse_skeleton,
+from lambdamaps.lambda_core import (Diagram, InvalidInput, Skeleton, diagram_of, parse_skeleton,
                                     render_skeleton)
-from reference_kernels import (bridge_connectivity_class, iter_unary_binary, leading_chain,
-                               preorder)
+from reference_kernels import (Leaf, bridge_connectivity_class, iter_unary_binary, leading_chain,
+                               preorder, tree_of_word, tree_word)
 
 
 def sk(text):
@@ -89,8 +89,8 @@ def test_reduce_unreduce_identity():
 
 
 def test_leading_chain():
-    assert leading_chain(sk("U(U(B(L,L)))"))[0] == 2
-    assert leading_chain(sk("B(L,L)"))[0] == 0
+    assert leading_chain(tree_of_word(sk("U(U(B(L,L)))").word))[0] == 2
+    assert leading_chain(tree_of_word(sk("B(L,L)").word))[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +130,13 @@ def test_oracle_equivalence_level3():
 def test_mirror_matters_only_at_level3():
     # with binder edges drawn from the counterclockwise contour instead,
     # the first 3-connected skeleton acquires a non-root disconnecting pair
-    from lambdamaps.lambda_core import Leaf, planar_match
+    from lambdamaps.lambda_core import planar_match
 
     s = sk("U(U(U(B(L,B(L,L)))))")
     match = planar_match(s)
     binder = {leaf: u for u, leaf in match.items()}
     vertices, edges = [], []
-    for nid, node, parent in preorder(s):
+    for nid, node, parent in preorder(tree_of_word(s.word)):
         if isinstance(node, Leaf):
             edges.append((parent, binder[nid]))
         else:
@@ -254,9 +254,9 @@ def _pair_edge_connectivity_class(d):
 def _matchable_diagrams(nleaf):
     """Diagrams of every unary-binary tree with nleaf leaves and as many
     unary nodes that matches, inside the connected family or not."""
-    for s in iter_unary_binary(nleaf, nleaf):
+    for t in iter_unary_binary(nleaf, nleaf):
         try:
-            yield diagram_of(s)
+            yield diagram_of(Skeleton(tree_word(t)))
         except InvalidInput:
             pass
 

@@ -9,9 +9,11 @@ nothing is re-exported; ``__main__.py`` is a caller.  The functions that
 ``term_defect`` is the public check of a term object; ``convert`` runs the
 same check on listings.
 
-A skeleton is a tree of node objects only in ``lambda_core``, which
-converts it to and from its word, and in ``enumeration``, whose generator
-builds the trees; no other module names a node class.
+A skeleton is its pre-order arity word, held by ``lambda_core.Skeleton``,
+and the generator builds words, so no module defines or names a node class
+(``Leaf``, ``Unary``, ``Binary``, ``LEAF``) or a converter between node
+trees and words (``word_of``, ``skeleton_of_word``).  The tree model lives
+in ``tests/reference_kernels.py``, as the reference of the word kernels.
 """
 
 import ast
@@ -71,8 +73,9 @@ def test_every_method_has_a_caller():
     assert uncalled_methods == set()
 
 
-def test_only_the_core_and_the_generator_name_a_node_class():
-    nodes = {"Leaf", "Unary", "Binary", "LEAF"}
+def test_no_module_names_a_node_class_or_a_tree_converter():
+    # exact names, so that word_of_vtree, say, is not one of them
+    banned = {"Leaf", "Unary", "Binary", "LEAF", "word_of", "skeleton_of_word"}
     naming = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text())):
@@ -80,13 +83,15 @@ def test_only_the_core_and_the_generator_name_a_node_class():
                 names = {sub.id}
             elif isinstance(sub, ast.Attribute):
                 names = {sub.attr}
-            elif isinstance(sub, ast.ImportFrom):
-                names = {alias.name for alias in sub.names}
+            elif isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                names = {sub.name}
+            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                names = {part for alias in sub.names
+                         for part in (alias.name, alias.asname) if part}
             else:
                 continue
-            if names & nodes:
-                naming.add(path.stem)
-    assert naming == {"lambda_core", "enumeration"}
+            naming |= {(path.stem, name) for name in names & banned}
+    assert naming == set()
 
 
 def test_the_package_namespace_binds_nothing():

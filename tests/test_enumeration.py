@@ -27,7 +27,7 @@ from lambdamaps.enumeration import (
     render_count_table,
 )
 from lambdamaps.labeled_trees import render_labeled_tree, validate_degree_tree, validate_vtree
-from lambdamaps.lambda_core import InvalidInput, SizeTooLarge, render_skeleton
+from lambdamaps.lambda_core import InvalidInput, SizeTooLarge, Skeleton, render_skeleton
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
     RootedMap,
@@ -37,7 +37,7 @@ from lambdamaps.planar_maps import (
     rho_inv,
     validate_map,
 )
-from reference_kernels import iter_unary_binary
+from reference_kernels import iter_unary_binary, tree_word
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_gen_skeletons_examples():
 
 def test_gen_skeletons_against_ambient_filter():
     for n in range(1, 5):
-        ambient = list(iter_unary_binary(n, n))
+        ambient = [Skeleton(tree_word(t)) for t in iter_unary_binary(n, n)]
         for level, pred in [
             (1, lambda s: check_family(s, 1)),
             (2, lambda s: check_family(s, 2)),

@@ -8,13 +8,10 @@ from hypothesis import given, strategies as st
 from lambdamaps.lambda_core import (
     Abs,
     App,
-    Binary,
     Diagram,
     InvalidInput,
-    LEAF,
-    Leaf,
     ParseError,
-    Unary,
+    Skeleton,
     Var,
     _listing_of,
     _listing_scan,
@@ -31,10 +28,10 @@ from lambdamaps.lambda_core import (
     skeleton_of,
     term_defect,
     term_of_skeleton,
-    word_of,
 )
 from lambdamaps.enumeration import gen_skeletons
-from reference_kernels import iter_unary_binary, preorder, rebuilt, tree_alpha_equal
+from reference_kernels import (LEAF, Binary, Leaf, Unary, iter_unary_binary, preorder, rebuilt,
+                               tree_alpha_equal, tree_of_word, tree_word)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,7 @@ def test_roundtrip_family_terms():
         terms = []
         for sk in skeletons:
             term = term_of_skeleton(sk)
-            copy = _ref_term_of_skeleton(sk)
+            copy = _ref_term_of_skeleton(tree_of_word(sk.word))
             assert term == copy and hash(term) == hash(copy)
             rebuilt = skeleton_of(term)
             assert rebuilt == sk and hash(rebuilt) == hash(sk)
@@ -309,7 +306,7 @@ def test_defect_functions_equal_the_binding_scan():
     checked = 0
     for n in range(1, 5):
         for s in iter_unary_binary(n, n):
-            word = word_of(s)
+            word = tree_word(s)
             for names in product("xy", repeat=2 * n):
                 t = _term_of_listing(word, list(names))
                 assert _listing_scan(word, list(names)) == _binding_scan(t)
@@ -357,14 +354,14 @@ def _recount(s):
 def test_node_span_closed_form():
     for n in range(1, 8):
         for s in gen_skeletons(n, 1):
-            assert _node_span(s) == _recount(s)
+            assert _node_span(s) == _recount(tree_of_word(s.word))
     for text in ["L", "B(U(L),L)", "U(B(U(L),U(L)))", "B(B(L,U(U(L))),U(B(L,L)))"]:
-        for _nid, node, _parent in preorder(parse_skeleton(text)):
+        for _nid, node, _parent in preorder(tree_of_word(parse_skeleton(text).word)):
             assert _node_span(node) == _recount(node)
 
 
 def test_preorder_ids():
-    s = parse_skeleton("U(U(B(L,L)))")
+    s = tree_of_word(parse_skeleton("U(U(B(L,L)))").word)
     kinds = [type(node).__name__ for _i, node, _p in preorder(s)]
     assert kinds == ["Unary", "Unary", "Binary", "Leaf", "Leaf"]
 
@@ -391,7 +388,7 @@ _PARENTHESES = bytes.maketrans(b"\x00\x01", b")(")
 
 def parenthesis_word(s):
     """Pre-order word: '(' per unary node, ')' per leaf."""
-    return word_of(s).translate(_PARENTHESES, b"\x02").decode()
+    return s.word.translate(_PARENTHESES, b"\x02").decode()
 
 
 def test_parenthesis_word():
@@ -410,7 +407,8 @@ def _word_balanced(word: str) -> bool:
 
 def test_match_success_implies_balanced_word():
     for n in range(1, 5):
-        for s in iter_unary_binary(n, n):
+        for t in iter_unary_binary(n, n):
+            s = Skeleton(tree_word(t))
             try:
                 planar_match(s)
             except InvalidInput:
@@ -447,7 +445,8 @@ def has_beta_redex(t):
 
 def test_is_normal_agrees_with_redex_search():
     for n in range(1, 6):
-        for s in iter_unary_binary(n, n):
+        for t in iter_unary_binary(n, n):
+            s = Skeleton(tree_word(t))
             try:
                 term = term_of_skeleton(s)
             except InvalidInput:
@@ -477,9 +476,9 @@ def test_diagram_size_and_connectivity():
     from lambdamaps.connectivity import ConnectivityClass, edge_connectivity_class
 
     for n in range(1, 6):
-        for s in iter_unary_binary(n, n):
+        for t in iter_unary_binary(n, n):
             try:
-                d = diagram_of(s)
+                d = diagram_of(Skeleton(tree_word(t)))
             except InvalidInput:
                 continue
             assert len(d.vertices) == 2 * n - 1
@@ -759,19 +758,20 @@ def test_diagram_of_equals_the_reference_to_size_seven():
     # test_roundtrip_family_terms
     for n in range(1, 8):
         for s in gen_skeletons(n, 1):
-            assert diagram_of(s) == _ref_diagram_of(s)
+            assert diagram_of(s) == _ref_diagram_of(tree_of_word(s.word))
 
 
 def test_matcher_equals_the_reference_on_every_unary_binary_tree():
     # inside the connected family and outside it, where the matcher fails
     for n in range(1, 5):
-        for s in iter_unary_binary(n, n):
-            assert preorder(s) == _ref_preorder(s)
+        for t in iter_unary_binary(n, n):
+            s = Skeleton(tree_word(t))
+            assert preorder(t) == _ref_preorder(t)
             for right_first in (False, True):
                 assert _outcome(planar_match, s, right_first) == \
-                    _outcome(_ref_planar_match, s, right_first)
-            assert _outcome(term_of_skeleton, s) == _outcome(_ref_term_of_skeleton, s)
-            assert _outcome(diagram_of, s) == _outcome(_ref_diagram_of, s)
+                    _outcome(_ref_planar_match, t, right_first)
+            assert _outcome(term_of_skeleton, s) == _outcome(_ref_term_of_skeleton, t)
+            assert _outcome(diagram_of, s) == _outcome(_ref_diagram_of, t)
 
 
 @given(st.text(alphabet="\\.()xy ", max_size=24))
@@ -812,7 +812,7 @@ def test_alpha_equal_equals_the_reference_on_random_pairs(a, b, names):
 def _words(nmax, umax):
     """The word of every unary-binary tree with at most nmax leaves and at
     most umax unary nodes, nor more than it has leaves."""
-    return [word_of(s) for n in range(1, nmax + 1) for u in range(min(n, umax) + 1)
+    return [tree_word(s) for n in range(1, nmax + 1) for u in range(min(n, umax) + 1)
             for s in iter_unary_binary(n, u)]
 
 
@@ -967,10 +967,11 @@ def _deep_term(leaf):
 
 
 def _deep_skeleton(bottom):
-    s = parse_skeleton(bottom)
+    """The skeleton of a tree built by the node constructors."""
+    t = tree_of_word(parse_skeleton(bottom).word)
     for _ in range(DEEP // 2):
-        s = Unary(Binary(LEAF, s))
-    return s
+        t = Unary(Binary(LEAF, t))
+    return Skeleton(tree_word(t))
 
 
 def test_values_of_different_types_are_unequal():

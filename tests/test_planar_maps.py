@@ -12,7 +12,7 @@ from lambdamaps.connectivity import check_family, edge_connectivity_class, is_th
 from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_skeletons, gen_trees
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree, render_labeled_tree, validate_vtree
 from lambdamaps.lambda_core import (InvalidInput, alpha_equal, diagram_of, parse_term, render_term,
-                                    skeleton_of, term_of_skeleton, word_of)
+                                    skeleton_of, term_of_skeleton)
 from lambdamaps import planar_maps
 from lambdamaps.planar_maps import (
     EMPTY_MAP,
@@ -38,7 +38,7 @@ from lambdamaps.planar_maps import (
     rho_inv,
     validate_map,
 )
-from reference_kernels import preorder
+from reference_kernels import preorder, tree_of_word
 
 LOOP = RootedMap(1, (1, 0), 0)
 EDGE = RootedMap(1, (0, 1), 0)
@@ -554,7 +554,7 @@ def test_vtree_kernels_reject_exactly_what_validate_vtree_rejects():
                 accepted.add(text)
                 m, word, s = got[:3]
                 assert rho(m) == rho_direct(m) == t
-                assert vtree_of_word(word) == psi(s) == t and word_of(s) == word
+                assert vtree_of_word(word) == psi(s) == t and s.word == word
                 assert convert("map", "vtree", got[3]) == text
                 assert convert("term", "vtree", got[4]) == text
     # all v-trees to 4 edges but those with a label 5, a root over 4 leaves
@@ -617,7 +617,7 @@ def test_skeleton_kernels_leave_no_reference_cycles():
     trees = [psi(s) for s in skeletons]
     kernels = {
         "term_of_skeleton": (term_of_skeleton, skeletons),
-        "preorder": (preorder, skeletons),
+        "preorder": (preorder, [tree_of_word(s.word) for s in skeletons]),
         "diagram_of": (diagram_of, skeletons),
         "check_family": (lambda s: check_family(s, 2), skeletons),
         "is_three_connected_skeleton": (is_three_connected_skeleton, skeletons),

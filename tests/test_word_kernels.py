@@ -1,8 +1,10 @@
 """The skeleton kernels read the pre-order arity word.  The object-walking
-kernels they replaced are kept here as their references, and each word
-kernel must equal its reference on every skeleton up to size 7: the
-matcher, the structural tests, psi and phi, reduce_skeleton, unreduce and
-skeleton_stats.  The
+kernels they replaced are kept here as their references, on the tree model
+of ``reference_kernels``, and each word kernel must equal its reference on
+every skeleton up to size 7: the matcher, the structural tests, psi and
+phi, reduce_skeleton, unreduce and skeleton_stats.  The generator, which
+builds words, must give the words of the tree generator it replaced
+(``reference_kernels.tree_gen_lin``) in the same order at every level.  The
 edge-connectivity oracle must likewise equal the bridge search it replaced
 (``reference_kernels.bridge_connectivity_class``) on each skeleton's
 diagram, and ``alpha_equal``, which compares listings, the tree walk
@@ -10,7 +12,8 @@ diagram, and ``alpha_equal``, which compares listings, the tree walk
 renamings of it.
 
 Run as a script (``python tests/test_word_kernels.py 8``) to make the same
-comparisons over every skeleton up to another size.
+comparisons, the generators' included, over every skeleton up to another
+size.
 """
 
 import sys
@@ -22,15 +25,12 @@ from lambdamaps.connectivity import (check_family, check_reduced, edge_connectiv
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree
 from lambdamaps.lambda_core import (
-    LEAF,
     Abs,
     App,
-    Binary,
     Diagram,
     InvalidInput,
-    Leaf,
     ParseError,
-    Unary,
+    Skeleton,
     Var,
     _listing_of,
     _term_of_listing,
@@ -43,12 +43,11 @@ from lambdamaps.lambda_core import (
     render_listing,
     render_skeleton,
     render_term,
-    skeleton_of_word,
     term_of_skeleton,
-    word_of,
 )
-from reference_kernels import (bridge_connectivity_class, iter_unary_binary, leading_chain,
-                               rebuilt, tree_alpha_equal, wrap_unary)
+from reference_kernels import (LEAF, Binary, Leaf, Tree, Unary, bridge_connectivity_class,
+                               iter_unary_binary, leading_chain, rebuilt, tree_alpha_equal,
+                               tree_gen_lin, tree_of_word, tree_word, wrap_unary)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +337,13 @@ class _RefSkeletonParser:
 # The comparisons
 
 def _outcome(fn, *args):
-    """The result, or the exception's type and message."""
+    """The result, a tree given as its skeleton, or the exception's type
+    and message."""
     try:
-        return fn(*args)
+        got = fn(*args)
     except (ParseError, InvalidInput) as exc:
         return type(exc).__name__, str(exc)
+    return Skeleton(tree_word(got)) if isinstance(got, Tree) else got
 
 
 def _compare_alpha_equal(term):
@@ -363,40 +364,65 @@ def _compare_alpha_equal(term):
     assert alpha_equal(term, _term_of_listing(word, ["y" + x for x in names]))
 
 
+def compare_generators(nmax):
+    """The generator's words against the tree generator's, in order, at
+    every size up to nmax and every level, the trees filtered by the
+    reference structural tests; returns the number of skeletons."""
+    count = 0
+    for n in range(1, nmax + 1):
+        trees = tree_gen_lin(n, n)
+        for level, keep in ((1, None), (2, lambda t: _ref_check_family(t, 2)),
+                            (3, _ref_is_three_connected)):
+            words = [s.word for s in gen_skeletons(n, level)]
+            assert words == [tree_word(t) for t in filter(keep, trees)], (n, level)
+            count += len(words)
+    return count
+
+
 def _family(nmax):
-    return [s for n in range(1, nmax + 1) for s in gen_skeletons(n, 1)]
+    """Every connected-family skeleton up to size nmax, with the tree the
+    tree generator gives in its place."""
+    return [pair for n in range(1, nmax + 1)
+            for pair in zip(gen_skeletons(n, 1), tree_gen_lin(n, n), strict=True)]
 
 
 def compare_on_family(nmax):
-    """Every word kernel against its reference, the edge-connectivity
-    oracle against the bridge search, and alpha_equal against the tree
-    walk, on every connected-family skeleton up to size nmax, and the
-    kernels that take a reduced skeleton on every reduced skeleton up to
-    that size; returns the number of connected-family skeletons."""
-    sks = _family(nmax)
-    for s in sks:
+    """The generator against the tree generator, every word kernel against
+    its reference, the edge-connectivity oracle against the bridge search,
+    and alpha_equal against the tree walk, on every connected-family
+    skeleton up to size nmax, and the kernels that take a reduced skeleton
+    on every reduced skeleton up to that size; returns the number of
+    connected-family skeletons."""
+    compare_generators(nmax)
+    pairs = _family(nmax)
+    for s, t in pairs:
         term = term_of_skeleton(s)
-        assert term == _ref_term_of_skeleton(s)
+        assert term == _ref_term_of_skeleton(t)
         _compare_alpha_equal(term)
         d = diagram_of(s)
-        assert d == _ref_diagram_of(s)
+        assert d == _ref_diagram_of(t)
         assert edge_connectivity_class(d) == bridge_connectivity_class(d), s
         for level in (1, 2):
-            assert check_family(s, level) == _ref_check_family(s, level)
-        assert is_three_connected_skeleton(s) == _ref_is_three_connected(s)
-        assert _outcome(reduce_skeleton, s) == _outcome(_ref_reduce_skeleton, s)
-        assert _outcome(unreduce, s) == _outcome(_ref_unreduce, s)
+            assert check_family(s, level) == _ref_check_family(t, level)
+        assert is_three_connected_skeleton(s) == _ref_is_three_connected(t)
+        assert _outcome(reduce_skeleton, s) == _outcome(_ref_reduce_skeleton, t)
+        assert _outcome(unreduce, s) == _outcome(_ref_unreduce, t)
         v = psi(s)
-        assert v == _ref_psi(s)
-        assert psi_inv(v) == _ref_psi_inv(v) == s
+        assert v == _ref_psi(t)
+        assert psi_inv(v).word == tree_word(_ref_psi_inv(v)) == s.word
     for r in (r for n in range(2, nmax + 1) for r in gen_reduced_skeletons(n)):
-        assert check_reduced(r) == _ref_check_reduced(r)
+        rt = tree_of_word(r.word)
+        assert check_reduced(r) == _ref_check_reduced(rt)
         d = phi(r)
-        assert d == _ref_phi(r)
-        assert phi_inv(d) == _ref_phi_inv(d) == r
-        assert unreduce(r) == _ref_unreduce(r)
-        assert skeleton_stats(r) == _ref_skeleton_stats(r)
-    return len(sks)
+        assert d == _ref_phi(rt)
+        assert phi_inv(d).word == tree_word(_ref_phi_inv(d)) == r.word
+        assert unreduce(r).word == tree_word(_ref_unreduce(rt))
+        assert skeleton_stats(r) == _ref_skeleton_stats(rt)
+    return len(pairs)
+
+
+def test_the_generator_equals_the_tree_generator_to_size_seven():
+    assert compare_generators(7) == 27417 + 3015 + 361
 
 
 def test_word_kernels_equal_the_object_kernels_to_size_seven():
@@ -409,47 +435,49 @@ def test_matcher_and_structural_tests_equal_the_references_outside_the_family():
     failures = set()
     for n in range(1, 5):
         for u in range(n + 2):
-            for s in iter_unary_binary(n, u):
+            for t in iter_unary_binary(n, u):
+                s = Skeleton(tree_word(t))
                 for right_first in (False, True):
                     got = _outcome(planar_match, s, right_first)
-                    assert got == _outcome(_ref_planar_match, s, right_first)
+                    assert got == _outcome(_ref_planar_match, t, right_first)
                     if isinstance(got, tuple):
                         failures.add(got[1].split(" ")[0].strip("0123456789") or "unmatched")
-                assert _outcome(term_of_skeleton, s) == _outcome(_ref_term_of_skeleton, s)
-                assert _outcome(diagram_of, s) == _outcome(_ref_diagram_of, s)
+                assert _outcome(term_of_skeleton, s) == _outcome(_ref_term_of_skeleton, t)
+                assert _outcome(diagram_of, s) == _outcome(_ref_diagram_of, t)
                 for level in (1, 2):
-                    assert check_family(s, level) == _ref_check_family(s, level)
-                assert check_reduced(s) == _ref_check_reduced(s)
-                assert is_three_connected_skeleton(s) == _ref_is_three_connected(s)
-                assert _outcome(reduce_skeleton, s) == _outcome(_ref_reduce_skeleton, s)
-                assert _outcome(unreduce, s) == _outcome(_ref_unreduce, s)
-                assert _outcome(skeleton_stats, s) == _outcome(_ref_skeleton_stats, s)
+                    assert check_family(s, level) == _ref_check_family(t, level)
+                assert check_reduced(s) == _ref_check_reduced(t)
+                assert is_three_connected_skeleton(s) == _ref_is_three_connected(t)
+                assert _outcome(reduce_skeleton, s) == _outcome(_ref_reduce_skeleton, t)
+                assert _outcome(unreduce, s) == _outcome(_ref_unreduce, t)
+                assert _outcome(skeleton_stats, s) == _outcome(_ref_skeleton_stats, t)
     assert failures == {"leaf", "nesting", "unmatched"}
 
 
 def test_word_conversions_invert_each_other():
-    for s in _family(6):
-        word = word_of(s)
-        assert len(word) == _node_span(s)
-        back = skeleton_of_word(word)
-        assert _ref_render_skeleton(back) == _ref_render_skeleton(s)
-        assert word_of(back) is word
+    for s, t in _family(6):
+        word = tree_word(t)
+        assert word == s.word
+        assert len(word) == _node_span(t) == _node_span(s)
+        back = tree_of_word(word)
+        assert _ref_render_skeleton(back) == _ref_render_skeleton(t)
+        assert tree_word(back) is word
 
 
 def test_printers_and_skeleton_parser_equal_the_recursive_ones():
-    for s in _family(6):
+    for s, t in _family(6):
         text = render_skeleton(s)
-        assert text == _ref_render_skeleton(s)
-        assert word_of(parse_skeleton(text)) == word_of(_RefSkeletonParser(text).parse())
+        assert text == _ref_render_skeleton(t)
+        assert parse_skeleton(text).word == tree_word(_RefSkeletonParser(text).parse())
         assert render_term(term_of_skeleton(s)) == _ref_render_term(term_of_skeleton(s))
-        listing = listing_of_word(word_of(s))
+        listing = listing_of_word(s.word)
         assert parse_listing(render_listing(*listing)) == listing
         assert _listing_of(term_of_skeleton(s)) == listing
 
 
 def test_skeleton_parser_fails_as_the_recursive_one():
     checked = 0
-    for s in _family(4):
+    for s, _t in _family(4):
         text = render_skeleton(s)
         mutants = {text[:i] + text[i + 1:] for i in range(len(text))}
         mutants |= {text[:i] + c + text[i:] for i in range(len(text) + 1) for c in "LUB(),x"}
@@ -459,7 +487,7 @@ def test_skeleton_parser_fails_as_the_recursive_one():
             if isinstance(want, tuple):
                 assert got == want, m
             else:
-                assert word_of(got) == word_of(want), m
+                assert got.word == want.word, m
             checked += 1
     assert checked > 2000
 
@@ -475,10 +503,10 @@ def test_unspine_fails_as_the_recursive_one():
             if isinstance(want, tuple):
                 assert got == want
             else:
-                assert skeleton_of_word(bytes(got)) == want
+                assert Skeleton(bytes(got)) == want
 
 
 if __name__ == "__main__":
     print(compare_on_family(int(sys.argv[1])),
-          "skeletons: every word kernel, the connectivity oracle and alpha_equal "
-          "equal their references")
+          "skeletons: the generator, every word kernel, the connectivity oracle and "
+          "alpha_equal equal their references")
