@@ -12,8 +12,10 @@ entry from a shared queue until none is left.  The checks that read one
 derived cache form one entry, so that one process fills it; every other
 check is an entry of its own; the entries go heaviest first by summed
 seconds.  Before it forks, the caller fills the generator caches that
-checks of two or more entries read, and copy-on-write shares them.  The
-lines come out in CHECKS order whatever the order the checks finish in.
+checks of two or more entries read (the skeleton cache holds the words of
+each size, not the smaller pairs built on the way), and copy-on-write
+shares them.  The lines come out in CHECKS order whatever the order the
+checks finish in.
 """
 
 from __future__ import annotations

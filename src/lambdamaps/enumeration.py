@@ -6,7 +6,9 @@ builds each skeleton's pre-order arity word, which ``gen_skeletons`` wraps
 in a ``Skeleton``; the result provably equals filtering the ambient
 unary-binary trees, which the tests confirm by full ambient scans at small
 sizes, and the tests keep the generator of node objects it replaced as its
-reference.  Maps are generated by
+reference.  Only the words of each size's connected family are cached; the
+words of the smaller leaf/unary pairs they are built from are dropped once
+that size is built.  Maps are generated by
 a search that builds each rooted rotation system directly in its canonical
 labelling, so none is built twice; the tests check it against a scan over
 all rotation permutations.  Euler's bound prunes that search to the planar
@@ -49,33 +51,41 @@ MAX_TREE_EDGES = 7
 # ---------------------------------------------------------------------------
 # Skeletons
 
-@lru_cache(maxsize=None)
-def _gen_lin(nleaf: int, nunary: int) -> tuple[bytes, ...]:
+def _gen_lin(nleaf: int, nunary: int, memo: dict) -> tuple[bytes, ...]:
     """The pre-order arity words of the unary-binary trees with the given
     leaf/unary counts that are normal, satisfy the chain condition at
     every node below the top chain, and have nonnegative deficit (so they
     can still be capped or closed).  A unary node's word is 1 and its
     child's; a binary node's is 2, its left child's, which is not unary,
-    and its right child's."""
+    and its right child's.  memo maps each pair built to its words."""
     if nleaf < 1 or nunary < 0 or nleaf - nunary < 0:
         return ()
+    if (nleaf, nunary) in memo:
+        return memo[nleaf, nunary]
     out: list[bytes] = []
     if nleaf == 1 and nunary == 0:
         out.append(b"\x00")
     if nunary >= 1:
-        out.extend(b"\x01" + t for t in _gen_lin(nleaf, nunary - 1))
+        out.extend(b"\x01" + t for t in _gen_lin(nleaf, nunary - 1, memo))
     for a in range(1, nleaf):
         b = nleaf - a
         for c in range(0, min(a, nunary) + 1):
             d = nunary - c
             if b - d < 0:
                 continue
-            lefts = [t for t in _gen_lin(a, c) if t[0] != 1]
+            lefts = [t for t in _gen_lin(a, c, memo) if t[0] != 1]
             if not lefts:
                 continue
-            rights = _gen_lin(b, d)
+            rights = _gen_lin(b, d, memo)
             out.extend(b"\x02" + l + r for l in lefts for r in rights)
-    return tuple(out)
+    memo[nleaf, nunary] = words = tuple(out)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _connected_words(n: int) -> tuple[bytes, ...]:
+    """The words of the connected-family skeletons of size n."""
+    return _gen_lin(n, n, {})
 
 
 def gen_skeletons(n: int, level: int) -> list[Skeleton]:
@@ -83,7 +93,7 @@ def gen_skeletons(n: int, level: int) -> list[Skeleton]:
     3-connected (3) family, in a deterministic order."""
     if not 1 <= n <= MAX_SKELETON_SIZE:
         raise SizeTooLarge(f"size must be in 1..{MAX_SKELETON_SIZE}")
-    base = map(Skeleton, _gen_lin(n, n))
+    base = map(Skeleton, _connected_words(n))
     if level == 1:
         return list(base)
     if level == 2:

@@ -121,7 +121,9 @@ def tree_of_word(word: bytes) -> Tree:
 def tree_gen_lin(nleaf: int, nunary: int) -> tuple[Tree, ...]:
     """The trees of enumeration._gen_lin, built as node objects in the
     same order: normal, with the chain condition at every node below the
-    top chain and nonnegative deficit."""
+    top chain and nonnegative deficit.  Unlike _gen_lin, whose memo lives
+    for one size and whose callers cache only the words of each size, this
+    caches every (nleaf, nunary) pair for the life of the process."""
     if nleaf < 1 or nunary < 0 or nleaf - nunary < 0:
         return ()
     out: list[Tree] = []

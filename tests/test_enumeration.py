@@ -6,11 +6,13 @@ another edge count.
 """
 
 import sys
+import tracemalloc
 from itertools import permutations
 from math import comb
 
 import pytest
 
+from lambdamaps import enumeration
 from lambdamaps.connectivity import check_family, is_three_connected_skeleton
 from lambdamaps.enumeration import (
     MAX_MAP_EDGES,
@@ -81,10 +83,42 @@ def test_gen_skeletons_size_guard():
         gen_skeletons(0, 1)
 
 
+def _clear_generator_caches() -> list:
+    caches = [f for f in vars(enumeration).values() if hasattr(f, "cache_clear")]
+    for cache in caches:
+        cache.cache_clear()
+    return caches
+
+
 def test_gen_skeletons_deterministic():
-    a = [render_skeleton(s) for s in gen_skeletons(4, 1)]
-    b = [render_skeleton(s) for s in gen_skeletons(4, 1)]
-    assert a == b
+    # the same words in the same order on a cold cache and after size 7
+    # was built: the memo of one size carries nothing into the next
+    def words():
+        return [[s.word for s in gen_skeletons(n, level)]
+                for n in range(1, 7) for level in (1, 2, 3)]
+    _clear_generator_caches()
+    cold = words()
+    _clear_generator_caches()
+    gen_skeletons(7, 1)
+    assert words() == cold
+    assert words() == cold
+
+
+def test_gen_skeletons_keeps_only_the_words_it_returns():
+    # the cached tuple of the size-7 words takes about 0.2 MB; the words of
+    # the smaller pairs it is built from, about 5 MB, must not stay
+    caches = _clear_generator_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        skeletons = gen_skeletons(7, 1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(cache.cache_info().currsize for cache in caches) == 1
+    returned = sys.getsizeof(skeletons) + sum(sys.getsizeof(s) + sys.getsizeof(s.word)
+                                              for s in skeletons)
+    assert kept - returned < 0.5e6
 
 
 # ---------------------------------------------------------------------------
