@@ -7,11 +7,6 @@ terms the binding structure is recovered from the skeleton alone: reading the
 pre-order word with unary nodes as opening parentheses and leaves as closing
 ones, the stack discipline pairs each abstraction with the atom it binds.
 
-Terms (``Var``, ``App``, ``Abs``) are plain classes with ``__slots__``.
-Terms compare and hash as their listings (below), which determine them.
-Every term from ``parse_term`` and ``term_of_skeleton`` keeps its listing,
-so reading it walks no tree.
-
 A skeleton is its pre-order arity word: a ``bytes`` value with one byte per
 node in pre-order, 0 for a leaf, 1 for a unary node and 2 for a binary
 node.  ``Skeleton`` holds the word and its leaf count, and compares and
@@ -21,14 +16,16 @@ each leaf its binder's position; ``planar_match``, ``listing_of_word`` and
 ``diagram_of`` read it.
 
 A term's listing is the same word for its syntax tree together with the
-names of its variables and binders in pre-order.  The parser reads text
-into a listing, one loop over a listing checks that it is closed, linear
-and planar, and the printer writes a listing as text, so ``parse_term``,
-``render_term``, ``term_of_skeleton`` and ``term_defect`` convert between
-listings and term objects at the edges.  ``alpha_equal`` compares two
-listings, atom by atom through that one loop when their names differ.
+names of its variables and binders in pre-order, and a term is its
+listing: ``Term`` holds the two, and compares and hashes as that pair.  The
+parser reads text into a listing, one loop over a listing checks that it
+is closed, linear and planar, and the printer writes a listing as text, so
+``parse_term``, ``render_term``, ``term_of_skeleton`` and ``term_defect``
+are each one call of a listing kernel, and ``skeleton_of`` is a term's
+word as a ``Skeleton``.  ``alpha_equal`` compares two listings, atom by
+atom through that one loop when their names differ.
 
-Every walk here, over a term, a skeleton or a text, is a loop over an
+Every walk here, over a listing, a skeleton or a text, is a loop over an
 explicit stack or a word, so depth is not bounded by the recursion limit.
 """
 
@@ -62,48 +59,25 @@ class SizeTooLarge(ValueError):
 # ---------------------------------------------------------------------------
 # Terms
 
-class _Term:
-    """Equality and hash of Var, App and Abs: two terms are equal exactly
-    when their listings are, that is when their types and fields are.  A
-    term built from a listing keeps it in ``_listing``, so no term may be
-    changed once built."""
+class Term:
+    """A lambda term, held as its listing (see Term listings below): the
+    pre-order arity word of its syntax tree and the names of its variables
+    and binders in pre-order.  Two terms are equal when their listings are,
+    and hash as them, so no term may be changed once built."""
 
-    __slots__ = ("_listing",)
+    __slots__ = ("word", "names")
+
+    def __init__(self, word: bytes, names: list[str]):
+        self.word = word
+        self.names = names
 
     def __eq__(self, other):
-        if not isinstance(other, _Term):
+        if not isinstance(other, Term):
             return NotImplemented
-        return _listing_of(self) == _listing_of(other)
+        return self.word == other.word and self.names == other.names
 
     def __hash__(self):
-        word, names = _listing_of(self)
-        return hash((word, tuple(names)))
-
-
-class Var(_Term):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class App(_Term):
-    __slots__ = ("fun", "arg")
-
-    def __init__(self, fun: LambdaTerm, arg: LambdaTerm):
-        self.fun = fun
-        self.arg = arg
-
-
-class Abs(_Term):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: LambdaTerm):
-        self.var = var
-        self.body = body
-
-
-LambdaTerm = Var | App | Abs
+        return hash((self.word, tuple(self.names)))
 
 
 # A token is a run of characters c with c.isalnum() (a name when its first
@@ -151,52 +125,6 @@ def _syntax_error(text: str, i: int, message: str) -> ParseError:
 # which is also their order in the text.  The parser reads text into a
 # listing and the printer writes one, so the round trip of a planar term's
 # text can be checked without building terms.
-
-def _listing_of(t: LambdaTerm) -> tuple[bytes, list[str]]:
-    """The listing of a term: the one it was built from, or else one
-    pre-order walk."""
-    try:
-        return t._listing
-    except AttributeError:
-        pass
-    word = bytearray()
-    names: list[str] = []
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        while type(x) is Abs:
-            word.append(1)
-            names.append(x.var)
-            x = x.body
-        if type(x) is App:
-            word.append(2)
-            stack.append(x.arg)
-            stack.append(x.fun)
-        else:
-            word.append(0)
-            names.append(x.name)
-    return bytes(word), names
-
-
-def _term_of_listing(word: bytes, names: list[str]) -> LambdaTerm:
-    """Bottom up in reverse pre-order: a node's children are built before
-    it, its function on top of its argument; the result keeps the listing."""
-    out: list[LambdaTerm] = []
-    i = len(names)
-    for kind in reversed(word):
-        if kind == 0:
-            i -= 1
-            out.append(Var(names[i]))
-        elif kind == 1:
-            i -= 1
-            out[-1] = Abs(names[i], out[-1])
-        else:
-            fun = out.pop()
-            out[-1] = App(fun, out[-1])
-    t = out[0]
-    t._listing = (word, names)
-    return t
-
 
 # Frames of parse_listing: an abstraction awaiting its body, an application
 # awaiting its trailing abstraction, an open parenthesis.
@@ -291,14 +219,14 @@ def parse_listing(text: str) -> tuple[bytes, list[str]]:
                 raise _syntax_error(text, pos, f"unexpected {tok!r}")
 
 
-def parse_term(text: str) -> LambdaTerm:
+def parse_term(text: str) -> Term:
     """Parse ``\\x.t`` / juxtaposition / parenthesis syntax into a term.
 
     Application associates to the left and a trailing abstraction extends
     as far right as it can.  Free variables are allowed; :func:`term_defect`
     says whether a term is closed, linear and planar.
     """
-    return _term_of_listing(*parse_listing(text))
+    return Term(*parse_listing(text))
 
 
 def render_listing(word: bytes, names: list[str]) -> str:
@@ -345,10 +273,10 @@ def render_listing(word: bytes, names: list[str]) -> str:
     return "".join(out)
 
 
-def render_term(t: LambdaTerm) -> str:
+def render_term(t: Term) -> str:
     """Minimal-parenthesis rendering; inverse of parse_term up to alpha
     (see render_listing)."""
-    return render_listing(*_listing_of(t))
+    return render_listing(t.word, t.names)
 
 
 def _listing_scan(word: bytes, names: list[str]
@@ -422,7 +350,7 @@ def _listing_defect(word: bytes, names: list[str]) -> str | None:
     return None
 
 
-def term_defect(t: LambdaTerm) -> str | None:
+def term_defect(t: Term) -> str | None:
     """Why a term is not closed, linear and planar, or None when it is.
 
     A free atom is reported first, listing every free name.  Otherwise the
@@ -431,17 +359,16 @@ def term_defect(t: LambdaTerm) -> str | None:
     the innermost abstraction still without an atom is reported: such a
     term is not the term of its own skeleton.
     """
-    return _listing_defect(*_listing_of(t))
+    return _listing_defect(t.word, t.names)
 
 
-def alpha_equal(a: LambdaTerm, b: LambdaTerm) -> bool:
+def alpha_equal(a: Term, b: Term) -> bool:
     """Equality up to consistent renaming of bound variables: equal words,
     and equal names or, atom by atom, the same binder or the same free
     name."""
-    word, names_a = _listing_of(a)
-    word_b, names_b = _listing_of(b)
-    return word == word_b and (names_a == names_b or
-                               _listing_scan(word, names_a)[4] == _listing_scan(word, names_b)[4])
+    return a.word == b.word and (
+        a.names == b.names
+        or _listing_scan(a.word, a.names)[4] == _listing_scan(b.word, b.names)[4])
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +482,8 @@ def parse_skeleton(text: str) -> Skeleton:
     return Skeleton(bytes(word))
 
 
-def skeleton_of(t: LambdaTerm) -> Skeleton:
-    return Skeleton(_listing_of(t)[0])
+def skeleton_of(t: Term) -> Skeleton:
+    return Skeleton(t.word)
 
 
 def is_normal(s: Skeleton) -> bool:
@@ -642,10 +569,10 @@ def listing_of_word(word: bytes) -> tuple[bytes, list[str]]:
     return word, names
 
 
-def term_of_skeleton(s: Skeleton) -> LambdaTerm:
+def term_of_skeleton(s: Skeleton) -> Term:
     """The planar linear term of a skeleton, variables named x1, x2, ...;
     see listing_of_word."""
-    return _term_of_listing(*listing_of_word(s.word))
+    return Term(*listing_of_word(s.word))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Helpers that several test modules share and the library does not need:
 the tree model of skeletons that the library held before a skeleton became
 its word (node objects, their word and their build from a word, and the
-generator that built them), every plane unary-binary tree, a pre-order
+generator that built them), the tree model of terms that it held before a
+term became its listing (``Var``, ``App`` and ``Abs``, their listing and
+their build from a listing), every plane unary-binary tree, a pre-order
 node listing, a unary chain over a subtree, the one at the top of a
-skeleton, a copy of a term built by the constructors, the bridge-search
-edge-connectivity oracle that the library's labelling pass replaced, and
-the parallel tree walk that ``alpha_equal`` ran before it compared
-listings, each kept as a reference.  Not a test module; the tests import
-it."""
+skeleton, the bridge-search edge-connectivity oracle that the library's
+labelling pass replaced, and the parallel tree walk that ``alpha_equal``
+ran before it compared listings, each kept as a reference.  Not a test
+module; the tests import it."""
+
+from __future__ import annotations
 
 from functools import lru_cache
 
 from lambdamaps.connectivity import ConnectivityClass
-from lambdamaps.lambda_core import Abs, App, Diagram, Skeleton, Var, render_skeleton
+from lambdamaps.lambda_core import Diagram, Skeleton, render_skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +149,78 @@ def tree_gen_lin(nleaf: int, nunary: int) -> tuple[Tree, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The term model: a term as Var, App and Abs node objects.  term_listing
+# gives a tree's listing (lambda_core's pre-order arity word and names) by
+# one walk, term_of_listing builds the tree of a listing, and
+# Term(*term_listing(t)) is the library's term of t, which the tests compare.
+
+class Var:
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+
+class App:
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: LambdaTerm, arg: LambdaTerm):
+        self.fun = fun
+        self.arg = arg
+
+
+class Abs:
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: LambdaTerm):
+        self.var = var
+        self.body = body
+
+
+LambdaTerm = Var | App | Abs
+
+
+def term_listing(t: LambdaTerm) -> tuple[bytes, list[str]]:
+    """The listing of a term tree, by one pre-order walk."""
+    word = bytearray()
+    names: list[str] = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        while type(x) is Abs:
+            word.append(1)
+            names.append(x.var)
+            x = x.body
+        if type(x) is App:
+            word.append(2)
+            stack.append(x.arg)
+            stack.append(x.fun)
+        else:
+            word.append(0)
+            names.append(x.name)
+    return bytes(word), names
+
+
+def term_of_listing(word: bytes, names: list[str]) -> LambdaTerm:
+    """The tree of a listing, built bottom up in reverse pre-order: a
+    node's children are built before it, its function on top of its
+    argument."""
+    out: list[LambdaTerm] = []
+    i = len(names)
+    for kind in reversed(word):
+        if kind == 0:
+            i -= 1
+            out.append(Var(names[i]))
+        elif kind == 1:
+            i -= 1
+            out[-1] = Abs(names[i], out[-1])
+        else:
+            fun = out.pop()
+            out[-1] = App(fun, out[-1])
+    return out[0]
+
+
+# ---------------------------------------------------------------------------
 # Trees, terms and diagrams
 
 def iter_unary_binary(nleaf: int, nunary: int):
@@ -268,17 +343,6 @@ def bridge_connectivity_class(d: Diagram) -> ConnectivityClass:
             if not (at_root[i] and at_root[j]):
                 return ConnectivityClass.Two
     return ConnectivityClass.ThreePlus
-
-
-def rebuilt(t, rename=None):
-    """A copy of term t built by the constructors, so it keeps no listing,
-    with each variable and binder x named rename.get(x, x)."""
-    rename = rename or {}
-    if type(t) is Var:
-        return Var(rename.get(t.name, t.name))
-    if type(t) is Abs:
-        return Abs(rename.get(t.var, t.var), rebuilt(t.body, rename))
-    return App(rebuilt(t.fun, rename), rebuilt(t.arg, rename))
 
 
 def tree_alpha_equal(a, b) -> bool:

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -146,7 +147,7 @@ def test_convert_builds_no_term_or_skeleton_object(monkeypatch):
     def refuse(*args):
         raise AssertionError("a term or skeleton object was built")
 
-    builders = (lambda_core._term_of_listing, lambda_core.Skeleton)
+    builders = (lambda_core.Term, lambda_core.Skeleton)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "lambdamaps":
             for attr, value in list(vars(module).items()):
@@ -422,6 +423,86 @@ def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
     assert lines[0] == "FAIL roundtrip.term-text sizes<=3 (12 terms)"
     assert lines[4] == "FAIL roundtrip.term-map-term sizes<=3 (12 terms)"
     assert lines[-1] == "2 check(s) failed (3/5)"
+    assert_no_child_left()
+
+
+@pytest.fixture
+def empty_derived_caches():
+    """Empty the checks' derived caches before and after the test, so that
+    no result of a working kernel hides a broken one, and no result of a
+    broken kernel outlives the test."""
+    def empty():
+        for f in vars(checks).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+    empty()
+    yield
+    empty()
+
+
+def _failed(out: str) -> list[str]:
+    """The names of the checks that verify printed FAIL for."""
+    return [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+
+
+@pytest.mark.parametrize("name, kernel", [
+    ("roundtrip.rho", "rho_inv"),
+    ("oracle.rho-direct", "rho_direct"),
+    ("oracle.preimages", "pi"),
+    ("oracle.preimages", "attach_root_edge"),
+    ("counts.psi-2conn-image", "psi"),
+    ("stats.multisets", "skeleton_stats"),
+    ("stats.multisets", "degree_tree_stats"),
+])
+def test_a_kernel_that_raises_on_one_object_fails_the_check_that_calls_it(
+        monkeypatch, capsys, empty_derived_caches, name, kernel):
+    # each of these checks called its kernel outside checks._bad, so that
+    # verify raised InvalidInput and exited 2 as if the input were bad; in
+    # the check's suite no other check calls checks' binding of the kernel
+    from lambdamaps.lambda_core import InvalidInput
+
+    original = getattr(checks, kernel)
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise InvalidInput("a fault on the first object")
+        return original(*args)
+
+    monkeypatch.setattr(checks, kernel, broken)
+    assert main(["verify", "--suite", name.split(".")[0], "--max-size", "4"]) == 1
+    captured = capsys.readouterr()
+    assert _failed(captured.out) == [name]
+    assert captured.err == ""
+    assert_no_child_left()
+
+
+def _mutant(fn, old: str, new: str):
+    """fn with the one occurrence of old in its source replaced by new,
+    compiled over a copy of its module's namespace."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def test_a_reduced_test_that_admits_too_much_fails_checks_and_is_not_bad_input(
+        monkeypatch, capsys, empty_derived_caches):
+    # phi then builds labelled trees that degree_tree_stats rejects, and
+    # stats.multisets raised that InvalidInput out of verify, which printed
+    # one error line and exited 2
+    from lambdamaps import connectivity
+
+    monkeypatch.setattr(connectivity, "_reduced", _mutant(
+        connectivity._reduced, "return right > chain", "return right >= chain"))
+    assert main(["verify", "--suite", "all", "--max-size", "6"]) == 1
+    captured = capsys.readouterr()
+    assert _failed(captured.out) == ["roundtrip.phi", "oracle.connectivity", "counts.3-connected",
+                                     "stats.multisets", "gf.chain-identity"]
+    assert captured.err == ""
     assert_no_child_left()
 
 

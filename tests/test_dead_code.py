@@ -10,10 +10,14 @@ nothing is re-exported; ``__main__.py`` is a caller.  The functions that
 same check on listings.
 
 A skeleton is its pre-order arity word, held by ``lambda_core.Skeleton``,
-and the generator builds words, so no module defines or names a node class
-(``Leaf``, ``Unary``, ``Binary``, ``LEAF``) or a converter between node
-trees and words (``word_of``, ``skeleton_of_word``).  The tree model lives
-in ``tests/reference_kernels.py``, as the reference of the word kernels.
+and the generator builds words; a term is its listing, held by
+``lambda_core.Term``.  So no module defines or names a node class
+(``Leaf``, ``Unary``, ``Binary``, ``LEAF``; ``Var``, ``App``, ``Abs``,
+their base ``_Term`` and their union ``LambdaTerm``) or a converter
+between node trees and words or listings (``word_of``,
+``skeleton_of_word``; ``_listing_of``, ``_term_of_listing``).  Both tree
+models live in ``tests/reference_kernels.py``, as the references of the
+word and listing kernels.
 """
 
 import ast
@@ -75,7 +79,8 @@ def test_every_method_has_a_caller():
 
 def test_no_module_names_a_node_class_or_a_tree_converter():
     # exact names, so that word_of_vtree, say, is not one of them
-    banned = {"Leaf", "Unary", "Binary", "LEAF", "word_of", "skeleton_of_word"}
+    banned = {"Leaf", "Unary", "Binary", "LEAF", "word_of", "skeleton_of_word",
+              "Var", "App", "Abs", "_Term", "LambdaTerm", "_listing_of", "_term_of_listing"}
     naming = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text())):

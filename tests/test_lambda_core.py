@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdamaps.lambda_core import (
-    Abs,
-    App,
     Diagram,
     InvalidInput,
     ParseError,
     Skeleton,
-    Var,
-    _listing_of,
+    Term,
     _listing_scan,
-    _term_of_listing,
     _tokenize,
     alpha_equal,
     diagram_of,
@@ -30,19 +26,25 @@ from lambdamaps.lambda_core import (
     term_of_skeleton,
 )
 from lambdamaps.enumeration import gen_skeletons
-from reference_kernels import (LEAF, Binary, Leaf, Unary, iter_unary_binary, preorder, rebuilt,
+from reference_kernels import (LEAF, Abs, App, Binary, LambdaTerm, Leaf, Unary, Var,
+                               iter_unary_binary, preorder, term_listing, term_of_listing,
                                tree_alpha_equal, tree_of_word, tree_word)
+
+
+def _term(t):
+    """The library's term of a reference term tree."""
+    return Term(*term_listing(t))
 
 
 # ---------------------------------------------------------------------------
 # Parser and printer
 
 def test_parse_identity():
-    assert parse_term(r"\x.x") == Abs("x", Var("x"))
+    assert parse_term(r"\x.x") == _term(Abs("x", Var("x")))
 
 
 def test_parse_nested_application():
-    assert parse_term(r"\x.\y.x y") == Abs("x", Abs("y", App(Var("x"), Var("y"))))
+    assert parse_term(r"\x.\y.x y") == _term(Abs("x", Abs("y", App(Var("x"), Var("y")))))
 
 
 def test_parse_unbalanced_paren_offset():
@@ -53,12 +55,12 @@ def test_parse_unbalanced_paren_offset():
 
 
 def test_parse_left_assoc_and_grouping():
-    assert parse_term("x y z") == App(App(Var("x"), Var("y")), Var("z"))
-    assert parse_term("x (y z)") == App(Var("x"), App(Var("y"), Var("z")))
+    assert parse_term("x y z") == _term(App(App(Var("x"), Var("y")), Var("z")))
+    assert parse_term("x (y z)") == _term(App(Var("x"), App(Var("y"), Var("z"))))
 
 
 def test_parse_trailing_abstraction_extends_right():
-    assert parse_term(r"x \y.y z") == App(Var("x"), Abs("y", App(Var("y"), Var("z"))))
+    assert parse_term(r"x \y.y z") == _term(App(Var("x"), Abs("y", App(Var("y"), Var("z")))))
 
 
 def test_parse_rejects_garbage():
@@ -68,17 +70,17 @@ def test_parse_rejects_garbage():
 
 
 def test_render_examples():
-    assert render_term(Abs("x", Var("x"))) == r"\x.x"
-    assert render_term(App(App(Var("x"), Var("y")), Var("z"))) == "x y z"
-    assert render_term(App(Var("x"), App(Var("y"), Var("z")))) == "x (y z)"
+    assert render_term(_term(Abs("x", Var("x")))) == r"\x.x"
+    assert render_term(_term(App(App(Var("x"), Var("y")), Var("z")))) == "x y z"
+    assert render_term(_term(App(Var("x"), App(Var("y"), Var("z"))))) == "x (y z)"
 
 
 def test_render_abstraction_in_function_position():
-    assert render_term(App(Abs("x", Var("x")), Var("y"))) == r"(\x.x) y"
+    assert render_term(_term(App(Abs("x", Var("x")), Var("y")))) == r"(\x.x) y"
 
 
 def test_render_abstraction_nonfinal_argument():
-    t = App(App(Var("a"), Abs("x", Var("x"))), Var("b"))
+    t = _term(App(App(Var("a"), Abs("x", Var("x"))), Var("b")))
     assert render_term(t) == r"a (\x.x) b"
     assert parse_term(render_term(t)) == t
 
@@ -89,7 +91,7 @@ def test_roundtrip_family_terms():
         terms = []
         for sk in skeletons:
             term = term_of_skeleton(sk)
-            copy = _ref_term_of_skeleton(tree_of_word(sk.word))
+            copy = _term(_ref_term_of_skeleton(tree_of_word(sk.word)))
             assert term == copy and hash(term) == hash(copy)
             rebuilt = skeleton_of(term)
             assert rebuilt == sk and hash(rebuilt) == hash(sk)
@@ -110,13 +112,14 @@ _terms = st.recursive(
 
 
 @given(_terms)
-def test_roundtrip_random_terms(term):
+def test_roundtrip_random_terms(tree):
+    term = _term(tree)
     assert alpha_equal(parse_term(render_term(term)), term)
 
 
 def _free(t):
     """The names of the free atoms of t, from the listing scan."""
-    return _listing_scan(*_listing_of(t))[2]
+    return _listing_scan(t.word, t.names)[2]
 
 
 def test_free_variables_and_alpha():
@@ -217,7 +220,8 @@ def _shadow_mutants(t, scope=()):
 
 def test_linearity_defect_examples():
     # closed and linear, though not planar
-    binders, counts, free, _crossing, atoms = _listing_scan(*_listing_of(parse_term(r"\x.\y.x y")))
+    t = parse_term(r"\x.\y.x y")
+    binders, counts, free, _crossing, atoms = _listing_scan(t.word, t.names)
     assert (binders, counts, free, atoms) == (["x", "y"], [1, 1], set(), [0, 1])
     assert term_defect(parse_term(r"\x.\y.x x")) == "abstraction over x binds 2 atoms, not 1"
     assert term_defect(parse_term(r"\x.\x.x x")) == "abstraction over x binds 0 atoms, not 1"
@@ -229,19 +233,21 @@ def test_linearity_defect_matches_old_check():
     for n in range(1, 7):
         for sk in gen_skeletons(n, 1):
             term = term_of_skeleton(sk)
-            cases = [term]
+            tree = term_of_listing(term.word, term.names)
+            cases = [tree]
             if n <= 4:
-                cases += [*_atom_mutants(term), *_shadow_mutants(term)]
+                cases += [*_atom_mutants(tree), *_shadow_mutants(tree)]
             for t in cases:
                 old = _old_linearity_defect(t)
-                binders, counts, free, crossing, _atoms = _listing_scan(*_listing_of(t))
+                lt = _term(t)
+                binders, counts, free, crossing, _atoms = _listing_scan(lt.word, lt.names)
                 assert free == _old_free_variables(t)
                 if old is None:
                     # term_defect reports linearity first, planarity after
-                    assert not free and counts == [1] * len(binders), render_term(t)
-                    assert term_defect(t) in (None, f"term is not planar: {crossing}")
+                    assert not free and counts == [1] * len(binders), render_term(lt)
+                    assert term_defect(lt) in (None, f"term is not planar: {crossing}")
                 else:
-                    assert term_defect(t) == old, render_term(t)
+                    assert term_defect(lt) == old, render_term(lt)
                 checked += 1
     assert checked > 3360
 
@@ -308,9 +314,9 @@ def test_defect_functions_equal_the_binding_scan():
         for s in iter_unary_binary(n, n):
             word = tree_word(s)
             for names in product("xy", repeat=2 * n):
-                t = _term_of_listing(word, list(names))
+                t = term_of_listing(word, list(names))
                 assert _listing_scan(word, list(names)) == _binding_scan(t)
-                assert term_defect(t) == _ref_term_defect(t)
+                assert term_defect(Term(word, list(names))) == _ref_term_defect(t)
                 checked += 1
     assert checked == 273380
 
@@ -451,7 +457,7 @@ def test_is_normal_agrees_with_redex_search():
                 term = term_of_skeleton(s)
             except InvalidInput:
                 continue
-            assert is_normal(s) == (not has_beta_redex(term))
+            assert is_normal(s) == (not has_beta_redex(term_of_listing(term.word, term.names)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +533,8 @@ def test_term_defect_accepts_exactly_the_terms_of_their_skeletons():
     for n, want in zip(range(1, 6), (1, 4, 32, 336, 4096)):
         terms = _linear_terms((), n, 0, memo)
         planar = 0
-        for t in terms:
-            _binders, counts, free, _crossing, _atoms = _listing_scan(*_listing_of(t))
+        for t in map(_term, terms):
+            _binders, counts, free, _crossing, _atoms = _listing_scan(t.word, t.names)
             assert not free and counts == [1] * n
             defect = term_defect(t)
             assert (defect is None) == _is_term_of_its_skeleton(t), render_term(t)
@@ -630,9 +636,10 @@ class _RefParser:
 
 
 def _ref_parse(text):
-    """The term, or the ParseError's message and position."""
+    """The library's term of the tree, or the ParseError's message and
+    position."""
     try:
-        return _RefParser(text).parse()
+        return _term(_RefParser(text).parse())
     except ParseError as exc:
         return str(exc), exc.position
 
@@ -746,11 +753,13 @@ def _ref_diagram_of(s):
 
 
 def _outcome(fn, *args):
-    """The result, or the InvalidInput message."""
+    """The result, a term tree given as the library's term, or the
+    InvalidInput message."""
     try:
-        return fn(*args)
+        got = fn(*args)
     except InvalidInput as exc:
         return str(exc)
+    return _term(got) if isinstance(got, LambdaTerm) else got
 
 
 def test_diagram_of_equals_the_reference_to_size_seven():
@@ -804,9 +813,9 @@ def _rename_everywhere(t, names):
 
 @given(_terms, _terms, st.dictionaries(st.sampled_from("xyzw"), st.sampled_from("xyzw")))
 def test_alpha_equal_equals_the_reference_on_random_pairs(a, b, names):
-    assert alpha_equal(a, b) == _ref_alpha_equal(a, b)
+    assert alpha_equal(_term(a), _term(b)) == _ref_alpha_equal(a, b)
     renamed = _rename_everywhere(a, names)
-    assert alpha_equal(a, renamed) == _ref_alpha_equal(a, renamed)
+    assert alpha_equal(_term(a), _term(renamed)) == _ref_alpha_equal(a, renamed)
 
 
 def _words(nmax, umax):
@@ -817,20 +826,17 @@ def _words(nmax, umax):
 
 
 def _named(word, names):
-    """The term of this listing, kept on it, and the same term built by the
-    constructors, which keeps none."""
-    t = _term_of_listing(word, list(names))
-    return t, rebuilt(t)
+    """The term of this listing and its reference tree."""
+    return Term(word, list(names)), term_of_listing(word, list(names))
 
 
 def _alpha_outcomes(a, b):
-    """alpha_equal on two (cached, constructed) pairs: both cached, and in
-    either order one cached and one not, each checked against the tree
-    walk; the set of results."""
+    """alpha_equal on two (term, tree) pairs, in either order, each checked
+    against the tree walk on the trees; the set of results."""
     seen = set()
-    for p, q in ((a[0], b[0]), (a[0], b[1]), (b[0], a[1])):
-        got = alpha_equal(p, q)
-        assert got == tree_alpha_equal(p, q), (render_term(p), render_term(q))
+    for p, q in ((a, b), (b, a)):
+        got = alpha_equal(p[0], q[0])
+        assert got == tree_alpha_equal(p[1], q[1]), (render_term(p[0]), render_term(q[0]))
         seen.add(got)
     return seen
 
@@ -873,25 +879,25 @@ def test_alpha_equal_equals_the_tree_walk_to_five_atoms():
     assert outcomes[True] > 1000 and outcomes[False] > 1000
 
 
-def test_a_kept_listing_is_the_listing_of_the_constructed_term():
+def test_a_term_is_the_listing_of_its_tree():
     # every planar term to size 6, and every naming from {x, y} of every
-    # word with at most 3 atoms and 3 abstractions
+    # word with at most 3 atoms and 3 abstractions: the term of its tree
+    # and the term unpickled equal it and hash alike, and print and check
+    # alike, the tree's check by the binding scan
     terms = [term_of_skeleton(s) for n in range(1, 7) for s in gen_skeletons(n, 1)]
     for word in _words(3, 3):
         slots = len(word) - word.count(2)
-        terms += [_term_of_listing(word, list(names)) for names in product("xy", repeat=slots)]
+        terms += [Term(word, list(names)) for names in product("xy", repeat=slots)]
     for t in terms:
-        copy = rebuilt(t)
-        with pytest.raises(AttributeError):
-            copy._listing  # a constructed term keeps no listing
-        assert t._listing is _listing_of(t)
-        assert _listing_of(copy) == _listing_of(t)
+        tree = term_of_listing(t.word, t.names)
+        copy = _term(tree)
+        assert (copy.word, copy.names) == (t.word, t.names)
         assert copy == t and t == copy and hash(copy) == hash(t)
         assert render_term(copy) == render_term(t)
-        assert term_defect(copy) == term_defect(t)
-        for back in (pickle.loads(pickle.dumps(t)), pickle.loads(pickle.dumps(copy))):
-            assert _listing_of(back) == _listing_of(t)
-            assert back == t and hash(back) == hash(t)
+        assert term_defect(copy) == term_defect(t) == _ref_term_defect(tree)
+        back = pickle.loads(pickle.dumps(t))
+        assert (back.word, back.names) == (t.word, t.names)
+        assert back == t and hash(back) == hash(t)
     assert len(terms) > 5000
 
 
@@ -908,11 +914,13 @@ def _ref_fields_equal(a, b):
 
 @given(_terms, _terms, st.dictionaries(st.sampled_from("xyzw"), st.sampled_from("xyzw")))
 def test_term_equality_is_field_equality(a, b, names):
+    term = _term(a)
     for other in (b, _rename_everywhere(a, names), _rename_everywhere(b, names)):
-        assert (a == other) == _ref_fields_equal(a, other)
-        assert (a != other) != (a == other)
-        if a == other:
-            assert hash(a) == hash(other)
+        term_other = _term(other)
+        assert (term == term_other) == _ref_fields_equal(a, other)
+        assert (term != term_other) != (term == term_other)
+        if term == term_other:
+            assert hash(term) == hash(term_other)
 
 
 def _old_tokenize(text):
@@ -960,10 +968,11 @@ DEEP = 10_000
 
 
 def _deep_term(leaf):
+    """The term of a tree built by the node constructors."""
     t = Var(leaf)
     for _ in range(DEEP // 2):
         t = Abs("x", App(Var("y"), t))
-    return t
+    return _term(t)
 
 
 def _deep_skeleton(bottom):
@@ -975,12 +984,14 @@ def _deep_skeleton(bottom):
 
 
 def test_values_of_different_types_are_unequal():
-    assert Var("x") != Abs("x", Var("x"))
-    assert Abs("x", Var("x")) != Var("x")
-    assert Var("x") != "x"
-    assert App(Var("x"), Var("y")) != App(Var("x"), Abs("y", Var("y")))
-    assert Abs("x", Var("x")) != Abs("y", Var("x"))
+    assert _term(Var("x")) != _term(Abs("x", Var("x")))
+    assert _term(Abs("x", Var("x"))) != _term(Var("x"))
+    assert _term(Var("x")) != "x"
+    assert _term(App(Var("x"), Var("y"))) != _term(App(Var("x"), Abs("y", Var("y"))))
+    assert _term(Abs("x", Var("x"))) != _term(Abs("y", Var("x")))
     assert parse_skeleton("U(L)") != "U(L)"
+    # a term and its skeleton hold the same word
+    assert parse_term(r"\x.x") != parse_skeleton("U(L)")
 
 
 def test_deep_terms_compare_and_hash_without_recursion(shallow_recursion):
@@ -1007,6 +1018,7 @@ def test_render_term_on_a_deep_term(shallow_recursion):
     t = Var("x")
     for _ in range(DEEP - 1):
         t = App(Var("x"), t)  # each application but the top one is an argument
+    t = _term(t)
     text = render_term(t)
     assert text == "x (" * (DEEP - 2) + "x x" + ")" * (DEEP - 2)
     assert parse_term(text) == t

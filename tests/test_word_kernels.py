@@ -9,7 +9,10 @@ edge-connectivity oracle must likewise equal the bridge search it replaced
 (``reference_kernels.bridge_connectivity_class``) on each skeleton's
 diagram, and ``alpha_equal``, which compares listings, the tree walk
 (``reference_kernels.tree_alpha_equal``) on each skeleton's term against
-renamings of it.
+renamings of it.  Each skeleton's term is the listing of its reference
+term tree, and makes the round trip that the benchmark's sweep times:
+``parse_term(render_term(t))`` is t, alpha-equal to it, and has the
+skeleton it came from.
 
 Run as a script (``python tests/test_word_kernels.py 8``) to make the same
 comparisons, the generators' included, over every skeleton up to another
@@ -25,29 +28,28 @@ from lambdamaps.connectivity import (check_family, check_reduced, edge_connectiv
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree
 from lambdamaps.lambda_core import (
-    Abs,
-    App,
     Diagram,
     InvalidInput,
     ParseError,
     Skeleton,
-    Var,
-    _listing_of,
-    _term_of_listing,
+    Term,
     alpha_equal,
     diagram_of,
     listing_of_word,
     parse_listing,
     parse_skeleton,
+    parse_term,
     planar_match,
     render_listing,
     render_skeleton,
     render_term,
+    skeleton_of,
     term_of_skeleton,
 )
-from reference_kernels import (LEAF, Binary, Leaf, Tree, Unary, bridge_connectivity_class,
-                               iter_unary_binary, leading_chain, rebuilt, tree_alpha_equal,
-                               tree_gen_lin, tree_of_word, tree_word, wrap_unary)
+from reference_kernels import (LEAF, Abs, App, Binary, LambdaTerm, Leaf, Tree, Unary, Var,
+                               bridge_connectivity_class, iter_unary_binary, leading_chain,
+                               term_listing, term_of_listing, tree_alpha_equal, tree_gen_lin,
+                               tree_of_word, tree_word, wrap_unary)
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +339,32 @@ class _RefSkeletonParser:
 # The comparisons
 
 def _outcome(fn, *args):
-    """The result, a tree given as its skeleton, or the exception's type
-    and message."""
+    """The result, a tree given as its skeleton and a term tree as the
+    library's term, or the exception's type and message."""
     try:
         got = fn(*args)
     except (ParseError, InvalidInput) as exc:
         return type(exc).__name__, str(exc)
-    return Skeleton(tree_word(got)) if isinstance(got, Tree) else got
+    if isinstance(got, Tree):
+        return Skeleton(tree_word(got))
+    return Term(*term_listing(got)) if isinstance(got, LambdaTerm) else got
 
 
-def _compare_alpha_equal(term):
-    """alpha_equal against the tree walk, in both orders, between a term
-    and: its names with y prefixed (alpha-equal), its first two atoms'
-    names swapped, and a copy built by the constructors of each."""
-    word, names = _listing_of(term)
+def _compare_alpha_equal(term, tree):
+    """alpha_equal against the tree walk on term's reference tree, in both
+    orders, between term and: its names with y prefixed (alpha-equal), and
+    its first two atoms' names swapped."""
+    word, names = term.word, term.names
     atoms = [i for i, kind in enumerate(k for k in word if k != 2) if kind == 0]
     swapped = list(names)
     if len(atoms) > 1:
         a, b = atoms[:2]
         swapped[a], swapped[b] = names[b], names[a]
     for other in (["y" + x for x in names], swapped):
-        t = _term_of_listing(word, other)
-        for u in (t, rebuilt(t)):
-            assert alpha_equal(term, u) == tree_alpha_equal(term, u)
-            assert alpha_equal(u, term) == tree_alpha_equal(u, term)
-    assert alpha_equal(term, _term_of_listing(word, ["y" + x for x in names]))
+        t, u = Term(word, other), term_of_listing(word, other)
+        assert alpha_equal(term, t) == tree_alpha_equal(tree, u)
+        assert alpha_equal(t, term) == tree_alpha_equal(u, tree)
+    assert alpha_equal(term, Term(word, ["y" + x for x in names]))
 
 
 def compare_generators(nmax):
@@ -392,13 +395,17 @@ def compare_on_family(nmax):
     and alpha_equal against the tree walk, on every connected-family
     skeleton up to size nmax, and the kernels that take a reduced skeleton
     on every reduced skeleton up to that size; returns the number of
-    connected-family skeletons."""
+    connected-family skeletons.  Each term also makes the round trip of the
+    benchmark's sweep through its text, against its reference tree."""
     compare_generators(nmax)
     pairs = _family(nmax)
     for s, t in pairs:
         term = term_of_skeleton(s)
-        assert term == _ref_term_of_skeleton(t)
-        _compare_alpha_equal(term)
+        tree = _ref_term_of_skeleton(t)
+        assert term == Term(*term_listing(tree))
+        again = parse_term(render_term(term))
+        assert again == term and alpha_equal(again, term) and skeleton_of(again) == s
+        _compare_alpha_equal(again, tree)
         d = diagram_of(s)
         assert d == _ref_diagram_of(t)
         assert edge_connectivity_class(d) == bridge_connectivity_class(d), s
@@ -469,10 +476,11 @@ def test_printers_and_skeleton_parser_equal_the_recursive_ones():
         text = render_skeleton(s)
         assert text == _ref_render_skeleton(t)
         assert parse_skeleton(text).word == tree_word(_RefSkeletonParser(text).parse())
-        assert render_term(term_of_skeleton(s)) == _ref_render_term(term_of_skeleton(s))
+        term = term_of_skeleton(s)
+        assert render_term(term) == _ref_render_term(term_of_listing(term.word, term.names))
         listing = listing_of_word(s.word)
         assert parse_listing(render_listing(*listing)) == listing
-        assert _listing_of(term_of_skeleton(s)) == listing
+        assert (term.word, term.names) == listing
 
 
 def test_skeleton_parser_fails_as_the_recursive_one():
@@ -508,5 +516,5 @@ def test_unspine_fails_as_the_recursive_one():
 
 if __name__ == "__main__":
     print(compare_on_family(int(sys.argv[1])),
-          "skeletons: the generator, every word kernel, the connectivity oracle and "
-          "alpha_equal equal their references")
+          "skeletons: the generator, every word kernel, the connectivity oracle, "
+          "alpha_equal and the term text round trip equal their references")
