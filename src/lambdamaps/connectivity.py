@@ -7,18 +7,21 @@ syntactic diagram, whose bridges and disconnecting edge pairs one labelling
 of a spanning tree by cycle-space bits finds.  The two routes are
 cross-checked exhaustively in ``verify`` and the tests.
 
-The structural tests read the pre-order arity word that a ``Skeleton``
-holds (see ``lambda_core``): a unary node's child follows it, so the unary
-chain above a node is the run of 1s before it, and one reverse scan with a
-stack of subtree deficits checks every node.  ``reduce_skeleton`` and
-``unreduce`` cut and prefix the word.
+Both read the pre-order arity word that a ``Skeleton`` holds (see
+``lambda_core``).  A unary node's child follows it, so the unary chain
+above a node is the run of 1s before it, and one reverse scan with a stack
+of subtree deficits checks every node.  The diagram is never built: the
+skeleton's own edges between internal nodes span it, the stack matcher
+gives its binder edges, and one reverse scan with a stack of subtree
+labels labels the tree.  ``reduce_skeleton`` and ``unreduce`` cut and
+prefix the word.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 
-from .lambda_core import Diagram, InvalidInput, Skeleton
+from .lambda_core import InvalidInput, Skeleton, _match
 
 
 class ConnectivityClass(IntEnum):
@@ -147,52 +150,49 @@ def is_three_connected_skeleton(s: Skeleton) -> bool:
 # ---------------------------------------------------------------------------
 # Diagram oracle
 
-def edge_connectivity_class(d: Diagram) -> ConnectivityClass:
-    """Edge connectivity of a diagram, from one spanning tree.
+def edge_connectivity_class(word: bytes) -> ConnectivityClass:
+    """Edge connectivity of the syntactic diagram of the skeleton with
+    this pre-order arity word.
 
-    A breadth-first search from the first vertex finds the tree, or that
-    the diagram is Disconnected.  Each non-tree edge gets its own bit,
-    XORed into both of its ends, and a reverse pass over the search order
-    labels each tree edge with the XOR of the vertices below it.  A label
-    of 0 is a bridge (One).  Two edges of a bridgeless diagram disconnect
-    it exactly when their labels are equal (the cycle-space test of
-    Pritchard and Thurimella, exact with one bit per non-tree edge), which
-    makes it Two unless both are at the root vertex.  Diagrams with at
-    most one vertex are vacuously ThreePlus.
+    The diagram is a multigraph on the internal nodes: the skeleton edges
+    between them, and one binder edge per leaf, from its parent to the
+    unary node that binds it along the clockwise contour (``_match`` with
+    right_first).  The mirror drawing agrees on the connected and
+    2-connected classes but not at 3-connectivity, where only the
+    clockwise one matches the structural characterization.
+
+    The skeleton edges span the diagram.  Each binder edge gets its own
+    bit, XORed into both ends, and one reverse scan labels each tree edge
+    with the XOR of the bits below it.  A label of 0 is a bridge (One).
+    Two edges of a bridgeless diagram disconnect it exactly when their
+    labels are equal (the cycle-space test of Pritchard and Thurimella,
+    exact with one bit per non-tree edge): Two, unless both are at the
+    root.  Binder labels are distinct bits, so a tree label equal to one
+    is a tree label of one bit.  The root is unary, and its tree edge's
+    label is the bit of its one binder edge, an exempt pair; so that edge
+    is left out.  At most one internal node is vacuously ThreePlus.
+    Raises InvalidInput as ``_match`` does.
     """
-    n = len(d.vertices)
-    if n <= 1:
+    binder = _match(word, right_first=True)
+    bound = [0] * len(word)  # the bits of the leaves each unary node binds
+    below: list[int] = []  # the label of each finished subtree, or a leaf's bit
+    labels: list[int] = []  # tree edge labels, the root's edge last
+    bit = 1
+    for j in range(len(word) - 1, 0, -1):
+        k = word[j]
+        if k == 0:
+            bound[binder[j]] ^= bit
+            below.append(bit)
+            bit <<= 1
+            continue
+        label = below[-1] ^ bound[j] if k == 1 else below.pop() ^ below[-1]
+        below[-1] = label
+        labels.append(label)
+    if not labels:
         return ConnectivityClass.ThreePlus
-    index_of = {v: i for i, v in enumerate(d.vertices)}
-    ends = [(index_of[u], index_of[v]) for u, v in d.edges]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(ends):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    via = [-1] * n  # the tree edge into each vertex
-    up = [0] * n  # and the vertex it comes from
-    order = [0]
-    for x in order:
-        for y, i in adj[x]:
-            if via[y] < 0 and y:
-                via[y], up[y] = i, x
-                order.append(y)
-    if len(order) < n:
-        return ConnectivityClass.Disconnected
-    tree = set(via)
-    label = [0 if i in tree else 1 << i for i in range(len(ends))]
-    below = [0] * n
-    for (u, v), bit in zip(ends, label):
-        below[u] ^= bit
-        below[v] ^= bit
-    for y in reversed(order[1:]):
-        label[via[y]] = below[y]
-        below[up[y]] ^= below[y]
-    if 0 in label:
+    labels.pop()  # the root's tree edge
+    if 0 in labels:
         return ConnectivityClass.One
-    at_root = [d.root in e for e in d.edges]
-    others = [lab for lab, r in zip(label, at_root) if not r]
-    rooted = {lab for lab, r in zip(label, at_root) if r}
-    if len(set(others)) < len(others) or not rooted.isdisjoint(others):
+    if len(set(labels)) < len(labels) or any(label & (label - 1) == 0 for label in labels):
         return ConnectivityClass.Two
     return ConnectivityClass.ThreePlus

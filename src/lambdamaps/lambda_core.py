@@ -1,4 +1,4 @@
-"""Lambda terms, skeletons, planar binder matchings and syntactic diagrams.
+"""Lambda terms, skeletons and planar binder matchings.
 
 A term is built from variables, applications and abstractions.  Its skeleton
 is the plane unary-binary tree of the syntax, with a leaf per atom, a unary
@@ -13,7 +13,7 @@ node.  ``Skeleton`` holds the word and its leaf count, and compares and
 hashes as the word; no node objects are built.  One stack matcher,
 ``_match``, pairs unary nodes with leaves in one walk of the word and gives
 each leaf its binder's position; ``planar_match``, ``listing_of_word`` and
-``diagram_of`` read it.
+the edge-connectivity oracle of ``connectivity`` read it.
 
 A term's listing is the same word for its syntax tree together with the
 names of its variables and binders in pre-order, and a term is its
@@ -32,7 +32,6 @@ explicit stack or a word, so depth is not bounded by the recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class ParseError(ValueError):
@@ -575,45 +574,9 @@ def term_of_skeleton(s: Skeleton) -> Term:
     return Term(*listing_of_word(s.word))
 
 
-# ---------------------------------------------------------------------------
-# Syntactic diagrams
-
-@dataclass(frozen=True)
-class Diagram:
-    """Multigraph on the internal nodes of a skeleton.
-
-    Edges are the skeleton edges between internal nodes plus one binder edge
-    per leaf, from the leaf's parent to its matched unary node (a self-loop
-    when the parent is the binder).  The root is the skeleton's root node.
-
-    Binder edges follow the clockwise-contour matching (planar_match with
-    right_first: right subtree visited first).  The mirror choice flips
-    which unary node each leaf reaches; the two drawings agree on the
-    connected and 2-connected classes but differ at 3-connectivity, where
-    only the clockwise drawing matches the structural characterization.
-    """
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    root: int
-
-
-def diagram_of(s: Skeleton) -> Diagram:
-    """The diagram, from one scan of the word: a node's parent is the node
-    before it unless that one is a leaf, and then the innermost binary
-    node still waiting for its right child."""
-    word = s.word
-    binder = _match(word, right_first=True)
-    vertices = [0]
-    edges = []
-    waiting: list[int] = [0] if word[0] == 2 else []
-    for nid in range(1, len(word)):
-        kind = word[nid]
-        parent = nid - 1 if word[nid - 1] else waiting.pop()
-        if kind:
-            vertices.append(nid)
-            edges.append((parent, nid))
-            if kind == 2:
-                waiting.append(nid)
-        else:
-            edges.append((parent, binder[nid]))
-    return Diagram(tuple(vertices), tuple(edges), 0)
+def diagram_of(s: Skeleton) -> bytes:
+    """What ``connectivity.edge_connectivity_class`` reads of a skeleton's
+    syntactic diagram: its word, whose skeleton edges span the diagram and
+    whose matching gives the binder edges.  The benchmark's sweep calls and
+    traces this name; the benchmark change of ROADMAP item 14 deletes it."""
+    return s.word

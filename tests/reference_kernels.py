@@ -5,17 +5,19 @@ generator that built them), the tree model of terms that it held before a
 term became its listing (``Var``, ``App`` and ``Abs``, their listing and
 their build from a listing), every plane unary-binary tree, a pre-order
 node listing, a unary chain over a subtree, the one at the top of a
-skeleton, the bridge-search edge-connectivity oracle that the library's
-labelling pass replaced, and the parallel tree walk that ``alpha_equal``
-ran before it compared listings, each kept as a reference.  Not a test
-module; the tests import it."""
+skeleton, the syntactic diagram as a multigraph with the graph
+edge-connectivity oracles that the library's word oracle replaced (the
+search and labelling pass, and the bridge search before it), and the
+parallel tree walk that ``alpha_equal`` ran before it compared listings,
+each kept as a reference.  Not a test module; the tests import it."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from lambdamaps.connectivity import ConnectivityClass
-from lambdamaps.lambda_core import Diagram, Skeleton, render_skeleton
+from lambdamaps.lambda_core import Skeleton, _match, render_skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +271,97 @@ def leading_chain(s: Tree) -> tuple[int, Tree]:
         k += 1
         s = s.child
     return k, s
+
+
+# ---------------------------------------------------------------------------
+# The syntactic diagram as a multigraph, and the graph oracles on it
+
+@dataclass(frozen=True)
+class Diagram:
+    """Multigraph on the internal nodes of a skeleton.
+
+    Edges are the skeleton edges between internal nodes plus one binder edge
+    per leaf, from the leaf's parent to its matched unary node (a self-loop
+    when the parent is the binder), with the clockwise-contour matching.
+    The root is the skeleton's root node.  The graph oracles take any
+    multigraph, rooted at any vertex.
+    """
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    root: int
+
+
+def diagram_graph(s: Skeleton) -> Diagram:
+    """The diagram, from one scan of the word: a node's parent is the node
+    before it unless that one is a leaf, and then the innermost binary
+    node still waiting for its right child."""
+    word = s.word
+    binder = _match(word, right_first=True)
+    vertices = [0]
+    edges = []
+    waiting: list[int] = [0] if word[0] == 2 else []
+    for nid in range(1, len(word)):
+        kind = word[nid]
+        parent = nid - 1 if word[nid - 1] else waiting.pop()
+        if kind:
+            vertices.append(nid)
+            edges.append((parent, nid))
+            if kind == 2:
+                waiting.append(nid)
+        else:
+            edges.append((parent, binder[nid]))
+    return Diagram(tuple(vertices), tuple(edges), 0)
+
+
+def label_connectivity_class(d: Diagram) -> ConnectivityClass:
+    """Edge connectivity of a diagram, from one spanning tree.
+
+    A breadth-first search from the first vertex finds the tree, or that
+    the diagram is Disconnected.  Each non-tree edge gets its own bit,
+    XORed into both of its ends, and a reverse pass over the search order
+    labels each tree edge with the XOR of the vertices below it.  A label
+    of 0 is a bridge (One).  Two edges of a bridgeless diagram disconnect
+    it exactly when their labels are equal (the cycle-space test of
+    Pritchard and Thurimella, exact with one bit per non-tree edge), which
+    makes it Two unless both are at the root vertex.  Diagrams with at
+    most one vertex are vacuously ThreePlus.
+    """
+    n = len(d.vertices)
+    if n <= 1:
+        return ConnectivityClass.ThreePlus
+    index_of = {v: i for i, v in enumerate(d.vertices)}
+    ends = [(index_of[u], index_of[v]) for u, v in d.edges]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(ends):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    via = [-1] * n  # the tree edge into each vertex
+    up = [0] * n  # and the vertex it comes from
+    order = [0]
+    for x in order:
+        for y, i in adj[x]:
+            if via[y] < 0 and y:
+                via[y], up[y] = i, x
+                order.append(y)
+    if len(order) < n:
+        return ConnectivityClass.Disconnected
+    tree = set(via)
+    label = [0 if i in tree else 1 << i for i in range(len(ends))]
+    below = [0] * n
+    for (u, v), bit in zip(ends, label):
+        below[u] ^= bit
+        below[v] ^= bit
+    for y in reversed(order[1:]):
+        label[via[y]] = below[y]
+        below[up[y]] ^= below[y]
+    if 0 in label:
+        return ConnectivityClass.One
+    at_root = [d.root in e for e in d.edges]
+    others = [lab for lab, r in zip(label, at_root) if not r]
+    rooted = {lab for lab, r in zip(label, at_root) if r}
+    if len(set(others)) < len(others) or not rooted.isdisjoint(others):
+        return ConnectivityClass.Two
+    return ConnectivityClass.ThreePlus
 
 
 def _bridges(adj: list[list[tuple[int, int]]], skip: int = -1) -> tuple[bool, list[int]]:

@@ -447,11 +447,14 @@ def _failed(out: str) -> list[str]:
 
 
 @pytest.mark.parametrize("name, kernel", [
+    ("roundtrip.rho", "rho"),
     ("roundtrip.rho", "rho_inv"),
+    ("oracle.rho-direct", "rho"),
     ("oracle.rho-direct", "rho_direct"),
     ("oracle.preimages", "pi"),
     ("oracle.preimages", "attach_root_edge"),
     ("counts.psi-2conn-image", "psi"),
+    ("counts.rho-loopless-image", "rho"),
     ("stats.multisets", "skeleton_stats"),
     ("stats.multisets", "degree_tree_stats"),
 ])
@@ -459,7 +462,9 @@ def test_a_kernel_that_raises_on_one_object_fails_the_check_that_calls_it(
         monkeypatch, capsys, empty_derived_caches, name, kernel):
     # each of these checks called its kernel outside checks._bad, so that
     # verify raised InvalidInput and exited 2 as if the input were bad; in
-    # the check's suite no other check calls checks' binding of the kernel
+    # the check's suite no other check calls checks' binding of the kernel.
+    # rho fills the derived cache of the three checks that read its images,
+    # each of which counts a map whose rho raised as a failure
     from lambdamaps.lambda_core import InvalidInput
 
     original = getattr(checks, kernel)
@@ -637,19 +642,19 @@ def _filled_by(run) -> set:
 
 
 # The queue entries at --max-size 8 on two CPUs, heaviest first, as chosen
-# by their measured seconds (BENCH_19.json).
+# by their measured seconds (BENCH_27.json).
 MEASURED_SCHEDULE = [
-    ["oracle.connectivity"],
     ["roundtrip.term-text"],
+    ["oracle.connectivity"],
     ["roundtrip.psi"],
     ["counts.psi-2conn-image"],
     ["stats.multisets"],
     ["roundtrip.phi"],
     ["roundtrip.rho", "oracle.rho-direct", "counts.rho-loopless-image"],
     ["counts.connected"],
+    ["counts.2-connected"],
     ["gf.chain-identity", "gf.printed-form"],
     ["roundtrip.term-map-term"],
-    ["counts.2-connected"],
     ["oracle.preimages"],
     ["gf.pmf-tv"],
     ["counts.3-connected"],

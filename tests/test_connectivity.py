@@ -17,9 +17,10 @@ from lambdamaps.connectivity import (
 )
 from lambdamaps.enumeration import gen_reduced_skeletons, gen_skeletons
 from lambdamaps.labeled_trees import LabeledTree
-from lambdamaps.lambda_core import (Diagram, InvalidInput, Skeleton, diagram_of, parse_skeleton,
+from lambdamaps.lambda_core import (InvalidInput, Skeleton, diagram_of, parse_skeleton,
                                     render_skeleton)
-from reference_kernels import (Leaf, bridge_connectivity_class, iter_unary_binary, leading_chain,
+from reference_kernels import (Diagram, Leaf, bridge_connectivity_class, diagram_graph,
+                               iter_unary_binary, label_connectivity_class, leading_chain,
                                preorder, tree_of_word, tree_word)
 
 
@@ -94,7 +95,7 @@ def test_leading_chain():
 
 
 # ---------------------------------------------------------------------------
-# The diagram oracle: edge connectivity from one labelling pass
+# The diagram oracle: edge connectivity from one labelling scan of the word
 
 def test_edge_connectivity_examples():
     assert edge_connectivity_class(diagram_of(sk("U(U(B(L,L)))"))) \
@@ -129,7 +130,9 @@ def test_oracle_equivalence_level3():
 
 def test_mirror_matters_only_at_level3():
     # with binder edges drawn from the counterclockwise contour instead,
-    # the first 3-connected skeleton acquires a non-root disconnecting pair
+    # the first 3-connected skeleton acquires a non-root disconnecting pair;
+    # the reference graph oracle sees it, and the clockwise diagram is
+    # ThreePlus to the reference and the word oracle alike
     from lambdamaps.lambda_core import planar_match
 
     s = sk("U(U(U(B(L,B(L,L)))))")
@@ -144,28 +147,30 @@ def test_mirror_matters_only_at_level3():
             if parent >= 0:
                 edges.append((parent, nid))
     mirror = Diagram(tuple(vertices), tuple(edges), 0)
-    assert edge_connectivity_class(mirror) == ConnectivityClass.Two
+    assert label_connectivity_class(mirror) == ConnectivityClass.Two
+    assert label_connectivity_class(diagram_graph(s)) == ConnectivityClass.ThreePlus
     assert edge_connectivity_class(diagram_of(s)) == ConnectivityClass.ThreePlus
 
 
 def test_edge_connectivity_class_on_a_deep_three_connected_diagram(shallow_recursion):
     # a 3-connected skeleton whose diagram has 3,004 edges, on which one
     # bridge search per removed edge took seconds
-    d = diagram_of(unreduce(phi_inv(LabeledTree(1000, (LabeledTree(0),) * 1000))))
-    assert len(d.edges) == 3004
+    s = unreduce(phi_inv(LabeledTree(1000, (LabeledTree(0),) * 1000)))
+    assert len(diagram_graph(s).edges) == 3004
     t0 = time.perf_counter()
-    assert edge_connectivity_class(d) == ConnectivityClass.ThreePlus
+    assert edge_connectivity_class(diagram_of(s)) == ConnectivityClass.ThreePlus
     assert time.perf_counter() - t0 < 1
 
 
 # ---------------------------------------------------------------------------
-# Three references on random multigraphs, each the oracle that the next one
-# replaced: the edge-set oracle below (one search over the edge list per
+# Four graph references on random multigraphs, each the oracle that the next
+# one replaced: the edge-set oracle below (one search over the edge list per
 # removed set of up to two edges), the pair-removal oracle after it (one
 # search per single edge and per edge pair, on adjacency lists built once),
-# and the bridge search (one lowlink search, then one per removed edge;
-# reference_kernels.bridge_connectivity_class), which the labelling pass
-# replaced
+# the bridge search (one lowlink search, then one per removed edge;
+# reference_kernels.bridge_connectivity_class), and the search and
+# labelling pass (reference_kernels.label_connectivity_class), which the
+# word oracle replaced.  On skeletons the word oracle must equal them all
 
 def _old_connected(nvert, index_of, edges, skip):
     if nvert == 0:
@@ -251,14 +256,16 @@ def _pair_edge_connectivity_class(d):
     return ConnectivityClass.ThreePlus
 
 
-def _matchable_diagrams(nleaf):
-    """Diagrams of every unary-binary tree with nleaf leaves and as many
-    unary nodes that matches, inside the connected family or not."""
+def _matchable_skeletons(nleaf):
+    """Every unary-binary tree with nleaf leaves and as many unary nodes
+    that matches, inside the connected family or not, as a skeleton."""
     for t in iter_unary_binary(nleaf, nleaf):
+        s = Skeleton(tree_word(t))
         try:
-            yield diagram_of(Skeleton(tree_word(t)))
+            diagram_graph(s)
         except InvalidInput:
-            pass
+            continue
+        yield s
 
 
 def _random_diagrams(count, seed):
@@ -276,18 +283,25 @@ def _random_diagrams(count, seed):
 
 
 def test_edge_connectivity_class_equals_old_oracle():
-    diagrams = [diagram_of(s) for n in range(1, 8) for s in gen_skeletons(n, 1)]
-    diagrams += [d for n in range(1, 6) for d in _matchable_diagrams(n)]
-    randoms = list(_random_diagrams(3000, seed=7))
+    skeletons = [s for n in range(1, 8) for s in gen_skeletons(n, 1)]
+    skeletons += [s for n in range(1, 6) for s in _matchable_skeletons(n)]
     seen = Counter()
-    for d in diagrams + randoms:
+    for s in skeletons:
+        d = diagram_graph(s)
+        want = _pair_edge_connectivity_class(d)
+        assert bridge_connectivity_class(d) == want, s
+        assert label_connectivity_class(d) == want, s
+        assert edge_connectivity_class(diagram_of(s)) == want, s
+        seen[want] += 1
+    # no skeleton's diagram is disconnected: its tree edges span it
+    assert set(seen) == set(ConnectivityClass) - {ConnectivityClass.Disconnected}
+    for d in _random_diagrams(3000, seed=7):
         want = _pair_edge_connectivity_class(d)
         assert bridge_connectivity_class(d) == want, d
-        assert edge_connectivity_class(d) == want, d
+        assert label_connectivity_class(d) == want, d
+        assert _old_edge_connectivity_class(d) == want, d
         seen[want] += 1
     assert set(seen) == set(ConnectivityClass)
-    for d in randoms:
-        assert _old_edge_connectivity_class(d) == _pair_edge_connectivity_class(d), d
 
 
 @st.composite
@@ -307,4 +321,4 @@ def test_edge_connectivity_class_equals_old_oracle_on_multigraphs(d):
     want = _old_edge_connectivity_class(d)
     assert _pair_edge_connectivity_class(d) == want
     assert bridge_connectivity_class(d) == want
-    assert edge_connectivity_class(d) == want
+    assert label_connectivity_class(d) == want

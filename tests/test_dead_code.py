@@ -17,7 +17,9 @@ their base ``_Term`` and their union ``LambdaTerm``) or a converter
 between node trees and words or listings (``word_of``,
 ``skeleton_of_word``; ``_listing_of``, ``_term_of_listing``).  Both tree
 models live in ``tests/reference_kernels.py``, as the references of the
-word and listing kernels.
+word and listing kernels.  The edge-connectivity oracle reads the word
+too, so no module defines or names the syntactic diagram as a multigraph
+(``Diagram``); it lives there as well, with the graph oracles that read it.
 """
 
 import ast
@@ -80,7 +82,8 @@ def test_every_method_has_a_caller():
 def test_no_module_names_a_node_class_or_a_tree_converter():
     # exact names, so that word_of_vtree, say, is not one of them
     banned = {"Leaf", "Unary", "Binary", "LEAF", "word_of", "skeleton_of_word",
-              "Var", "App", "Abs", "_Term", "LambdaTerm", "_listing_of", "_term_of_listing"}
+              "Var", "App", "Abs", "_Term", "LambdaTerm", "_listing_of", "_term_of_listing",
+              "Diagram"}
     naming = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text())):

