@@ -4,7 +4,8 @@ Each row of CHECKS is ``(name, fn, seconds, derived_cache,
 generator_caches)``: ``fn(nmax)`` checks one claim exhaustively up to the
 size cap nmax and returns ``(ok, detail)``; the rest weigh it and name the
 caches it reads.  The suite of a check is the part of its name before the
-first dot.
+first dot.  A check that raises fails, with ``raised <type>: <message>``
+as its detail, so a fault of a kernel is a failed check, never bad input.
 
 The checks share no mutable state, so `run_verify` runs them on every
 usable CPU: one forked process per CPU, the caller included, takes the next
@@ -58,38 +59,16 @@ def _skeletons(nmax: int) -> list[Skeleton]:
     return [s for n in range(1, nmax + 1) for s in gen_skeletons(n, 1)]
 
 
-def _rho_or_none(m: RootedMap) -> LabeledTree | None:
-    """rho(m), or None where rho raises ValueError, which each check that
-    reads the image counts as a failure on m."""
-    try:
-        return rho(m)
-    except ValueError:
-        return None
-
-
 @lru_cache(maxsize=None)
-def _rho_images(e: int) -> tuple[LabeledTree | None, ...]:
+def _rho_images(e: int) -> tuple[LabeledTree, ...]:
     """rho of every map in gen_maps(e), in the same order, computed once
-    for the three checks that read it; see _rho_or_none."""
-    return tuple(map(_rho_or_none, gen_maps(e)))
+    for the three checks that read it."""
+    return tuple(map(rho, gen_maps(e)))
 
 
-def _maps(emax: int) -> list[tuple[RootedMap, LabeledTree | None]]:
+def _maps(emax: int) -> list[tuple[RootedMap, LabeledTree]]:
     """Every rooted planar map with 0..emax edges, with its rho image."""
     return [pair for e in range(emax + 1) for pair in zip(gen_maps(e), _rho_images(e))]
-
-
-def _bad(claim, objects) -> int:
-    """How many of objects claim fails on.  A kernel that raises ValueError
-    on one of them fails the claim there, so that verify prints FAIL and
-    exits 1 instead of stopping at the first such object."""
-    bad = 0
-    for x in objects:
-        try:
-            bad += not claim(x)
-        except ValueError:
-            bad += 1
-    return bad
 
 
 def _text_roundtrips(s: Skeleton) -> bool:
@@ -103,27 +82,26 @@ def _text_roundtrips(s: Skeleton) -> bool:
 
 def _term_text(nmax: int) -> tuple[bool, str]:
     sks = _skeletons(nmax)
-    bad = _bad(_text_roundtrips, sks)
+    bad = sum(not _text_roundtrips(s) for s in sks)
     return bad == 0, f"sizes<={nmax} ({len(sks)} terms)"
 
 
 def _phi_roundtrip(nmax: int) -> tuple[bool, str]:
     rs = [r for n in range(2, nmax + 1) for r in gen_reduced_skeletons(n)]
-    bad = _bad(lambda r: phi_inv(phi(r)) == r, rs)
+    bad = sum(phi_inv(phi(r)) != r for r in rs)
     return bad == 0, f"sizes<={nmax} ({len(rs)} reduced skeletons)"
 
 
 def _psi_roundtrip(nmax: int) -> tuple[bool, str]:
     sks = _skeletons(nmax)
-    bad = _bad(lambda s: psi_inv(psi(s)) == s, sks)
+    bad = sum(psi_inv(psi(s)) != s for s in sks)
     return bad == 0, f"sizes<={nmax} ({len(sks)} skeletons)"
 
 
 def _rho_roundtrip(nmax: int) -> tuple[bool, str]:
     emax = min(nmax, RHO_MAX_EDGES)
     pairs = _maps(emax)
-    bad = _bad(lambda pair: pair[1] is not None
-               and canonical_form(rho_inv(pair[1])) == canonical_form(pair[0]), pairs)
+    bad = sum(canonical_form(rho_inv(t)) != canonical_form(m) for m, t in pairs)
     return bad == 0, f"edges<={emax} ({len(pairs)} maps)"
 
 
@@ -136,7 +114,7 @@ def _term_map_term(nmax: int) -> tuple[bool, str]:
         return alpha_equal(parse_term(back), term)
 
     sks = _skeletons(min(nmax, 5))
-    bad = _bad(back_and_forth, sks)
+    bad = sum(not back_and_forth(s) for s in sks)
     return bad == 0, f"sizes<={min(nmax, 5)} ({len(sks)} terms)"
 
 
@@ -151,7 +129,7 @@ def _connectivity(nmax: int) -> tuple[bool, str]:
     """The structural 2- and 3-connectivity tests agree with the diagram's
     edge connectivity; the one-atom term is vacuous at level 3."""
     sks = _skeletons(nmax)
-    bad = _bad(_connectivity_agrees, sks)
+    bad = sum(not _connectivity_agrees(s) for s in sks)
     return bad == 0, f"sizes<={nmax} ({len(sks)} skeletons)"
 
 
@@ -159,8 +137,7 @@ def _rho_direct(nmax: int) -> tuple[bool, str]:
     """rho_direct equals rho, and the root label is the outer vertex count."""
     emax = min(nmax, RHO_MAX_EDGES)
     pairs = _maps(emax)
-    bad = _bad(lambda pair: rho_direct(pair[0]) == pair[1] and pair[1].label == outv(pair[0]),
-               pairs)
+    bad = sum(rho_direct(m) != t or t.label != outv(m) for m, t in pairs)
     return bad == 0, f"edges<={emax} ({len(pairs)} maps)"
 
 
@@ -172,23 +149,17 @@ def _preimages(nmax: int) -> tuple[bool, str]:
     bad = total = 0
     for e in range(emax + 1):
         preimages: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-        def file_under_pi(u: RootedMap) -> bool:
+        for u in gen_maps(e + 1):
             if is_one_corner(u):
                 preimages.setdefault(canonical_form(pi(u)), []).append(canonical_form(u))
-            return True
-
-        def attached_are_preimages(m: RootedMap) -> bool:
+        for m in gen_maps(e):
+            total += 1
             attached = [attach_root_edge(m, i) for i in range(outv(m) + 1)]
             built = sorted(canonical_form(u) for u in attached)
-            return (built == sorted(preimages.get(canonical_form(m), []))
-                    and len(set(built)) == len(attached)
-                    and all(outv(u) - 1 == i and is_one_corner(u)
-                            for i, u in enumerate(attached)))
-
-        maps = gen_maps(e)
-        bad += _bad(file_under_pi, gen_maps(e + 1)) + _bad(attached_are_preimages, maps)
-        total += len(maps)
+            bad += (built != sorted(preimages.get(canonical_form(m), []))
+                    or len(set(built)) != len(attached))
+            bad += sum(outv(u) - 1 != i or not is_one_corner(u)
+                       for i, u in enumerate(attached))
     return bad == 0, f"edges<={emax} ({total} maps)"
 
 
@@ -221,15 +192,8 @@ def _positive_vtrees(e: int) -> set[str]:
 
 def _psi_image(nmax: int) -> tuple[bool, str]:
     """psi sends the 2-connected skeletons onto the positive v-trees."""
-    bad = 0
-    for n in range(1, nmax + 1):
-        image: set[str] = set()
-
-        def add_image(s: Skeleton) -> bool:
-            image.add(render_labeled_tree(psi(s)))
-            return True
-
-        bad += _bad(add_image, gen_skeletons(n, 2)) + (image != _positive_vtrees(n - 1))
+    bad = sum(_positive_vtrees(n - 1) != {render_labeled_tree(psi(s)) for s in gen_skeletons(n, 2)}
+              for n in range(1, nmax + 1))
     return bad == 0, f"sizes<={nmax}"
 
 
@@ -241,18 +205,10 @@ def _rho_image(nmax: int) -> tuple[bool, str]:
         # both generators give the canonical labelling with root 0, so the
         # rotation names the map
         loopless = {m.sigma for m in gen_loopless_maps(e)}
-        images = _rho_images(e)
-        image = {render_labeled_tree(t) for m, t in zip(gen_maps(e), images)
-                 if t is not None and m.sigma in loopless}
-        bad += (image != _positive_vtrees(e)) + images.count(None)
+        image = {render_labeled_tree(t) for m, t in zip(gen_maps(e), _rho_images(e))
+                 if m.sigma in loopless}
+        bad += image != _positive_vtrees(e)
     return bad == 0, f"edges<={emax}"
-
-
-def _stats_carried(r: Skeleton) -> bool:
-    """phi carries the statistics of the reduced skeleton r to its degree
-    tree."""
-    s, d = skeleton_stats(r), degree_tree_stats(phi(r))
-    return (s.applv, s.appla, s.uc, s.ex) == (d.lnode, d.znode, d.edge, d.rlabel + 1)
 
 
 def _stat_multisets(nmax: int) -> tuple[bool, str]:
@@ -260,17 +216,13 @@ def _stat_multisets(nmax: int) -> tuple[bool, str]:
     skeletons agree, the abstraction shift is 2, and phi carries each
     reduced skeleton's statistics to its degree tree."""
     nstat = min(nmax - 2, 4)
-    shifts = []
+    shifts = [compare_stat_multisets(n).abstraction_shift for n in range(1, nstat + 1)]
     faults = []
-    for n in range(1, nstat + 1):
-        try:
-            shifts.append(compare_stat_multisets(n).abstraction_shift)
-        except (AssertionError, ValueError) as exc:  # a mismatch, or a kernel that raised
-            faults.append(f"n{n}: {exc}")
-    rs = (r for n in range(2, nmax + 1) for r in gen_reduced_skeletons(n))
-    first = next((r for r in rs if _bad(_stats_carried, (r,))), None)
-    if first is not None:
-        faults.append(f"statistics of {first!r} differ from its degree tree's")
+    for r in (r for n in range(2, nmax + 1) for r in gen_reduced_skeletons(n)):
+        s, d = skeleton_stats(r), degree_tree_stats(phi(r))
+        if (s.applv, s.appla, s.uc, s.ex) != (d.lnode, d.znode, d.edge, d.rlabel + 1):
+            faults.append(f"statistics of {r!r} differ from its degree tree's")
+            break
     ok = not faults and all(shift == 2 for shift in shifts)
     return ok, "; ".join([f"n<={nstat} shift={sorted(set(shifts))}", *faults])
 
@@ -374,15 +326,17 @@ def _workers(nentries: int) -> int:
 def _take_checks(queue: int, entries: list[list[int]], nmax: int) -> dict:
     """Run the checks of the entries whose positions this process reads
     from the queue, one byte each, until the queue is empty.  Maps the
-    CHECKS index of each check run to ``(ok, detail)`` or to the exception
-    the check raised; a check that raises stops nothing else."""
+    CHECKS index of each check run to its ``(ok, detail)``.  A check that
+    raises an Exception fails, with the exception's type and message as
+    its detail, and stops nothing else: its input is only its size, which
+    run_verify has checked, so no exception of a check is bad input."""
     results: dict = {}
     while position := os.read(queue, 1):
         for i in entries[position[0]]:
             try:
                 results[i] = CHECKS[i][1](nmax)
             except Exception as exc:
-                results[i] = exc
+                results[i] = False, f"raised {type(exc).__name__}: {exc}"
     return results
 
 
@@ -449,11 +403,10 @@ def run_verify(suite: str, nmax: int) -> tuple[bool, list[str]]:
 
     Returns whether every check passed, and one ``ok``/``FAIL`` line per
     check followed by a summary line.  Raises before any check runs when
-    the suite is unknown or nmax is outside 2..MAX_SKELETON_SIZE.  When
-    checks raise, the exception of the first of them in CHECKS order is
-    raised again here, ahead of any check missing because a worker died;
-    one raised in a worker process comes without the worker's frames, which
-    a run on one CPU (``taskset -c 0``) shows.
+    the suite is unknown or nmax is outside 2..MAX_SKELETON_SIZE.  A check
+    that raises fails: its line reads ``FAIL <name> raised <type>:
+    <message>``, on any number of CPUs.  A check whose worker process
+    ended before it reported fails too.
     """
     if suite != "all" and suite not in SUITES:
         raise InvalidInput(f"unknown suite {suite!r}")
@@ -462,16 +415,10 @@ def run_verify(suite: str, nmax: int) -> tuple[bool, list[str]]:
     selected = [i for i, (name, *_row) in enumerate(CHECKS)
                 if suite in ("all", name.split(".", 1)[0])]
     results = _run_checks(selected, nmax)
-    for i in selected:
-        if isinstance(results.get(i), Exception):
-            raise results[i]
     lines = []
     for i in selected:
-        name = CHECKS[i][0]
-        if i not in results:
-            raise RuntimeError(f"a verify worker process ended before it reported {name}")
-        ok, detail = results[i]
-        lines.append(f"{'ok' if ok else 'FAIL'} {name} {detail}")
+        ok, detail = results.get(i, (False, "its worker process ended before it reported"))
+        lines.append(f"{'ok' if ok else 'FAIL'} {CHECKS[i][0]} {detail}")
     total = len(lines)
     failed = sum(line.startswith("FAIL") for line in lines)
     if failed:

@@ -402,7 +402,6 @@ def render_count_table(rows: list[CountRow]) -> str:
 
 @dataclass(frozen=True)
 class StatReport:
-    n: int
     tuples_per_side: int
     abstraction_shift: int
 
@@ -440,4 +439,4 @@ def compare_stat_multisets(n: int) -> StatReport:
     shift = chains[0] - outdegs[0]
     if chains != [o + shift for o in outdegs]:
         raise AssertionError("abstraction counts are not a constant shift of outdegs")
-    return StatReport(n, len(dtuples), shift)
+    return StatReport(len(dtuples), shift)

@@ -88,7 +88,11 @@ def parse_labeled_tree(text: str) -> LabeledTree:
             pos += 1
         if pos == start:
             raise ParseError("expected a label", start)
-        return int(s[start:pos])
+        try:
+            return int(s[start:pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"label of {pos - start} digits is longer than int() reads",
+                             start) from None
 
     def rec() -> LabeledTree:
         nonlocal pos

@@ -328,6 +328,16 @@ def render_map(m: RootedMap) -> str:
     return f"map n={m.n} sigma={cycles} root={m.root}"
 
 
+def _numbers(field: str, digits: list[str]) -> list[int]:
+    """The numbers written in digits.  int() refuses a text of more digits
+    than sys.get_int_max_str_digits() with a plain ValueError, which is an
+    InvalidInput of the map text's field here."""
+    try:
+        return list(map(int, digits))
+    except ValueError:
+        raise InvalidInput(f"a number in {field} has more digits than int() reads") from None
+
+
 def parse_map(text: str) -> RootedMap:
     toks = text.split()
     if not toks or toks[0] != "map":
@@ -336,7 +346,7 @@ def parse_map(text: str) -> RootedMap:
     mn = re.match(r"n=([0-9]+)\s*(.*)$", fields)
     if not mn:
         raise InvalidInput("missing n=")
-    n = int(mn.group(1))
+    n, = _numbers("n=", [mn.group(1)])
     rest = mn.group(2)
     if n == 0:
         if rest:
@@ -345,7 +355,7 @@ def parse_map(text: str) -> RootedMap:
     ms = re.match(r"sigma=((?:\([0-9 ]*\))+)\s+root=([0-9]+)$", rest)
     if not ms:
         raise InvalidInput("missing sigma=...(cycles) root=...")
-    cycles = [list(map(int, cyc.split())) for cyc in re.findall(r"\(([0-9 ]*)\)", ms.group(1))]
+    cycles = [_numbers("sigma=", cyc.split()) for cyc in re.findall(r"\(([0-9 ]*)\)", ms.group(1))]
     # Omitted half-edges are fixed points.  In a connected map with n >= 2
     # edges no edge has both halves fixed, so a valid text lists at least
     # n - 1 half-edges; checking that first keeps a huge n from allocating.
@@ -363,7 +373,8 @@ def parse_map(text: str) -> RootedMap:
             listed_at[h] = 1
         for h, s in zip(vals, vals[1:] + vals[:1]):
             sigma[h] = s
-    m = RootedMap(n, tuple(sigma), int(ms.group(2)))
+    root, = _numbers("root=", [ms.group(2)])
+    m = RootedMap(n, tuple(sigma), root)
     _check(m)
     return m
 

@@ -290,18 +290,16 @@ def limit_pmf(k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PmfReport:
-    k_max: int
-    partial_sum: Fraction
     sum_defect: float
-    empirical_n: int
     tv_distance: float
     tv_on_support: float
 
 
 def pmf_diagnostics(k_max: int, n_empirical: int) -> PmfReport:
-    """Exact partial sum of the limit law up to k_max, plus two
-    total-variation distances against the outer half-degree distribution
-    over the bipartite maps with n_empirical edges.
+    """How far the exact partial sum of the limit law up to k_max falls
+    short of 1 (sum_defect), plus two total-variation distances against
+    the outer half-degree distribution over the bipartite maps with
+    n_empirical edges.
 
     tv_distance compares with the full limit law; since the outer
     half-degree of an n-edge map is at most n, this is always at least the
@@ -331,5 +329,4 @@ def pmf_diagnostics(k_max: int, n_empirical: int) -> PmfReport:
     for k in range(1, n_empirical + 1):
         emp = Fraction(counts.get(k, 0), total)
         tv_cond += abs(emp - limit_pmf(k) / support_mass)
-    return PmfReport(k_max, partial, float(1 - partial), n_empirical,
-                     float(tv / 2), float(tv_cond / 2))
+    return PmfReport(float(1 - partial), float(tv / 2), float(tv_cond / 2))

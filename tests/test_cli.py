@@ -264,6 +264,24 @@ def test_vtree_with_huge_labels_is_bad_input(capsys):
     assert (code, out, err) == (2, "", "error: not a valid v-tree\n")
 
 
+def test_numbers_longer_than_int_reads_are_bad_input(capsys, too_many_digits):
+    # int() refused them with a builtin ValueError, which the error line
+    # printed as "Exceeds the limit (4300 digits) ..."
+    big = too_many_digits
+    label = f"label of {len(big)} digits is longer than int() reads"
+    for argv, error in (
+            (["stats", big], f"{label} at offset 0"),
+            (["convert", "--from", "vtree", "--to", "map", f"2[{big}]"], f"{label} at offset 2"),
+            (["stats", f"map n={big} sigma=(0) root=0"], "a number in n= has more digits"),
+            (["convert", "--from", "map", "--to", "vtree", f"map n=1 sigma=(0 {big}) root=0"],
+             "a number in sigma= has more digits"),
+            (["stats", f"map n=1 sigma=(0)(1) root={big}"], "a number in root= has more digits")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
 def test_stats_map_with_huge_edge_count(capsys):
     # Rejected before sigma is allocated: the text lists one half-edge only.
     assert main(["stats", "map n=1000000000000000000 sigma=(0) root=0"]) == 2
@@ -420,8 +438,9 @@ def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
     monkeypatch.setattr(lambda_core, "_match", broken)
     ok, lines = run_verify("roundtrip", 3)
     assert not ok
-    assert lines[0] == "FAIL roundtrip.term-text sizes<=3 (12 terms)"
-    assert lines[4] == "FAIL roundtrip.term-map-term sizes<=3 (12 terms)"
+    detail = "raised InvalidInput: leaf 1 has no enclosing unary node"
+    assert lines[0] == f"FAIL roundtrip.term-text {detail}"
+    assert lines[4] == f"FAIL roundtrip.term-map-term {detail}"
     assert lines[-1] == "2 check(s) failed (3/5)"
     assert_no_child_left()
 
@@ -460,11 +479,11 @@ def _failed(out: str) -> list[str]:
 ])
 def test_a_kernel_that_raises_on_one_object_fails_the_check_that_calls_it(
         monkeypatch, capsys, empty_derived_caches, name, kernel):
-    # each of these checks called its kernel outside checks._bad, so that
-    # verify raised InvalidInput and exited 2 as if the input were bad; in
-    # the check's suite no other check calls checks' binding of the kernel.
-    # rho fills the derived cache of the three checks that read its images,
-    # each of which counts a map whose rho raised as a failure
+    # each of these checks once raised InvalidInput out of verify, which
+    # exited 2 as if the input were bad; in the check's suite no other check
+    # calls checks' binding of the kernel.  rho fills the derived cache of
+    # the three checks that read its images, and the check that asked for
+    # the images fails
     from lambdamaps.lambda_core import InvalidInput
 
     original = getattr(checks, kernel)
@@ -480,6 +499,21 @@ def test_a_kernel_that_raises_on_one_object_fails_the_check_that_calls_it(
     assert main(["verify", "--suite", name.split(".")[0], "--max-size", "4"]) == 1
     captured = capsys.readouterr()
     assert _failed(captured.out) == [name]
+    assert captured.err == ""
+    assert_no_child_left()
+
+
+def test_a_kernel_that_raises_no_value_error_fails_its_check(monkeypatch, capsys):
+    # an exception that is not a ValueError escaped main with a traceback
+    def broken(_s):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(checks, "psi", broken)
+    assert main(["verify", "--suite", "counts", "--max-size", "4"]) == 1
+    captured = capsys.readouterr()
+    assert ("FAIL counts.psi-2conn-image raised IndexError: list index out of range"
+            in captured.out.splitlines())
+    assert _failed(captured.out) == ["counts.psi-2conn-image"]
     assert captured.err == ""
     assert_no_child_left()
 
@@ -532,35 +566,9 @@ def _replace_fns(monkeypatch, fn_of):
 
 
 @pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
-def test_verify_raises_the_first_exception_in_check_order(monkeypatch, capsys):
-    caller = os.getpid()
-    last = checks.CHECKS[-1][0]
-
-    def check(name):
-        def run(_nmax):
-            if os.getpid() != caller:
-                # a worker raises on the first check it takes, after the
-                # caller has raised on the last check
-                time.sleep(0.5)
-                raise ValueError("the earlier check")
-            if name == last:
-                raise ValueError("the later check")
-            time.sleep(0.02)  # a worker takes a check meanwhile
-            return True, ""
-        return run
-
-    _replace_fns(monkeypatch, check)
-    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: the earlier check\n"
-    assert_no_child_left()
-
-
-@pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
 def test_verify_reports_a_parse_error_raised_in_a_worker(monkeypatch, capsys):
-    # the worker pickles the error to the caller, which must unpickle it
-    # whole: the same message and offset as on one CPU
+    # the worker's FAIL line carries the error's message and offset, as
+    # the line of the same check raising on one CPU does
     caller = os.getpid()
     text = r"\x.\y.(y x"
     with pytest.raises(lambda_core.ParseError) as raised:
@@ -573,11 +581,26 @@ def test_verify_reports_a_parse_error_raised_in_a_worker(monkeypatch, capsys):
         return True, ""
 
     _replace_fns(monkeypatch, lambda _name: check)
-    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {raised.value}\n"
+    assert err == ""
+    in_worker = _failed(out)
+    assert in_worker
+    for name in in_worker:
+        assert f"FAIL {name} raised ParseError: {raised.value}" in out.splitlines()
     assert_no_child_left()
+
+    def check_of(name):
+        def run(_nmax):
+            if name in in_worker:
+                parse_term(text)
+            return True, ""
+        return run
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+    _replace_fns(monkeypatch, check_of)
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 1
+    assert capsys.readouterr() == (out, "")
 
 
 def test_verify_on_one_cpu_forks_nothing(monkeypatch, capsys):
@@ -619,8 +642,15 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
         return True, ""
 
     _replace_fns(monkeypatch, lambda _name: check)
-    with pytest.raises(RuntimeError, match="ended before it reported gf[.]"):
-        run_verify("gf", 3)
+    ok, lines = run_verify("gf", 3)
+    assert ok is False
+    lost = [line for line in lines if line.startswith("FAIL ")]
+    assert lost
+    for line in lost:
+        name = line.split()[1]
+        assert line == f"FAIL {name} its worker process ended before it reported"
+    total = len(lines) - 1
+    assert lines[-1] == f"{len(lost)} check(s) failed ({total - len(lost)}/{total})"
     assert_no_child_left()
 
 
@@ -714,19 +744,19 @@ def test_a_suite_prints_its_lines_of_the_full_run(monkeypatch, capsys, suite, cp
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_verify_reports_a_check_queued_late_but_early_in_check_order(monkeypatch, capsys,
-                                                                    cpus):
-    # a process goes on taking entries after a check raised, so the check
-    # queued last runs and raises, and its error is reported: it comes
-    # first in CHECKS order among the checks that raise
+def test_every_raising_check_prints_its_own_fail_line(monkeypatch, capsys, cpus):
+    # verify raised the first exception in CHECKS order and exited 2, so
+    # one check's fault hid the others and read as bad input.  The raising
+    # checks are the one queued last and every check after it in CHECKS
+    # order, one of which is queued before it
     names = [name for name, *_row in checks.CHECKS]
     last_entry = [names[i] for i in checks._entries(_selected("all"))[-1]]
-    last = last_entry[0]
-    raising = names[names.index(last):]
-    assert set(raising) - set(last_entry)  # one is queued before it
+    raising = names[names.index(last_entry[0]):]
+    assert set(raising) - set(last_entry)
 
     def check(name):
         def run(_nmax):
+            time.sleep(0.01)  # on two CPUs, the worker takes checks meanwhile
             if name in raising:
                 raise ValueError(f"{name} failed")
             return True, ""
@@ -734,8 +764,11 @@ def test_verify_reports_a_check_queued_late_but_early_in_check_order(monkeypatch
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
     _replace_fns(monkeypatch, check)
-    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 2
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {last} failed\n"
+    assert out.splitlines() == [
+        *(f"FAIL {name} raised ValueError: {name} failed" if name in raising else f"ok {name} "
+          for name in names),
+        f"{len(raising)} check(s) failed ({len(names) - len(raising)}/{len(names)})"]
+    assert err == ""
     assert_no_child_left()

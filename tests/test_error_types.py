@@ -71,7 +71,8 @@ def test_no_bare_value_error_is_raised():
     SizeTooLarge("size must be in 1..8"),
 ])
 def test_error_types_survive_a_pickle_round_trip(exc):
-    # a verify worker pickles the exception its check raised to the caller
+    # the error types stay plain values: sent between processes, as by
+    # multiprocessing, an error comes back whole
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)

@@ -35,6 +35,14 @@ def test_labels_are_ascii_digits_only():
             parse_labeled_tree(text)
 
 
+def test_labels_longer_than_int_reads_are_parse_errors(too_many_digits):
+    # int() refused the label with a builtin ValueError
+    big = too_many_digits
+    for text, offset in ((big, 0), (f"2[{big}]", 2), (f"1[0,{big}]", 4)):
+        with pytest.raises(ParseError, match=f"^label of {len(big)} digits .* at offset {offset}$"):
+            parse_labeled_tree(text)
+
+
 def test_validate_degree_tree_examples():
     assert validate_degree_tree(lt("2[1[0]]"))
     assert not validate_degree_tree(lt("0[0]"))

@@ -202,6 +202,16 @@ def test_parse_map_reads_ascii_digits_only():
             parse_map(text)
 
 
+def test_parse_map_names_the_field_of_a_number_longer_than_int_reads(too_many_digits):
+    # int() refused the number with a builtin ValueError
+    big = too_many_digits
+    for text, field in ((f"map n={big} sigma=(0) root=0", "n="),
+                        (f"map n=1 sigma=(0 {big}) root=0", "sigma="),
+                        (f"map n=1 sigma=(0)(1) root={big}", "root=")):
+        with pytest.raises(InvalidInput, match=f"^a number in {field} has more digits"):
+            parse_map(text)
+
+
 # ---------------------------------------------------------------------------
 # pi / attach / decompose
 
