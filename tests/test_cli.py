@@ -566,6 +566,41 @@ def _replace_fns(monkeypatch, fn_of):
 
 
 @pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
+def test_checks_raising_in_the_caller_and_a_worker_each_print_a_fail_line(monkeypatch, capsys):
+    # verify re-raised only the earlier of the two exceptions and exited 2
+    caller = os.getpid()
+    last = checks.CHECKS[-1][0]
+
+    def check(name):
+        def run(_nmax):
+            if os.getpid() != caller:
+                # a worker raises on each check it takes, after the caller
+                # has raised on the last check
+                time.sleep(0.5)
+                raise ValueError("the earlier check")
+            if name == last:
+                raise ValueError("the later check")
+            time.sleep(0.02)  # a worker takes a check meanwhile
+            return True, ""
+        return run
+
+    _replace_fns(monkeypatch, check)
+    assert main(["verify", "--suite", "all", "--max-size", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    failed = _failed(out)
+    assert failed[-1] == last and f"FAIL {last} raised ValueError: the later check" in lines
+    in_worker = failed[:-1]
+    assert in_worker
+    for name in in_worker:
+        assert f"FAIL {name} raised ValueError: the earlier check" in lines
+    total = len(checks.CHECKS)
+    assert lines[-1] == f"{len(failed)} check(s) failed ({total - len(failed)}/{total})"
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(checks._workers(2) < 2, reason="needs a worker process")
 def test_verify_reports_a_parse_error_raised_in_a_worker(monkeypatch, capsys):
     # the worker's FAIL line carries the error's message and offset, as
     # the line of the same check raising on one CPU does
@@ -744,11 +779,13 @@ def test_a_suite_prints_its_lines_of_the_full_run(monkeypatch, capsys, suite, cp
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_every_raising_check_prints_its_own_fail_line(monkeypatch, capsys, cpus):
+def test_verify_reports_a_check_queued_late_but_early_in_check_order(monkeypatch, capsys,
+                                                                    cpus):
     # verify raised the first exception in CHECKS order and exited 2, so
-    # one check's fault hid the others and read as bad input.  The raising
-    # checks are the one queued last and every check after it in CHECKS
-    # order, one of which is queued before it
+    # one check's fault hid the others and read as bad input.  Now every
+    # raising check prints its own FAIL line: the raising checks are the one
+    # queued last and every check after it in CHECKS order, one of which is
+    # queued before it
     names = [name for name, *_row in checks.CHECKS]
     last_entry = [names[i] for i in checks._entries(_selected("all"))[-1]]
     raising = names[names.index(last_entry[0]):]
