@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import check_reduced, in_family
+from .connectivity import check_reduced
 from .lambda_core import InvalidInput, Skeleton
 from .labeled_trees import LabeledTree, validate_degree_tree
 
@@ -44,9 +44,9 @@ from .labeled_trees import LabeledTree, validate_degree_tree
 # leaf, and its word is 2^m 0 R_m ... R_1, where R_i is the right subtree
 # of the i-th spine node: its plane-tree children in order are R_1 .. R_m.
 
-def _spine(word: bytes, shift: int) -> tuple[int, tuple[LabeledTree, ...]]:
+def _spine(word: bytes, shift: int) -> tuple[int, tuple[LabeledTree, ...]] | None:
     """The deficit of a skeleton word and the plane-tree children of its
-    core.
+    core, or None when a child of a binary node has a negative deficit.
 
     One reverse scan keeps, for each finished subtree, its deficit and its
     core's plane-tree children in reverse order.  At a binary node the top
@@ -63,13 +63,16 @@ def _spine(word: bytes, shift: int) -> tuple[int, tuple[LabeledTree, ...]]:
             deficits[-1] -= 1
         else:
             left, rest = deficits.pop(), kids.pop()
-            right = kids[-1]
-            entry = LabeledTree(deficits[-1] - shift, tuple(reversed(right)) if right else ())
+            right = deficits[-1]
+            if left < 0 or right < 0:
+                return None
+            below = kids[-1]
+            entry = LabeledTree(right - shift, tuple(reversed(below)) if below else ())
             if rest:
                 rest.append(entry)
             else:
                 rest = [entry]
-            deficits[-1] += left
+            deficits[-1] = right + left
             kids[-1] = rest
     return deficits[0], tuple(reversed(kids[0]))
 
@@ -128,10 +131,17 @@ def phi_inv(d: LabeledTree) -> Skeleton:
 # psi: connected-family skeletons <-> v-trees
 
 def vtree_of_word(word: bytes) -> LabeledTree:
-    """psi on the pre-order arity word of a skeleton."""
-    if not in_family(word, 1):
+    """psi on the pre-order arity word of a skeleton.
+
+    The word is in the connected family (connectivity.in_family at level
+    1) when it has as many leaves as unary nodes, no binary node has a
+    unary left child, and both children of each binary node have deficit
+    >= 0; _spine tests the last in the scan that reads the tree.
+    """
+    if (word.count(0) != word.count(1) or b"\x02\x01" in word
+            or (spine := _spine(word, 0)) is None):
         raise InvalidInput("skeleton is not planar linear normal")
-    return LabeledTree(len(word) - len(word.lstrip(b"\x01")), _spine(word, 0)[1])
+    return LabeledTree(len(word) - len(word.lstrip(b"\x01")), spine[1])
 
 
 def word_of_vtree(v: LabeledTree) -> bytes:

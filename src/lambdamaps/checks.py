@@ -264,27 +264,27 @@ def _map_cache(nmax: int) -> None:
 
 
 # The seconds are each check's time in one verify --suite all --max-size 8
-# run on two CPUs (BENCH_27.json), an entry of several checks split evenly
+# run on two CPUs (BENCH_30.json), an entry of several checks split evenly
 # among them.
 CHECKS = (
-    ("roundtrip.term-text", _term_text, 6.611, None, (_skeletons,)),
-    ("roundtrip.phi", _phi_roundtrip, 0.301, None, (_skeletons,)),
-    ("roundtrip.psi", _psi_roundtrip, 3.496, None, (_skeletons,)),
-    ("roundtrip.rho", _rho_roundtrip, 0.053, _rho_images, (_map_cache,)),
-    ("roundtrip.term-map-term", _term_map_term, 0.081, None, (_skeletons,)),
-    ("oracle.connectivity", _connectivity, 3.593, None, (_skeletons,)),
-    ("oracle.rho-direct", _rho_direct, 0.053, _rho_images, (_map_cache,)),
-    ("oracle.preimages", _preimages, 0.046, None, (_map_cache,)),
-    ("counts.connected", _connected_counts, 0.114, None, (_skeletons, _map_cache)),
-    ("counts.2-connected", _two_connected_counts, 0.106, None, (_skeletons,)),
-    ("counts.3-connected", _three_connected_counts, 0.032, None, (_skeletons,)),
-    ("counts.psi-2conn-image", _psi_image, 1.137, None, (_skeletons,)),
-    ("counts.rho-loopless-image", _rho_image, 0.053, _rho_images, (_map_cache,)),
-    ("stats.multisets", _stat_multisets, 0.322, None, (_skeletons,)),
-    ("gf.chain-identity", _chain_identity, 0.043, _gf_report, (_skeletons,)),
-    ("gf.printed-form", _printed_form, 0.042, _gf_report, (_skeletons,)),
-    ("gf.pmf-sum", _pmf_sum, 0.005, None, ()),
-    ("gf.pmf-tv", _pmf_tv, 0.039, None, ()),
+    ("roundtrip.term-text", _term_text, 4.885, None, (_skeletons,)),
+    ("roundtrip.phi", _phi_roundtrip, 0.282, None, (_skeletons,)),
+    ("roundtrip.psi", _psi_roundtrip, 3.207, None, (_skeletons,)),
+    ("roundtrip.rho", _rho_roundtrip, 0.045, _rho_images, (_map_cache,)),
+    ("roundtrip.term-map-term", _term_map_term, 0.053, None, (_skeletons,)),
+    ("oracle.connectivity", _connectivity, 1.209, None, (_skeletons,)),
+    ("oracle.rho-direct", _rho_direct, 0.045, _rho_images, (_map_cache,)),
+    ("oracle.preimages", _preimages, 0.042, None, (_map_cache,)),
+    ("counts.connected", _connected_counts, 0.120, None, (_skeletons, _map_cache)),
+    ("counts.2-connected", _two_connected_counts, 0.060, None, (_skeletons,)),
+    ("counts.3-connected", _three_connected_counts, 0.028, None, (_skeletons,)),
+    ("counts.psi-2conn-image", _psi_image, 0.966, None, (_skeletons,)),
+    ("counts.rho-loopless-image", _rho_image, 0.045, _rho_images, (_map_cache,)),
+    ("stats.multisets", _stat_multisets, 0.275, None, (_skeletons,)),
+    ("gf.chain-identity", _chain_identity, 0.021, _gf_report, (_skeletons,)),
+    ("gf.printed-form", _printed_form, 0.021, _gf_report, (_skeletons,)),
+    ("gf.pmf-sum", _pmf_sum, 0.003, None, ()),
+    ("gf.pmf-tv", _pmf_tv, 0.033, None, ()),
 )
 
 SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, *_row in CHECKS))

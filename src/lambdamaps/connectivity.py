@@ -11,10 +11,9 @@ Both read the pre-order arity word that a ``Skeleton`` holds (see
 ``lambda_core``).  A unary node's child follows it, so the unary chain
 above a node is the run of 1s before it, and one reverse scan with a stack
 of subtree deficits checks every node.  The diagram is never built: the
-skeleton's own edges between internal nodes span it, the stack matcher
-gives its binder edges, and one reverse scan with a stack of subtree
-labels labels the tree.  ``reduce_skeleton`` and ``unreduce`` cut and
-prefix the word.
+skeleton's own edges between internal nodes span it, and one reverse scan
+with a stack of subtree labels both matches its binder edges and labels
+the tree.  ``reduce_skeleton`` and ``unreduce`` cut and prefix the word.
 """
 
 from __future__ import annotations
@@ -162,32 +161,53 @@ def edge_connectivity_class(word: bytes) -> ConnectivityClass:
     clockwise one matches the structural characterization.
 
     The skeleton edges span the diagram.  Each binder edge gets its own
-    bit, XORed into both ends, and one reverse scan labels each tree edge
-    with the XOR of the bits below it.  A label of 0 is a bridge (One).
-    Two edges of a bridgeless diagram disconnect it exactly when their
-    labels are equal (the cycle-space test of Pritchard and Thurimella,
-    exact with one bit per non-tree edge): Two, unless both are at the
-    root.  Binder labels are distinct bits, so a tree label equal to one
-    is a tree label of one bit.  The root is unary, and its tree edge's
-    label is the bit of its one binder edge, an exempt pair; so that edge
-    is left out.  At most one internal node is vacuously ThreePlus.
-    Raises InvalidInput as ``_match`` does.
+    bit, and each tree edge the XOR of the bits of the binder edges with
+    one end below it.  A label of 0 is a bridge (One).  Two edges of a
+    bridgeless diagram disconnect it exactly when their labels are equal
+    (the cycle-space test of Pritchard and Thurimella, exact with one bit
+    per non-tree edge): Two, unless both are at the root.  Binder labels
+    are distinct bits, so a tree label equal to one is a tree label of one
+    bit.  The root is unary, and its tree edge's label is the bit of its
+    one binder edge, an exempt pair; so that edge is left out.  At most
+    one internal node is vacuously ThreePlus.
+
+    One reverse scan matches and labels.  The pre-order word lists a node,
+    its left subtree, then its right one, so the reversed word lists the
+    right subtree, the left one, then the node: the post-order of the
+    clockwise contour, which meets the leaves in contour order, the order
+    in which the stack matcher pops them.  So the leaves get their bits
+    in contour order, and each finished subtree keeps its leaves not
+    bound inside it as the set bits of one integer, first leaf lowest.  A
+    unary node binds the first leaf of its child's set, as the matcher
+    does, since every unary node below it has already bound a leaf of its
+    own.  A binary node joins its children's sets.  The leaves left
+    unbound in a subtree are the binder edges with one end in it, so the
+    set is also the label of the subtree's edge up.  A binary root, which
+    a skeleton text outside the family can have, takes the same steps.  A
+    unary node whose child leaves it no leaf, or leaves left over at the
+    root, are a word that the matcher fails on: ``_match`` raises its
+    InvalidInput for it.
     """
-    binder = _match(word, right_first=True)
-    bound = [0] * len(word)  # the bits of the leaves each unary node binds
     below: list[int] = []  # the label of each finished subtree, or a leaf's bit
-    labels: list[int] = []  # tree edge labels, the root's edge last
+    labels: list[int] = []  # the labels of the internal nodes' edges up, the root last
     bit = 1
-    for j in range(len(word) - 1, 0, -1):
-        k = word[j]
+    for k in reversed(word):
         if k == 0:
-            bound[binder[j]] ^= bit
             below.append(bit)
             bit <<= 1
             continue
-        label = below[-1] ^ bound[j] if k == 1 else below.pop() ^ below[-1]
+        if k == 1:
+            free = below[-1]
+            if not free:
+                _match(word, right_first=True)  # raises: this unary node binds no leaf
+            label = free & (free - 1)  # less the first free leaf, which it binds
+        else:
+            label = below.pop() | below[-1]
         below[-1] = label
         labels.append(label)
+    if below[0]:
+        _match(word, right_first=True)  # raises: leaves left unbound at the root
+    labels.pop()  # the root, which has no edge up
     if not labels:
         return ConnectivityClass.ThreePlus
     labels.pop()  # the root's tree edge

@@ -12,8 +12,10 @@ node in pre-order, 0 for a leaf, 1 for a unary node and 2 for a binary
 node.  ``Skeleton`` holds the word and its leaf count, and compares and
 hashes as the word; no node objects are built.  One stack matcher,
 ``_match``, pairs unary nodes with leaves in one walk of the word and gives
-each leaf its binder's position; ``planar_match``, ``listing_of_word`` and
-the edge-connectivity oracle of ``connectivity`` read it.
+each leaf its binder's position; ``planar_match`` reads it.
+``listing_of_word`` and the edge-connectivity oracle of ``connectivity``
+pair binders inside the one scan that does their work, and hand a word
+they cannot match to ``_match`` only for the error it raises.
 
 A term's listing is the same word for its syntax tree together with the
 names of its variables and binders in pre-order, and a term is its
@@ -102,6 +104,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def _split_tokens(text: str) -> list[str] | None:
+    """The tokens of ``_TOKEN.findall(text)`` from str methods alone, or
+    None unless every run between whitespace and punctuation is
+    ``isalnum()`` and there is at least one.  ``[^\\W_]`` is exactly
+    ``str.isalnum``, and ``str.split`` and ``\\s`` split on the same
+    whitespace, so where every run is alphanumeric the two give the same
+    tokens."""
+    spaced = text.replace("\\", " \\ ").replace(".", " . ").replace("(", " ( ").replace(")", " ) ")
+    toks = spaced.split()
+    if "".join(toks).replace("\\", "").replace(".", "").replace("(", "").replace(")", "").isalnum():
+        return toks
+    return None
+
+
 def _syntax_error(text: str, i: int, message: str) -> ParseError:
     """The error for a parse that stopped at token i of text, or at its end.
 
@@ -133,14 +149,17 @@ _ABS, _APP, _PAREN = 0, 1, 2
 def parse_listing(text: str) -> tuple[bytes, list[str]]:
     """The listing of the term that ``text`` writes; see parse_term.
 
-    The tokens come from one regular-expression scan; one loop over them
-    with an explicit stack of pending frames reads the listing, so nesting
-    depth is bounded by memory, not by the recursion limit.  Atoms and
-    abstraction headers come in pre-order; an application precedes its
+    The tokens come from str methods (_split_tokens), or from one
+    regular-expression scan when a run is not alphanumeric; one loop over
+    them with an explicit stack of pending frames reads the listing, so
+    nesting depth is bounded by memory, not by the recursion limit.  Atoms
+    and abstraction headers come in pre-order; an application precedes its
     function in pre-order, so apps[e] counts the applications whose
     function starts at element e, and the word is written at the end.
     """
-    toks = _TOKEN.findall(text)
+    toks = _split_tokens(text)
+    if toks is None:
+        toks = _TOKEN.findall(text)
     n = len(toks)
     pos = 0
     kinds: list[int] = []
@@ -553,18 +572,39 @@ def listing_of_word(word: bytes) -> tuple[bytes, list[str]]:
     """The listing of the planar linear term whose skeleton has this
     pre-order arity word: the i-th abstraction in pre-order binds xi, and
     each atom is named after the binder the stack matcher gives it.  Raises
-    InvalidInput when the skeleton admits no planar linear binding."""
-    binder = _match(word)
+    InvalidInput when the skeleton admits no planar linear binding.
+
+    The matcher runs in the naming loop: a unary node pushes its name, and
+    a leaf pops the name it takes.  A stack of closers, as in
+    render_skeleton, ends the scopes that close at each leaf.  A unary
+    node's closer holds the depth of the name stack below it, and the node
+    is still unmatched at the end of its scope exactly when the stack is
+    then deeper: a later leaf would pop it from outside its subtree, or
+    none would.  On any fault ``_match`` raises the matcher's error.
+    """
     names: list[str] = []
-    name_at = [""] * len(word)
+    unmatched: list[str] = []
+    closing: list[int] = []  # per open unary node its depth in unmatched, -1 per binary node
     k = 0
-    for nid, kind in enumerate(word):
+    for kind in word:
         if kind == 1:
             k += 1
-            name = name_at[nid] = f"x{k}"
+            name = f"x{k}"
             names.append(name)
-        elif kind == 0:
-            names.append(name_at[binder[nid]])
+            closing.append(len(unmatched))
+            unmatched.append(name)
+        elif kind == 2:
+            closing.append(-1)
+        elif unmatched:
+            names.append(unmatched.pop())
+            while closing:
+                depth = closing.pop()
+                if depth < 0:
+                    break
+                if len(unmatched) > depth:
+                    _match(word)
+        else:
+            _match(word)
     return word, names
 
 

@@ -14,7 +14,9 @@ by half-edge (`succ = list(m.sigma)` where a kernel rewires it), alpha as
 h ^ 1, a `pred` list holding the inverse of succ where a kernel walks
 backwards, and the orbit ids of `_orbits`: `_orbits(sigma)` numbers the
 vertices and `_orbits([s ^ 1 for s in sigma])` the faces, giving each
-half-edge the id of its vertex or face.
+half-edge the id of its vertex or face.  rho and rho_direct need both the
+vertex ids and pred, and take them from one walk of the vertices
+(`_vertices`), which sets each pred entry as it steps along succ.
 
 The one-corner machinery lives here as three steps that rewire a rotation
 list in place: cutting the root vertex at its outer corners into one-corner
@@ -38,9 +40,8 @@ one more pass.  rho_inv checks each v-tree label in the pass that reads it.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .labeled_trees import LabeledTree
 from .lambda_core import InvalidInput
@@ -100,6 +101,24 @@ def _orbits(perm: Sequence[int]) -> tuple[list[int], int]:
                 x = perm[x]
             count += 1
     return ids, count
+
+
+def _vertices(succ: list[int]) -> tuple[list[int], int, list[int]]:
+    """The vertex ids of succ as _orbits gives them, their number, and the
+    inverse of succ, from one walk of its cycles."""
+    vid = [-1] * len(succ)
+    pred = [0] * len(succ)
+    count = 0
+    for start in range(len(succ)):
+        if vid[start] < 0:
+            x = start
+            while vid[x] < 0:
+                vid[x] = count
+                y = succ[x]
+                pred[y] = x
+                x = y
+            count += 1
+    return vid, count, pred
 
 
 def vertex_cycles(m: RootedMap) -> list[tuple[int, ...]]:
@@ -218,8 +237,7 @@ def is_one_corner(m: RootedMap) -> bool:
     return m.n == 0 or len(_root_corners(m)) == 1
 
 
-@dataclass(frozen=True)
-class MapStats:
+class MapStats(NamedTuple):
     outv: int
     bipartite: bool
     white: int | None
@@ -262,7 +280,7 @@ def map_stats(m: RootedMap) -> MapStats:
     seen = bytearray(2 * m.n)
     for h in walk:
         seen[h] = 1
-    face: Counter = Counter()
+    face: dict[int, int] = {}
     for start in range(2 * m.n):
         size = 0
         h = start
@@ -271,7 +289,7 @@ def map_stats(m: RootedMap) -> MapStats:
             size += 1
             h = sigma[h] ^ 1
         if size:
-            face[size // 2] += 1
+            face[size // 2] = face.get(size // 2, 0) + 1
     return MapStats(n_outer, True, nv - black, black, loopless, len(walk) // 2,
                     tuple(sorted(face.items())))
 
@@ -495,8 +513,7 @@ def rho(m: RootedMap) -> LabeledTree:
     if m.n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)
-    pred = _inverse(succ)
-    vid, nv = _orbits(succ)
+    vid, nv, pred = _vertices(succ)
     seen_at = [-1] * nv  # vertex -> the last node whose walk counted it
     labels = [0]
     lo = [0] * (m.n + 1)  # node -> its children's node numbers, lo..hi-1
@@ -521,8 +538,9 @@ def rho(m: RootedMap) -> LabeledTree:
                 count += 1
             h = succ[h] ^ 1
         hi[node] = len(labels)
-        _cut(succ, cuts)
-        for o in cuts:
+        first = succ[cuts[-1]]
+        for o in cuts:  # _cut(succ, cuts), keeping pred the inverse of succ
+            first, succ[o] = succ[o], first
             pred[succ[o]] = o
         for child, o in enumerate(cuts, lo[node]):
             stem = _delete_root_edge(succ, pred, o)
@@ -560,14 +578,13 @@ def rho_inv(v: LabeledTree) -> RootedMap:
     # per component built: root, head and tail of its list without the
     # root, and its label, the length of that list
     done: list[tuple[int, int, int, int]] = []
-    stack = [(v, iter(v.children))]
-    while True:
-        node, pending = stack[-1]
-        child = next(pending, None)
-        if child is not None:
-            stack.append((child, iter(child.children)))
-            continue
-        stack.pop()
+    order = []  # pre-order with the children taken last first
+    todo = [v]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += node.children
+    for node in reversed(order):  # post-order, the root last
         a = len(succ)
         split = len(done) - len(node.children)
         comps = done[split:]
@@ -577,7 +594,7 @@ def rho_inv(v: LabeledTree) -> RootedMap:
             r = comps[-1][0]
         else:
             r = a  # M is empty: its lone vertex becomes the vertex of a
-        if not stack:
+        if node is v:
             return RootedMap(len(succ) // 2, tuple(succ), r)
         head, k = r, 1
         for _, first, last, label in reversed(comps):
@@ -619,15 +636,14 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     vertices it leaves, the smaller gets a fresh id, found by walking both
     in lockstep, so each half-edge changes id only when its vertex at least
     halves and all relabelling costs O(n log n).  No copy of the map is
-    made.
+    made.  The root's label, outv(m), is one more than the sum of its
+    children's, as in every v-tree, so the outer face is not walked apart.
     """
     _check(m)
     if m.n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)
-    pred = _inverse(succ)
-    vid, nv = _orbits(succ)
-    outer = len({vid[h] for h in outer_walk(m)})  # the root label, outv(m)
+    vid, nv, pred = _vertices(succ)
     seen_at = [-1] * nv  # vertex -> last step that counted it
     labels = [0] * (2 * m.n)  # far half of a first-traversed edge -> label of its end
     visited = [False] * m.n  # edge -> already traversed
@@ -664,7 +680,8 @@ def rho_direct(m: RootedMap) -> LabeledTree:
         labels[h ^ 1] = value
         cur = pred[h ^ 1]
     assert cur == m.root and all(visited)
-    return LabeledTree(outer, _read_tree(succ, labels, m.root))
+    children = _read_tree(succ, labels, m.root)
+    return LabeledTree(1 + sum(c.label for c in children), children)
 
 
 def _read_tree(succ: list[int], labels: list[int], root: int) -> tuple[LabeledTree, ...]:

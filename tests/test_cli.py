@@ -428,14 +428,16 @@ def test_verify_small_sizes_match_the_stored_lines(capsys, max_size):
 
 def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
     # a broken matcher raised InvalidInput out of verify, which then exited 2
-    # as if the input were bad
+    # as if the input were bad; the matcher runs inside listing_of_word,
+    # which checks calls by name and term_of_skeleton through lambda_core
     from lambdamaps import lambda_core
     from lambdamaps.lambda_core import InvalidInput
 
-    def broken(_word, _right_first=False):
+    def broken(_word):
         raise InvalidInput("leaf 1 has no enclosing unary node")
 
-    monkeypatch.setattr(lambda_core, "_match", broken)
+    monkeypatch.setattr(lambda_core, "listing_of_word", broken)
+    monkeypatch.setattr(checks, "listing_of_word", broken)
     ok, lines = run_verify("roundtrip", 3)
     assert not ok
     detail = "raised InvalidInput: leaf 1 has no enclosing unary node"
@@ -707,20 +709,20 @@ def _filled_by(run) -> set:
 
 
 # The queue entries at --max-size 8 on two CPUs, heaviest first, as chosen
-# by their measured seconds (BENCH_27.json).
+# by their measured seconds (BENCH_30.json).
 MEASURED_SCHEDULE = [
     ["roundtrip.term-text"],
-    ["oracle.connectivity"],
     ["roundtrip.psi"],
+    ["oracle.connectivity"],
     ["counts.psi-2conn-image"],
-    ["stats.multisets"],
     ["roundtrip.phi"],
+    ["stats.multisets"],
     ["roundtrip.rho", "oracle.rho-direct", "counts.rho-loopless-image"],
     ["counts.connected"],
     ["counts.2-connected"],
-    ["gf.chain-identity", "gf.printed-form"],
     ["roundtrip.term-map-term"],
     ["oracle.preimages"],
+    ["gf.chain-identity", "gf.printed-form"],
     ["gf.pmf-tv"],
     ["counts.3-connected"],
     ["gf.pmf-sum"],

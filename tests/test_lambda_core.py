@@ -1,19 +1,24 @@
 import pickle
 import random
+import string
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lambdamaps import lambda_core
 from lambdamaps.lambda_core import (
+    _TOKEN,
     InvalidInput,
     ParseError,
     Skeleton,
     Term,
     _listing_scan,
+    _split_tokens,
     _tokenize,
     alpha_equal,
     is_normal,
+    parse_listing,
     parse_skeleton,
     parse_term,
     planar_match,
@@ -959,6 +964,41 @@ def _tokens(tokenize, text):
 @given(st.text(alphabet="xyé²٣_ 1\\.()\t", max_size=24))
 def test_tokenize_equals_the_reference_on_unicode_text(text):
     assert _tokens(_tokenize, text) == _tokens(_old_tokenize, text)
+
+
+def _listing_or_error(text):
+    try:
+        return parse_listing(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def test_split_tokens_equal_the_regular_expression_and_parse_alike(monkeypatch):
+    # seeded texts over ASCII letters and digits, the punctuation, and
+    # characters where isalnum, isalpha and isspace part ways: the
+    # underscore, a letter, a superscript digit, an Arabic-Indic digit, an
+    # ideographic space, a file separator (whitespace to str.split) and a tab
+    rng = random.Random(30)
+    odd = "_é²١\u3000\x1c\t"
+    alphabet = string.ascii_letters + string.digits + odd + "\\.() "
+    texts = ["".join(rng.choices(alphabet, k=rng.randrange(12))) for _ in range(3000)]
+    for s in gen_skeletons(4, 1):
+        text = render_term(term_of_skeleton(s))
+        texts.append(text)
+        for _ in range(3):
+            i = rng.randrange(len(text) + 1)
+            texts.append(text[:i] + rng.choice(odd + "x1 ") + text[i:])
+    answered = 0
+    for text in texts:
+        toks = _split_tokens(text)
+        if toks is not None:
+            answered += 1
+            assert toks == _TOKEN.findall(text), text
+    with_split = [_listing_or_error(text) for text in texts]
+    monkeypatch.setattr(lambda_core, "_split_tokens", lambda text: None)
+    assert [_listing_or_error(text) for text in texts] == with_split
+    parsed = sum(type(got[1]) is list for got in with_split)
+    assert 1000 < answered < len(texts) and parsed > 500
 
 
 # ---------------------------------------------------------------------------

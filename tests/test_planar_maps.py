@@ -1,6 +1,7 @@
 import gc
 import pickle
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -9,7 +10,8 @@ import pytest
 from lambdamaps.bijections import psi, psi_inv, vtree_of_word, word_of_vtree
 from lambdamaps.cli import convert
 from lambdamaps.connectivity import check_family, edge_connectivity_class, is_three_connected_skeleton
-from lambdamaps.enumeration import gen_loopless_maps, gen_maps, gen_skeletons, gen_trees
+from lambdamaps.enumeration import (_planar_rotations, gen_loopless_maps, gen_maps, gen_skeletons,
+                                    gen_trees, maps_formula)
 from lambdamaps.labeled_trees import LabeledTree, parse_labeled_tree, render_labeled_tree, validate_vtree
 from lambdamaps.lambda_core import (InvalidInput, alpha_equal, diagram_of, parse_term, render_term,
                                     skeleton_of, term_of_skeleton)
@@ -313,6 +315,33 @@ def test_rho_direct_agrees_at_six_edges():
         assert rho_direct(m) == t
         assert t.label == outv(m)
         assert canonical_form(rho_inv(t)) == canonical_form(m)
+
+
+def sweep_map_checks(n):
+    """The benchmark sweep's checks on every map with n edges, from the
+    rotation search called directly so that n may exceed MAX_MAP_EDGES:
+    rho_direct equals rho, rho_inv gives the map back, map_stats' outv is
+    the v-tree's root label, and the map is loopless exactly when no label
+    of its v-tree is 0.  Returns the number of maps."""
+    count = 0
+    for sigma in _planar_rotations(n):
+        m = RootedMap(n, sigma, 0)
+        t = rho(m)
+        assert rho_direct(m) == t, m
+        assert canonical_form(rho_inv(t)) == canonical_form(m), m
+        st = map_stats(m)
+        assert st.outv == t.label, m
+        nodes = [t]
+        for u in nodes:
+            nodes += u.children
+        assert st.loopless == all(u.label for u in nodes), m
+        count += 1
+    assert count == maps_formula(n)
+    return count
+
+
+def test_the_sweep_map_checks_hold_to_five_edges():
+    assert sum(map(sweep_map_checks, range(1, 6))) == 2 + 9 + 54 + 378 + 2916
 
 
 def test_rho_direct_equals_rho_to_six_edges():
@@ -654,3 +683,9 @@ def test_skeleton_kernels_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert found == dict.fromkeys(found, 0)
+
+
+if __name__ == "__main__":
+    print(sweep_map_checks(int(sys.argv[1])),
+          "maps: rho_direct equals rho, rho_inv inverts it, and map_stats agrees "
+          "with the v-tree's root label and zero labels")

@@ -17,7 +17,8 @@ skeleton it came from.
 
 Run as a script (``python tests/test_word_kernels.py 8``) to make the same
 comparisons, the generators' included, over every skeleton up to another
-size.
+size, and the comparisons outside the family over every unary-binary tree
+up to 5 leaves.
 """
 
 import sys
@@ -438,13 +439,18 @@ def test_word_kernels_equal_the_object_kernels_to_size_seven():
     assert compare_on_family(7) == 27417
 
 
-def test_matcher_and_structural_tests_equal_the_references_outside_the_family():
-    # every unary-binary tree with n leaves and up to n + 1 unary nodes,
-    # where the matcher fails in each of its three ways and the tests say no
+def compare_outside_family(nmax):
+    """The matcher, the kernels that read it, psi and the structural tests
+    against their references on every unary-binary tree with n <= nmax
+    leaves and up to n + 1 unary nodes, where the matcher fails in each of
+    its three ways and the tests say no; returns the number of trees."""
     failures = set()
-    for n in range(1, 5):
+    count = 0
+    outside = ("InvalidInput", "skeleton is not planar linear normal")
+    for n in range(1, nmax + 1):
         for u in range(n + 2):
             for t in iter_unary_binary(n, u):
+                count += 1
                 s = Skeleton(tree_word(t))
                 for right_first in (False, True):
                     got = _outcome(planar_match, s, right_first)
@@ -459,12 +465,19 @@ def test_matcher_and_structural_tests_equal_the_references_outside_the_family():
                 assert _outcome(edge_connectivity_class, diagram_of(s)) == want
                 for level in (1, 2):
                     assert check_family(s, level) == _ref_check_family(t, level)
+                want = _ref_psi(t) if _ref_check_family(t, 1) else outside
+                assert _outcome(psi, s) == want
                 assert check_reduced(s) == _ref_check_reduced(t)
                 assert is_three_connected_skeleton(s) == _ref_is_three_connected(t)
                 assert _outcome(reduce_skeleton, s) == _outcome(_ref_reduce_skeleton, t)
                 assert _outcome(unreduce, s) == _outcome(_ref_unreduce, t)
                 assert _outcome(skeleton_stats, s) == _outcome(_ref_skeleton_stats, t)
     assert failures == {"leaf", "nesting", "unmatched"}
+    return count
+
+
+def test_matcher_and_structural_tests_equal_the_references_outside_the_family():
+    assert compare_outside_family(4) == 4235
 
 
 def test_word_conversions_invert_each_other():
@@ -524,3 +537,6 @@ if __name__ == "__main__":
     print(compare_on_family(int(sys.argv[1])),
           "skeletons: the generator, every word kernel, the connectivity oracle, "
           "alpha_equal and the term text round trip equal their references")
+    print(compare_outside_family(5),
+          "unary-binary trees to 5 leaves: the matcher, the kernels that read it, psi "
+          "and the structural tests equal their references outside the family")
