@@ -30,7 +30,7 @@ word as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connectivity import check_reduced
 from .lambda_core import InvalidInput, Skeleton
@@ -170,8 +170,7 @@ def psi_inv(v: LabeledTree) -> Skeleton:
 # ---------------------------------------------------------------------------
 # Statistics
 
-@dataclass(frozen=True)
-class SkeletonStats:
+class SkeletonStats(NamedTuple):
     """Statistics of a reduced skeleton R.
 
     ex counts leaves minus unary nodes of R; applv / appla count binary
@@ -184,8 +183,7 @@ class SkeletonStats:
     uc: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class DegreeTreeStats:
+class DegreeTreeStats(NamedTuple):
     """rlabel: root label; lnode: leaves; znode: internal nodes whose
     leftmost descending edge is labeled 0; edge[k]: edges labeled k >= 1."""
     rlabel: int

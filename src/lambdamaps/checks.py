@@ -15,14 +15,15 @@ check is an entry of its own; the entries go heaviest first by summed
 seconds.  Before it forks, the caller fills the generator caches that
 checks of two or more entries read (the skeleton cache holds the words of
 each size, not the smaller pairs built on the way), and copy-on-write
-shares them.  The lines come out in CHECKS order whatever the order the
-checks finish in.
+shares them.  Each worker writes its ``(ok, detail)`` pairs to the caller
+with marshal, so a check returns a bool and a str.  The lines come out in
+CHECKS order whatever the order the checks finish in.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
 import signal
 import sys
 from collections import Counter
@@ -341,11 +342,11 @@ def _take_checks(queue: int, entries: list[list[int]], nmax: int) -> dict:
 
 
 def _worker(queue: int, out: int, entries: list[list[int]], nmax: int) -> NoReturn:
-    """A forked worker: take checks, pickle the results into the pipe out,
+    """A forked worker: take checks, marshal the results into the pipe out,
     and exit without returning into the caller's stack."""
     code = 1
     try:
-        data = pickle.dumps(_take_checks(queue, entries, nmax))
+        data = marshal.dumps(_take_checks(queue, entries, nmax))
         with os.fdopen(out, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -386,7 +387,7 @@ def _run_checks(indices: list[int], nmax: int) -> dict:
         for pipe in children.values():
             data = pipe.read()
             if data:  # empty when the worker died before it reported
-                results.update(pickle.loads(data))
+                results.update(marshal.loads(data))
         finished = True
     finally:
         os.close(queue)

@@ -8,29 +8,30 @@ unary-binary trees, which the tests confirm by full ambient scans at small
 sizes, and the tests keep the generator of node objects it replaced as its
 reference.  Only the words of each size's connected family are cached; the
 words of the smaller leaf/unary pairs they are built from are dropped once
-that size is built.  Maps are generated by
-a search that builds each rooted rotation system directly in its canonical
-labelling, so none is built twice; the tests check it against a scan over
-all rotation permutations.  Euler's bound prunes that search to the planar
-maps: a complete map with n edges closes at most n + 2 vertex and face
-cycles, exactly n + 2 when planar, and each of its 2n assignments either
-labels a new edge and closes nothing or closes at most one vertex and one
-face, so a branch that can no longer reach n + 2 is not grown.
-Bipartite and loopless maps come from the same search with one more rule
-each.  The colour rule: each half-edge is coloured by its vertex's side
-when it is labelled (the rotation keeps the colour, the edge flip changes
-it), and a half-edge is only sent to one of its own colour.  The loop rule:
-two vertex paths that hold the two halves of one edge are never joined.
-The tests keep the old route, filtering every map by map_stats, as the
-oracle for both.
+that size is built, and the top size's chain of pairs (n, n), ..., (n, 0)
+is never held: each of its words is a unary run over a word whose root is
+not unary.  Maps are generated by a search that builds each rooted
+rotation system directly in its canonical labelling, so none is built
+twice; the tests check it against a scan over all rotation permutations.
+Euler's bound prunes that search to the planar maps: a complete map with n
+edges closes at most n + 2 vertex and face cycles, exactly n + 2 when
+planar, and each of its 2n assignments either labels a new edge and closes
+nothing or closes at most one vertex and one face, so a branch that can no
+longer reach n + 2 is not grown.  Bipartite and loopless maps come from
+the same search with one more rule each.  The colour rule: each half-edge
+is coloured by its vertex's side when it is labelled (the rotation keeps
+the colour, the edge flip changes it), and a half-edge is only sent to one
+of its own colour.  The loop rule: two vertex paths that hold the two
+halves of one edge are never joined.  The tests keep the old route,
+filtering every map by map_stats, as the oracle for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import NamedTuple
 
 from .bijections import degree_tree_stats, skeleton_stats
 from .connectivity import check_family, is_three_connected_skeleton, reduce_skeleton
@@ -57,16 +58,24 @@ def _gen_lin(nleaf: int, nunary: int, memo: dict) -> tuple[bytes, ...]:
     every node below the top chain, and have nonnegative deficit (so they
     can still be capped or closed).  A unary node's word is 1 and its
     child's; a binary node's is 2, its left child's, which is not unary,
-    and its right child's.  memo maps each pair built to its words."""
+    and its right child's.  The words with a unary root come first, then
+    those of _split_words.  memo maps each pair built to its words."""
     if nleaf < 1 or nunary < 0 or nleaf - nunary < 0:
         return ()
     if (nleaf, nunary) in memo:
         return memo[nleaf, nunary]
-    out: list[bytes] = []
-    if nleaf == 1 and nunary == 0:
-        out.append(b"\x00")
-    if nunary >= 1:
-        out.extend(b"\x01" + t for t in _gen_lin(nleaf, nunary - 1, memo))
+    out = [b"\x01" + t for t in _gen_lin(nleaf, nunary - 1, memo)]
+    out += _split_words(nleaf, nunary, memo)
+    memo[nleaf, nunary] = words = tuple(out)
+    return words
+
+
+def _split_words(nleaf: int, nunary: int, memo: dict) -> list[bytes]:
+    """The words of _gen_lin(nleaf, nunary) whose root is not unary, in
+    its order: the leaf at (1, 0), else a binary node over each split of
+    the leaves and unary nodes between its children.  It reads only pairs
+    with fewer leaves."""
+    out = [b"\x00"] if nleaf == 1 and nunary == 0 else []
     for a in range(1, nleaf):
         b = nleaf - a
         for c in range(0, min(a, nunary) + 1):
@@ -78,14 +87,18 @@ def _gen_lin(nleaf: int, nunary: int, memo: dict) -> tuple[bytes, ...]:
                 continue
             rights = _gen_lin(b, d, memo)
             out.extend(b"\x02" + l + r for l in lefts for r in rights)
-    memo[nleaf, nunary] = words = tuple(out)
-    return words
+    return out
 
 
 @lru_cache(maxsize=None)
 def _connected_words(n: int) -> tuple[bytes, ...]:
-    """The words of the connected-family skeletons of size n."""
-    return _gen_lin(n, n, {})
+    """The words of the connected-family skeletons of size n, in
+    _gen_lin(n, n)'s order without building its chain of pairs (n, j):
+    for j = 0..n, the words of (n, j) whose root is not unary, each under
+    n - j unary nodes."""
+    memo: dict = {}
+    return tuple(b"\x01" * (n - j) + w
+                 for j in range(n + 1) for w in _split_words(n, j, memo))
 
 
 def gen_skeletons(n: int, level: int) -> list[Skeleton]:
@@ -136,6 +149,11 @@ def _planar_rotations(n: int, bipartite: bool = False,
     closed cycles and takes 2.  An image that would make it negative is not
     tried, and every complete assignment reached is a planar map.
 
+    Nor is an image that would empty the queue with edges still owed: when
+    h is the last queued half-edge, h ^ 1 is queued and ne < n, an already
+    queued t queues nothing, and the relabelling would stop with fewer than
+    n edges.  So every leaf of the search is a complete assignment.
+
     For bipartite, half-edges 0 and 1 get colours 0 and 1, a new edge's
     even half takes the colour of h and its odd half the other, and a
     labelled t is only tried if it has the colour of h.  For loopless, a
@@ -175,13 +193,13 @@ def _planar_rotations(n: int, bipartite: bool = False,
 
     def extend(i: int, ne: int, slack: int) -> None:
         if i == len(order):
-            if ne == n:
-                out.append(tuple(sigma))
+            out.append(tuple(sigma))
             return
         h = order[i]
         vb, fb = vbeg[h], fbeg[h]
+        closes = i + 1 == len(order) and seen[h ^ 1] and ne < n
         for t in range(2 * ne + (ne < n)):
-            if hit[t]:
+            if hit[t] or closes and seen[t]:
                 continue
             new = t == 2 * ne
             u = t ^ 1
@@ -346,8 +364,7 @@ def bipartite_maps_formula(n: int) -> int | None:
     return 3 * 2 ** (n - 1) * comb(2 * n, n) // ((n + 1) * (n + 2))
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     family: str
     n: int
     count: int
@@ -400,8 +417,7 @@ def render_count_table(rows: list[CountRow]) -> str:
 # ---------------------------------------------------------------------------
 # Cross-family statistics comparison
 
-@dataclass(frozen=True)
-class StatReport:
+class StatReport(NamedTuple):
     tuples_per_side: int
     abstraction_shift: int
 

@@ -20,9 +20,9 @@ with exact partial sums and an empirical total-variation diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .lambda_core import InvalidInput, SizeTooLarge
 
@@ -221,16 +221,14 @@ def f_reduced_skeletons_enumerated(n: int, kmax: int) -> TruncatedSeries:
                               for st in map(skeleton_stats, gen_reduced_skeletons(size))))
 
 
-@dataclass(frozen=True)
-class GfCell:
+class GfCell(NamedTuple):
     key: tuple[int, int, tuple[int, ...]]
     enumerated: int
     printed: int
     match: bool
 
 
-@dataclass(frozen=True)
-class GfReport:
+class GfReport(NamedTuple):
     identity_ok: bool
     first_mismatch: str | None
     printed_cells: tuple[GfCell, ...]
@@ -288,8 +286,7 @@ def limit_pmf(k: int) -> Fraction:
     return Fraction(k, 3) * comb(2 * k, k) * Fraction(3, 16) ** k
 
 
-@dataclass(frozen=True)
-class PmfReport:
+class PmfReport(NamedTuple):
     sum_defect: float
     tv_distance: float
     tv_on_support: float

@@ -13,8 +13,8 @@ each kept as a reference.  Not a test module; the tests import it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from lambdamaps.connectivity import ConnectivityClass
 from lambdamaps.lambda_core import Skeleton, _match, render_skeleton
@@ -276,8 +276,7 @@ def leading_chain(s: Tree) -> tuple[int, Tree]:
 # ---------------------------------------------------------------------------
 # The syntactic diagram as a multigraph, and the graph oracles on it
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     """Multigraph on the internal nodes of a skeleton.
 
     Edges are the skeleton edges between internal nodes plus one binder edge

@@ -1,4 +1,5 @@
 import inspect
+import marshal
 import os
 import subprocess
 import sys
@@ -559,6 +560,16 @@ def test_verify_leaves_no_worker_process(capsys):
     assert main(["verify", "--suite", "all", "--max-size", "3"]) == 0
     assert capsys.readouterr().out == (DATA / "verify_max3.txt").read_text()
     assert_no_child_left()
+
+
+def test_every_check_returns_a_bool_and_a_str_that_marshal_carries():
+    # a worker writes its results with marshal, which raises on most other
+    # types, so such a check would end its worker before it reported
+    for name, fn, *_row in checks.CHECKS:
+        result = fn(3)
+        ok, detail = result
+        assert type(ok) is bool and type(detail) is str, name
+        assert marshal.loads(marshal.dumps(result)) == result, name
 
 
 def _replace_fns(monkeypatch, fn_of):

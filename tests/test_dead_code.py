@@ -20,9 +20,16 @@ models live in ``tests/reference_kernels.py``, as the references of the
 word and listing kernels.  The edge-connectivity oracle reads the word
 too, so no module defines or names the syntactic diagram as a multigraph
 (``Diagram``); it lives there as well, with the graph oracles that read it.
+
+Importing the CLI loads neither ``dataclasses`` (which loads ``inspect``,
+``ast`` and ``dis``) nor ``pickle``, which every process would pay for in
+memory: the records are ``NamedTuple`` classes, and the workers of
+``verify`` report with ``marshal``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +114,15 @@ def test_the_package_namespace_binds_nothing():
     assert len(body) == 1
     assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
     assert isinstance(body[0].value.value, str)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_pickle():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lambdamaps.cli; "
+            "print(sys.modules['lambdamaps'].__file__); "
+            "print(*sorted({'dataclasses', 'inspect', 'pickle'} & set(sys.modules)))")
+    # -I -S: no site hooks and no environment, so only the import loads them
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).parent == PACKAGE
+    assert loaded == ""

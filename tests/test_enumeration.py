@@ -121,6 +121,12 @@ def test_gen_skeletons_keeps_only_the_words_it_returns():
     assert kept - returned < 0.5e6
 
 
+def test_connected_words_equal_the_unary_chain_of_gen_lin():
+    # built without the pairs (n, j) of the top size, in the same order
+    for n in range(1, 8):
+        assert enumeration._connected_words(n) == enumeration._gen_lin(n, n, {}), n
+
+
 # ---------------------------------------------------------------------------
 # Map generation
 
