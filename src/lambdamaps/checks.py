@@ -1,23 +1,24 @@
 """The named checks behind `lambdamaps verify` and the acceptance suite.
 
-Each row of CHECKS is ``(name, fn, seconds, derived_cache,
-generator_caches)``: ``fn(nmax)`` checks one claim exhaustively up to the
-size cap nmax and returns ``(ok, detail)``; the rest weigh it and name the
-caches it reads.  The suite of a check is the part of its name before the
-first dot.  A check that raises fails, with ``raised <type>: <message>``
-as its detail, so a fault of a kernel is a failed check, never bad input.
+Each row of CHECKS is ``(name, fn, seconds, generator_caches)``:
+``fn(nmax)`` checks one claim exhaustively up to the size cap nmax and
+returns ``(ok, detail)``; the rest weigh it and name the generator caches
+it reads.  Rows that share work share their fn, which then returns one
+``(ok, detail)`` per row, in CHECKS order, and runs once for all of them.
+The suite of a check is the part of its name before the first dot.  A fn
+that raises fails each of its rows, with ``raised <type>: <message>`` as
+the detail, so a fault of a kernel is a failed check, never bad input.
 
 The checks share no mutable state, so `run_verify` runs them on every
 usable CPU: one forked process per CPU, the caller included, takes the next
-entry from a shared queue until none is left.  The checks that read one
-derived cache form one entry, so that one process fills it; every other
-check is an entry of its own; the entries go heaviest first by summed
-seconds.  Before it forks, the caller fills the generator caches that
-checks of two or more entries read (the skeleton cache holds the words of
-each size, not the smaller pairs built on the way), and copy-on-write
-shares them.  Each worker writes its ``(ok, detail)`` pairs to the caller
-with marshal, so a check returns a bool and a str.  The lines come out in
-CHECKS order whatever the order the checks finish in.
+entry from a shared queue until none is left.  The rows of one fn form one
+entry, and the entries go heaviest first by summed seconds.  Before it
+forks, the caller fills the generator caches that two or more entries read
+(the word cache holds the words of each size, not the smaller pairs built
+on the way), and copy-on-write shares them.  Each worker writes its
+``(ok, detail)`` pairs to the caller with marshal, so a check returns a
+bool and a str.  The lines come out in CHECKS order whatever the order the
+checks finish in.
 """
 
 from __future__ import annotations
@@ -28,22 +29,21 @@ import signal
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import NoReturn
 
-from .bijections import degree_tree_stats, phi, phi_inv, psi, psi_inv, skeleton_stats
-from .connectivity import (ConnectivityClass, check_family, edge_connectivity_class,
+from .bijections import (degree_tree_stats, phi, phi_inv, psi, skeleton_stats, vtree_of_word,
+                         word_of_vtree)
+from .connectivity import (ConnectivityClass, edge_connectivity_class, in_family,
                            is_three_connected_skeleton)
-from .enumeration import (MAX_SKELETON_SIZE, bipartite_maps_formula,
+from .enumeration import (MAX_SKELETON_SIZE, _connected_words, bipartite_maps_formula,
                           compare_stat_multisets, gen_bipartite_maps, gen_loopless_maps,
                           gen_maps, gen_reduced_skeletons, gen_skeletons, gen_trees,
                           maps_formula)
-from .labeled_trees import LabeledTree, render_labeled_tree
-from .lambda_core import (InvalidInput, Skeleton, SizeTooLarge, alpha_equal, listing_of_word,
-                          parse_listing, parse_term, render_listing, render_term,
-                          term_of_skeleton)
-from .planar_maps import (RootedMap, attach_root_edge, canonical_form, is_one_corner, outv,
-                          pi, rho, rho_direct, rho_inv)
+from .labeled_trees import render_labeled_tree
+from .lambda_core import (InvalidInput, Skeleton, SizeTooLarge, listing_of_word, parse_listing,
+                          render_listing)
+from .planar_maps import (attach_root_edge, canonical_form, is_one_corner, map_stats, outv, pi,
+                          rho, rho_direct, rho_inv)
 from .series import check_gf_relation, limit_pmf, pmf_diagnostics
 
 # Connected terms of size 1..7 (= rooted maps with 0..6 edges) and
@@ -55,36 +55,24 @@ THREE_CONNECTED_COUNTS = (1, 1, 3, 12, 56, 288)
 RHO_MAX_EDGES = 5
 
 
-def _skeletons(nmax: int) -> list[Skeleton]:
-    """Every connected-family skeleton of size 1..nmax."""
-    return [s for n in range(1, nmax + 1) for s in gen_skeletons(n, 1)]
+def _words(nmax: int) -> list[bytes]:
+    """The word of every connected-family skeleton of size 1..nmax."""
+    return [w for n in range(1, nmax + 1) for w in _connected_words(n)]
 
 
-@lru_cache(maxsize=None)
-def _rho_images(e: int) -> tuple[LabeledTree, ...]:
-    """rho of every map in gen_maps(e), in the same order, computed once
-    for the three checks that read it."""
-    return tuple(map(rho, gen_maps(e)))
-
-
-def _maps(emax: int) -> list[tuple[RootedMap, LabeledTree]]:
-    """Every rooted planar map with 0..emax edges, with its rho image."""
-    return [pair for e in range(emax + 1) for pair in zip(gen_maps(e), _rho_images(e))]
-
-
-def _text_roundtrips(s: Skeleton) -> bool:
-    """The text of the term of s parses back to that very term, names
-    included, which implies that the two are alpha-equal.  The term is
-    compared as its listing (pre-order word and names), which the printer
-    writes and the parser reads, so no term object is built."""
-    listing = listing_of_word(s.word)
+def _text_roundtrips(word: bytes) -> bool:
+    """The text of the term of the word parses back to that very term,
+    names included, which implies that the two are alpha-equal.  The term
+    is compared as its listing (pre-order word and names), which the
+    printer writes and the parser reads, so no term object is built."""
+    listing = listing_of_word(word)
     return parse_listing(render_listing(*listing)) == listing
 
 
 def _term_text(nmax: int) -> tuple[bool, str]:
-    sks = _skeletons(nmax)
-    bad = sum(not _text_roundtrips(s) for s in sks)
-    return bad == 0, f"sizes<={nmax} ({len(sks)} terms)"
+    words = _words(nmax)
+    bad = sum(not _text_roundtrips(w) for w in words)
+    return bad == 0, f"sizes<={nmax} ({len(words)} terms)"
 
 
 def _phi_roundtrip(nmax: int) -> tuple[bool, str]:
@@ -94,52 +82,72 @@ def _phi_roundtrip(nmax: int) -> tuple[bool, str]:
 
 
 def _psi_roundtrip(nmax: int) -> tuple[bool, str]:
-    sks = _skeletons(nmax)
-    bad = sum(psi_inv(psi(s)) != s for s in sks)
-    return bad == 0, f"sizes<={nmax} ({len(sks)} skeletons)"
-
-
-def _rho_roundtrip(nmax: int) -> tuple[bool, str]:
-    emax = min(nmax, RHO_MAX_EDGES)
-    pairs = _maps(emax)
-    bad = sum(canonical_form(rho_inv(t)) != canonical_form(m) for m, t in pairs)
-    return bad == 0, f"edges<={emax} ({len(pairs)} maps)"
+    words = _words(nmax)
+    bad = sum(word_of_vtree(vtree_of_word(w)) != w for w in words)
+    return bad == 0, f"sizes<={nmax} ({len(words)} skeletons)"
 
 
 def _term_map_term(nmax: int) -> tuple[bool, str]:
+    """A term's text goes to its map and back to the same listing."""
     from .cli import convert  # imported here because cli imports this module
 
-    def back_and_forth(s: Skeleton) -> bool:
-        term = term_of_skeleton(s)
-        back = convert("map", "term", convert("term", "map", render_term(term)))
-        return alpha_equal(parse_term(back), term)
+    def back_and_forth(word: bytes) -> bool:
+        listing = listing_of_word(word)
+        back = convert("map", "term", convert("term", "map", render_listing(*listing)))
+        return parse_listing(back) == listing
 
-    sks = _skeletons(min(nmax, 5))
-    bad = sum(not back_and_forth(s) for s in sks)
-    return bad == 0, f"sizes<={min(nmax, 5)} ({len(sks)} terms)"
+    words = _words(min(nmax, 5))
+    bad = sum(not back_and_forth(w) for w in words)
+    return bad == 0, f"sizes<={min(nmax, 5)} ({len(words)} terms)"
 
 
-def _connectivity_agrees(s: Skeleton) -> bool:
-    cls = edge_connectivity_class(s.word)
-    if check_family(s, 2) != (cls >= ConnectivityClass.Two):
+def _connectivity_agrees(word: bytes) -> bool:
+    cls = edge_connectivity_class(word)
+    if in_family(word, 2) != (cls >= ConnectivityClass.Two):
         return False
-    return s.nleaf < 2 or is_three_connected_skeleton(s) == (cls == ConnectivityClass.ThreePlus)
+    return (word.count(0) < 2
+            or is_three_connected_skeleton(Skeleton(word)) == (cls == ConnectivityClass.ThreePlus))
 
 
 def _connectivity(nmax: int) -> tuple[bool, str]:
     """The structural 2- and 3-connectivity tests agree with the diagram's
     edge connectivity; the one-atom term is vacuous at level 3."""
-    sks = _skeletons(nmax)
-    bad = sum(not _connectivity_agrees(s) for s in sks)
-    return bad == 0, f"sizes<={nmax} ({len(sks)} skeletons)"
+    words = _words(nmax)
+    bad = sum(not _connectivity_agrees(w) for w in words)
+    return bad == 0, f"sizes<={nmax} ({len(words)} skeletons)"
 
 
-def _rho_direct(nmax: int) -> tuple[bool, str]:
-    """rho_direct equals rho, and the root label is the outer vertex count."""
-    emax = min(nmax, RHO_MAX_EDGES)
-    pairs = _maps(emax)
-    bad = sum(rho_direct(m) != t or t.label != outv(m) for m, t in pairs)
-    return bad == 0, f"edges<={emax} ({len(pairs)} maps)"
+def _positive_vtrees(e: int) -> set[str]:
+    return {render_labeled_tree(t) for t in gen_trees(e, "vtree_positive")}
+
+
+def _rho_checks(nmax: int) -> tuple[tuple[bool, str], ...]:
+    """roundtrip.rho: rho_inv inverts rho.  oracle.rho-direct: rho_direct
+    equals rho, and the root label is the outer vertex count.
+    counts.rho-loopless-image: rho sends the loopless maps onto the
+    positive v-trees, and map_stats calls exactly those maps loopless.
+
+    One phase per edge count maps rho over that size's maps and runs the
+    three checks on the images, which are dropped before the next size."""
+    emax, lmax = min(nmax, RHO_MAX_EDGES), min(nmax - 1, 5)
+    inverted = direct = image = total = 0
+    for e in range(emax + 1):
+        maps = gen_maps(e)
+        images = list(map(rho, maps))
+        total += len(maps)
+        inverted += sum(canonical_form(rho_inv(t)) != canonical_form(m)
+                        for m, t in zip(maps, images))
+        direct += sum(rho_direct(m) != t or t.label != outv(m) for m, t in zip(maps, images))
+        if e <= lmax:
+            # both generators give the canonical labelling with root 0, so
+            # the rotation names the map
+            loopless = {m.sigma for m in gen_loopless_maps(e)}
+            image += (_positive_vtrees(e) != {render_labeled_tree(t) for m, t in zip(maps, images)
+                                               if m.sigma in loopless}
+                      or any(map_stats(m).loopless != (m.sigma in loopless) for m in maps))
+    return ((inverted == 0, f"edges<={emax} ({total} maps)"),
+            (direct == 0, f"edges<={emax} ({total} maps)"),
+            (image == 0, f"edges<={lmax}"))
 
 
 def _preimages(nmax: int) -> tuple[bool, str]:
@@ -165,7 +173,7 @@ def _preimages(nmax: int) -> tuple[bool, str]:
 
 
 def _connected_counts(nmax: int) -> tuple[bool, str]:
-    counts = [len(gen_skeletons(n, 1)) for n in range(1, min(nmax, 7) + 1)]
+    counts = [len(_connected_words(n)) for n in range(1, min(nmax, 7) + 1)]
     bad = sum(c != CONNECTED_COUNTS[n - 1] or c != maps_formula(n - 1)
               or c != len(gen_maps(n - 1)) for n, c in enumerate(counts, start=1))
     return bad == 0, f"sizes<={min(nmax, 7)} [{', '.join(map(str, counts))}]"
@@ -187,29 +195,11 @@ def _three_connected_counts(nmax: int) -> tuple[bool, str]:
     return bad == 0, f"sizes<={min(nmax, 7)}"
 
 
-def _positive_vtrees(e: int) -> set[str]:
-    return {render_labeled_tree(t) for t in gen_trees(e, "vtree_positive")}
-
-
 def _psi_image(nmax: int) -> tuple[bool, str]:
     """psi sends the 2-connected skeletons onto the positive v-trees."""
     bad = sum(_positive_vtrees(n - 1) != {render_labeled_tree(psi(s)) for s in gen_skeletons(n, 2)}
               for n in range(1, nmax + 1))
     return bad == 0, f"sizes<={nmax}"
-
-
-def _rho_image(nmax: int) -> tuple[bool, str]:
-    """rho sends the loopless maps onto the positive v-trees."""
-    emax = min(nmax - 1, 5)
-    bad = 0
-    for e in range(emax + 1):
-        # both generators give the canonical labelling with root 0, so the
-        # rotation names the map
-        loopless = {m.sigma for m in gen_loopless_maps(e)}
-        image = {render_labeled_tree(t) for m, t in zip(gen_maps(e), _rho_images(e))
-                 if m.sigma in loopless}
-        bad += image != _positive_vtrees(e)
-    return bad == 0, f"edges<={emax}"
 
 
 def _stat_multisets(nmax: int) -> tuple[bool, str]:
@@ -228,22 +218,15 @@ def _stat_multisets(nmax: int) -> tuple[bool, str]:
     return ok, "; ".join([f"n<={nstat} shift={sorted(set(shifts))}", *faults])
 
 
-@lru_cache(maxsize=None)
-def _gf_report(tmax: int):
-    """One check_gf_relation run (about a second at t^6) for two checks."""
-    return check_gf_relation(tmax)
-
-
-def _chain_identity(nmax: int) -> tuple[bool, str]:
-    rep = _gf_report(min(nmax, 6))
-    return rep.identity_ok, rep.first_mismatch or f"t<={min(nmax, 6)}"
-
-
-def _printed_form(nmax: int) -> tuple[bool, str]:
-    """The printed closed form is compared and reported, never asserted."""
-    if _gf_report(min(nmax, 6)).printed_matches:
-        return True, "matches enumeration"
-    return True, "printed system deviates from enumeration (reported, not asserted)"
+def _gf_checks(nmax: int) -> tuple[tuple[bool, str], ...]:
+    """gf.chain-identity and gf.printed-form, from one check_gf_relation
+    run (about a second at t^6).  The printed closed form is compared and
+    reported, never asserted."""
+    tmax = min(nmax, 6)
+    rep = check_gf_relation(tmax)
+    printed = ("matches enumeration" if rep.printed_matches
+               else "printed system deviates from enumeration (reported, not asserted)")
+    return (rep.identity_ok, rep.first_mismatch or f"t<={tmax}"), (True, printed)
 
 
 def _pmf_sum(_nmax: int) -> tuple[bool, str]:
@@ -268,24 +251,24 @@ def _map_cache(nmax: int) -> None:
 # run on two CPUs (BENCH_30.json), an entry of several checks split evenly
 # among them.
 CHECKS = (
-    ("roundtrip.term-text", _term_text, 4.885, None, (_skeletons,)),
-    ("roundtrip.phi", _phi_roundtrip, 0.282, None, (_skeletons,)),
-    ("roundtrip.psi", _psi_roundtrip, 3.207, None, (_skeletons,)),
-    ("roundtrip.rho", _rho_roundtrip, 0.045, _rho_images, (_map_cache,)),
-    ("roundtrip.term-map-term", _term_map_term, 0.053, None, (_skeletons,)),
-    ("oracle.connectivity", _connectivity, 1.209, None, (_skeletons,)),
-    ("oracle.rho-direct", _rho_direct, 0.045, _rho_images, (_map_cache,)),
-    ("oracle.preimages", _preimages, 0.042, None, (_map_cache,)),
-    ("counts.connected", _connected_counts, 0.120, None, (_skeletons, _map_cache)),
-    ("counts.2-connected", _two_connected_counts, 0.060, None, (_skeletons,)),
-    ("counts.3-connected", _three_connected_counts, 0.028, None, (_skeletons,)),
-    ("counts.psi-2conn-image", _psi_image, 0.966, None, (_skeletons,)),
-    ("counts.rho-loopless-image", _rho_image, 0.045, _rho_images, (_map_cache,)),
-    ("stats.multisets", _stat_multisets, 0.275, None, (_skeletons,)),
-    ("gf.chain-identity", _chain_identity, 0.021, _gf_report, (_skeletons,)),
-    ("gf.printed-form", _printed_form, 0.021, _gf_report, (_skeletons,)),
-    ("gf.pmf-sum", _pmf_sum, 0.003, None, ()),
-    ("gf.pmf-tv", _pmf_tv, 0.033, None, ()),
+    ("roundtrip.term-text", _term_text, 4.885, (_words,)),
+    ("roundtrip.phi", _phi_roundtrip, 0.282, (_words,)),
+    ("roundtrip.psi", _psi_roundtrip, 3.207, (_words,)),
+    ("roundtrip.rho", _rho_checks, 0.045, (_map_cache,)),
+    ("roundtrip.term-map-term", _term_map_term, 0.053, (_words,)),
+    ("oracle.connectivity", _connectivity, 1.209, (_words,)),
+    ("oracle.rho-direct", _rho_checks, 0.045, (_map_cache,)),
+    ("oracle.preimages", _preimages, 0.042, (_map_cache,)),
+    ("counts.connected", _connected_counts, 0.120, (_words, _map_cache)),
+    ("counts.2-connected", _two_connected_counts, 0.060, (_words,)),
+    ("counts.3-connected", _three_connected_counts, 0.028, (_words,)),
+    ("counts.psi-2conn-image", _psi_image, 0.966, (_words,)),
+    ("counts.rho-loopless-image", _rho_checks, 0.045, (_map_cache,)),
+    ("stats.multisets", _stat_multisets, 0.275, (_words,)),
+    ("gf.chain-identity", _gf_checks, 0.021, (_words,)),
+    ("gf.printed-form", _gf_checks, 0.021, (_words,)),
+    ("gf.pmf-sum", _pmf_sum, 0.003, ()),
+    ("gf.pmf-tv", _pmf_tv, 0.033, ()),
 )
 
 SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, *_row in CHECKS))
@@ -293,19 +276,18 @@ SUITES = tuple(dict.fromkeys(name.split(".", 1)[0] for name, *_row in CHECKS))
 
 def _entries(indices: list[int]) -> list[list[int]]:
     """The queue entries of the checks at indices, heaviest first, each as
-    CHECKS indices: one per derived cache, holding the checks that read
-    it, and one for each other check."""
+    CHECKS indices: one per fn, holding its rows."""
     entries: dict = {}
     for i in indices:
-        entries.setdefault(CHECKS[i][3] or i, []).append(i)
+        entries.setdefault(CHECKS[i][1], []).append(i)
     return sorted(entries.values(), key=lambda entry: -sum(CHECKS[i][2] for i in entry))
 
 
 def _prefill(entries: list[list[int]], nmax: int) -> None:
     """Fill each generator cache that checks of two or more entries read;
-    one entry alone may read less of it (`--suite gf`: skeletons to 6)."""
+    one entry alone may read less of it (`--suite gf`: words to 6)."""
     readers = Counter(fill for entry in entries
-                      for fill in dict.fromkeys(f for i in entry for f in CHECKS[i][4]))
+                      for fill in dict.fromkeys(f for i in entry for f in CHECKS[i][3]))
     for fill, nentries in readers.items():
         if nentries > 1:
             fill(nmax)
@@ -324,20 +306,30 @@ def _workers(nentries: int) -> int:
     return min(nentries, cpus)
 
 
+def _run(fn, nmax: int) -> dict:
+    """Run fn once and map the CHECKS index of each of its rows to its
+    ``(ok, detail)``.  When fn raises an Exception, each of its rows fails,
+    with the exception's type and message as its detail, and nothing else
+    stops: fn's input is only its size, which run_verify has checked, so no
+    exception of a check is bad input."""
+    rows = [i for i, row in enumerate(CHECKS) if row[1] is fn]
+    try:
+        got = fn(nmax)
+        return dict(zip(rows, got if len(rows) > 1 else [got], strict=True))
+    except Exception as exc:
+        return dict.fromkeys(rows, (False, f"raised {type(exc).__name__}: {exc}"))
+
+
 def _take_checks(queue: int, entries: list[list[int]], nmax: int) -> dict:
-    """Run the checks of the entries whose positions this process reads
-    from the queue, one byte each, until the queue is empty.  Maps the
-    CHECKS index of each check run to its ``(ok, detail)``.  A check that
-    raises an Exception fails, with the exception's type and message as
-    its detail, and stops nothing else: its input is only its size, which
-    run_verify has checked, so no exception of a check is bad input."""
+    """Run the entries whose positions this process reads from the queue,
+    one byte each, until the queue is empty.  Maps the CHECKS index of each
+    row of those entries to its ``(ok, detail)`` from `_run`; the rows of
+    the entry's fn that the suite did not select are left out."""
     results: dict = {}
     while position := os.read(queue, 1):
-        for i in entries[position[0]]:
-            try:
-                results[i] = CHECKS[i][1](nmax)
-            except Exception as exc:
-                results[i] = False, f"raised {type(exc).__name__}: {exc}"
+        entry = entries[position[0]]
+        ran = _run(CHECKS[entry[0]][1], nmax)
+        results.update((i, ran[i]) for i in entry)
     return results
 
 

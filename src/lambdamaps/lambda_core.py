@@ -38,8 +38,10 @@ import re
 
 class ParseError(ValueError):
     """A term, skeleton or tree text that does not parse, with the offset
-    of the offending position.  The arguments are kept as given, so an
-    error pickled in one process unpickles whole in another."""
+    of the offending position.  The arguments are kept as given, because
+    pickle rebuilds an exception as ``type(exc)(*exc.args)``: a caller that
+    sends the error between processes, as multiprocessing does, gets it
+    back whole.  verify sends none; its workers report strings."""
 
     def __init__(self, message: str, position: int):
         super().__init__(message, position)

@@ -430,7 +430,7 @@ def test_verify_small_sizes_match_the_stored_lines(capsys, max_size):
 def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
     # a broken matcher raised InvalidInput out of verify, which then exited 2
     # as if the input were bad; the matcher runs inside listing_of_word,
-    # which checks calls by name and term_of_skeleton through lambda_core
+    # which both checks call by name and cli through lambda_core
     from lambdamaps import lambda_core
     from lambdamaps.lambda_core import InvalidInput
 
@@ -448,19 +448,15 @@ def test_a_kernel_that_raises_on_a_family_object_fails_its_checks(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.fixture
-def empty_derived_caches():
-    """Empty the checks' derived caches before and after the test, so that
-    no result of a working kernel hides a broken one, and no result of a
-    broken kernel outlives the test."""
-    def empty():
-        for f in vars(checks).values():
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
-
-    empty()
-    yield
-    empty()
+def test_checks_keeps_no_cache_of_its_own():
+    # the rho images and the gf report were lru caches here, which the
+    # queue, a fixture and the tests had to know about; rows that share
+    # work share one fn instead, so no result of a working kernel can hide
+    # a broken one
+    own = [name for name, f in vars(checks).items()
+           if hasattr(f, "cache_clear") and f.__module__ == checks.__name__]
+    assert own == []
+    assert "lru_cache" not in Path(checks.__file__).read_text()
 
 
 def _failed(out: str) -> list[str]:
@@ -481,12 +477,11 @@ def _failed(out: str) -> list[str]:
     ("stats.multisets", "degree_tree_stats"),
 ])
 def test_a_kernel_that_raises_on_one_object_fails_the_check_that_calls_it(
-        monkeypatch, capsys, empty_derived_caches, name, kernel):
+        monkeypatch, capsys, name, kernel):
     # each of these checks once raised InvalidInput out of verify, which
     # exited 2 as if the input were bad; in the check's suite no other check
-    # calls checks' binding of the kernel.  rho fills the derived cache of
-    # the three checks that read its images, and the check that asked for
-    # the images fails
+    # calls checks' binding of the kernel.  The three rho checks share one
+    # fn, so a fault fails all three, and the suite prints only its own
     from lambdamaps.lambda_core import InvalidInput
 
     original = getattr(checks, kernel)
@@ -532,7 +527,7 @@ def _mutant(fn, old: str, new: str):
 
 
 def test_a_reduced_test_that_admits_too_much_fails_checks_and_is_not_bad_input(
-        monkeypatch, capsys, empty_derived_caches):
+        monkeypatch, capsys):
     # phi then builds labelled trees that degree_tree_stats rejects, and
     # stats.multisets raised that InvalidInput out of verify, which printed
     # one error line and exited 2
@@ -545,6 +540,44 @@ def test_a_reduced_test_that_admits_too_much_fails_checks_and_is_not_bad_input(
     assert _failed(captured.out) == ["roundtrip.phi", "oracle.connectivity", "counts.3-connected",
                                      "stats.multisets", "gf.chain-identity"]
     assert captured.err == ""
+    assert_no_child_left()
+
+
+def test_a_loopless_test_that_skips_edge_zero_fails_the_rho_loopless_check(
+        monkeypatch, capsys):
+    # this mutant of map_stats passed verify, and only a generator test
+    # caught it: the loopless image is compared with the loop rule's maps,
+    # and map_stats now has to call exactly those maps loopless
+    from lambdamaps import planar_maps
+
+    monkeypatch.setattr(checks, "map_stats", _mutant(
+        planar_maps.map_stats, "range(0, 2 * m.n, 2)", "range(2, 2 * m.n, 2)"))
+    assert main(["verify", "--suite", "counts", "--max-size", "4"]) == 1
+    captured = capsys.readouterr()
+    assert _failed(captured.out) == ["counts.rho-loopless-image"]
+    assert captured.err == ""
+    assert_no_child_left()
+
+
+def test_a_fault_in_a_shared_fn_fails_each_of_its_rows_alike(monkeypatch, capsys):
+    # the three rho checks run as one fn, so rho_direct raising fails all
+    # three with one detail, not oracle.rho-direct alone; every other line
+    # is the stored one
+    from lambdamaps.lambda_core import InvalidInput
+
+    def broken(_m):
+        raise InvalidInput("a fault on the first map")
+
+    monkeypatch.setattr(checks, "rho_direct", broken)
+    assert main(["verify", "--suite", "all", "--max-size", "4"]) == 1
+    out, err = capsys.readouterr()
+    shared = ["roundtrip.rho", "oracle.rho-direct", "counts.rho-loopless-image"]
+    stored = (DATA / "verify_max4.txt").read_text().splitlines()[:-1]
+    assert out.splitlines() == [
+        *(f"FAIL {line.split()[1]} raised InvalidInput: a fault on the first map"
+          if line.split()[1] in shared else line for line in stored),
+        f"3 check(s) failed ({len(stored) - 3}/{len(stored)})"]
+    assert err == ""
     assert_no_child_left()
 
 
@@ -565,16 +598,25 @@ def test_verify_leaves_no_worker_process(capsys):
 def test_every_check_returns_a_bool_and_a_str_that_marshal_carries():
     # a worker writes its results with marshal, which raises on most other
     # types, so such a check would end its worker before it reported
-    for name, fn, *_row in checks.CHECKS:
-        result = fn(3)
+    results = {}
+    for fn in dict.fromkeys(fn for _name, fn, *_row in checks.CHECKS):
+        results.update(checks._run(fn, 3))
+    assert sorted(results) == list(range(len(checks.CHECKS)))
+    for i, result in results.items():
+        name = checks.CHECKS[i][0]
         ok, detail = result
         assert type(ok) is bool and type(detail) is str, name
+        assert ok, (name, detail)
         assert marshal.loads(marshal.dumps(result)) == result, name
 
 
 def _replace_fns(monkeypatch, fn_of):
-    """Give each check the fn fn_of(its name), keeping the rest of its row."""
-    monkeypatch.setattr(checks, "CHECKS", tuple((name, fn_of(name), *row)
+    """Give each check a fn of its own that calls fn_of(its name), keeping
+    the rest of its row, so that each check is an entry of its own."""
+    def own(fn):
+        return lambda nmax: fn(nmax)
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, own(fn_of(name)), *row)
                                                 for name, _fn, *row in checks.CHECKS))
 
 
@@ -706,9 +748,8 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
 # verify's schedule
 
 def _caches() -> set:
-    """The lru caches of the checks and of the generators."""
-    return {f for module in (checks, enumeration) for f in vars(module).values()
-            if hasattr(f, "cache_clear")}
+    """The lru caches of the generators."""
+    return {f for f in vars(enumeration).values() if hasattr(f, "cache_clear")}
 
 
 def _filled_by(run) -> set:
@@ -754,24 +795,27 @@ def test_the_rows_give_the_measured_schedule():
 
 
 def test_groups_and_shared_caches_are_the_checks_that_read_them():
-    # run alone on empty caches, a check fills the caches it reads
-    filled = {name: _filled_by(lambda: fn(4)) for name, fn, *_row in checks.CHECKS}
-    derived = {cache for cache in _caches() if cache.__module__ == checks.__name__}
+    # rows that share a fn are one entry, in every suite
+    for suite in ("all", *checks.SUITES):
+        fns = [{checks.CHECKS[i][1] for i in entry} for entry in checks._entries(_selected(suite))]
+        assert all(len(entry_fns) == 1 for entry_fns in fns), suite
+        assert len(set().union(*fns)) == len(fns), suite
+    # run alone on empty caches, a check fills the generator caches it reads
     fills = {fill for *_row, generators in checks.CHECKS for fill in generators}
     cache_of = {fill: _filled_by(lambda: fill(4)) for fill in fills}
     assert all(len(caches) == 1 for caches in cache_of.values())
     generated = set().union(*cache_of.values())
-    for name, _fn, _seconds, derived_cache, generators in checks.CHECKS:
-        assert filled[name] & derived == ({derived_cache} if derived_cache else set()), name
-        assert filled[name] & generated == set().union(*map(cache_of.get, generators)), name
+    for name, fn, _seconds, generators in checks.CHECKS:
+        filled = _filled_by(lambda: fn(4))
+        assert filled & generated == set().union(*map(cache_of.get, generators)), name
 
 
-PREFILLED = {"gf": (), "roundtrip": ("_skeletons",), "all": ("_skeletons", "_map_cache")}
+PREFILLED = {"gf": (), "roundtrip": ("_words",), "all": ("_words", "_map_cache")}
 
 
 @pytest.mark.parametrize("suite", PREFILLED)
 def test_prefill_fills_the_generator_caches_of_two_or_more_entries(suite):
-    # --suite gf reads the skeletons in one entry, to size 6 alone: filling
+    # --suite gf reads the words in one entry, to size 6 alone: filling
     # them to the size cap before it forks cost it 1.97 s against 0.41 s
     expected = set().union(*(_filled_by(lambda: getattr(checks, fill)(4))
                              for fill in PREFILLED[suite]))
