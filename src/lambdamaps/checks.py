@@ -135,7 +135,9 @@ def _rho_checks(nmax: int) -> tuple[tuple[bool, str], ...]:
         maps = gen_maps(e)
         images = list(map(rho, maps))
         total += len(maps)
-        inverted += sum(canonical_form(rho_inv(t)) != canonical_form(m)
+        # gen_maps builds each map canonical, so (m.n, *m.sigma) is its
+        # canonical form; rho_inv's map is not, and is relabelled
+        inverted += sum(canonical_form(rho_inv(t)) != (m.n, *m.sigma)
                         for m, t in zip(maps, images))
         direct += sum(rho_direct(m) != t or t.label != outv(m) for m, t in zip(maps, images))
         if e <= lmax:
@@ -158,14 +160,17 @@ def _preimages(nmax: int) -> tuple[bool, str]:
     bad = total = 0
     for e in range(emax + 1):
         preimages: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # gen_maps builds its maps canonical and pi relabels from the new
+        # root as canonical_map does, so the rotation names each of those
+        # maps; attach_root_edge's maps are rooted at 2n + 1 and relabelled
         for u in gen_maps(e + 1):
             if is_one_corner(u):
-                preimages.setdefault(canonical_form(pi(u)), []).append(canonical_form(u))
+                preimages.setdefault(pi(u).sigma, []).append((u.n, *u.sigma))
         for m in gen_maps(e):
             total += 1
             attached = [attach_root_edge(m, i) for i in range(outv(m) + 1)]
             built = sorted(canonical_form(u) for u in attached)
-            bad += (built != sorted(preimages.get(canonical_form(m), []))
+            bad += (built != sorted(preimages.get(m.sigma, []))
                     or len(set(built)) != len(attached))
             bad += sum(outv(u) - 1 != i or not is_one_corner(u)
                        for i, u in enumerate(attached))

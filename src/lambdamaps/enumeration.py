@@ -12,7 +12,10 @@ that size is built, and the top size's chain of pairs (n, n), ..., (n, 0)
 is never held: each of its words is a unary run over a word whose root is
 not unary.  Maps are generated by a search that builds each rooted
 rotation system directly in its canonical labelling, so none is built
-twice; the tests check it against a scan over all rotation permutations.
+twice; the tests check it against a scan over all rotation permutations
+and keep the search that tested every half-edge as its reference.  Its
+candidates are the bits of a mask of the half-edges with no preimage
+yet, and the last half-edge takes the one bit left, untested.
 Euler's bound prunes that search to the planar maps: a complete map with n
 edges closes at most n + 2 vertex and face cycles, exactly n + 2 when
 planar, and each of its 2n assignments either labels a new edge and closes
@@ -136,7 +139,10 @@ def _planar_rotations(n: int, bipartite: bool = False,
     half-edge being processed takes as image either a labelled half-edge
     that has no preimage yet, or the even half of the next new edge, and
     the images and partners are queued as the relabelling queues them.
-    Each complete assignment is one connected rooted map.
+    Each complete assignment is one connected rooted map.  The labelled
+    half-edges without a preimage are the bits of the int free, passed
+    down the recursion; the candidates are its bits and, while an edge is
+    owed, bit 2 * ne, taken lowest first.
 
     Euler's bound keeps the search planar: a complete map has V + F closed
     vertex and face cycles, at most n + 2 with equality exactly when it is
@@ -162,11 +168,18 @@ def _planar_rotations(n: int, bipartite: bool = False,
     open path is then loop-free: a new edge's half joins a path with its
     partner still alone, and closing a path into a vertex joins it to
     itself.  So every vertex of every map reached is loop-free.
+
+    The last half-edge h takes the one bit t left in free, untested: after
+    2n - 1 assignments, t alone has no preimage and h alone no image, so
+    the open vertex path runs from t to h and the open face path from
+    t ^ 1 to h.  sigma(h) = t closes both, which leaves the slack as it
+    is; the colours agree, since each arrow of the path kept one colour;
+    and the loop rule does not apply, since t begins the path of h.
     """
     nh = 2 * n
+    last = nh - 1
     sigma = [-1] * nh
     colour = [0, 1] + [-1] * (nh - 2)
-    hit = [False] * nh    # already the image of some half-edge
     seen = [False] * nh   # already queued
     seen[0] = True
     order = [0]
@@ -184,58 +197,70 @@ def _planar_rotations(n: int, bipartite: bool = False,
         while x != h:
             ends.add(x)
             x = sigma[x]
-        x, last = t, vend[t]
+        x, end = t, vend[t]
         while x ^ 1 not in ends:
-            if x == last:
+            if x == end:
                 return False
             x = sigma[x]
         return True
 
-    def extend(i: int, ne: int, slack: int) -> None:
-        if i == len(order):
+    def extend(i: int, ne: int, slack: int, free: int) -> None:
+        h = order[i]
+        if i == last:
+            sigma[h] = free.bit_length() - 1
             out.append(tuple(sigma))
             return
-        h = order[i]
         vb, fb = vbeg[h], fbeg[h]
-        closes = i + 1 == len(order) and seen[h ^ 1] and ne < n
-        for t in range(2 * ne + (ne < n)):
-            if hit[t] or closes and seen[t]:
+        h1 = h ^ 1
+        owed = ne < n
+        closes = owed and i + 1 == len(order) and seen[h1]
+        c = free | 1 << 2 * ne if owed else free
+        while c:
+            low = c & -c
+            c ^= low
+            t = low.bit_length() - 1
+            if closes and seen[t]:
                 continue
-            new = t == 2 * ne
             u = t ^ 1
-            left = slack if new else slack + (vb == t) + (fb == u) - 2
-            if left < 0:
-                continue
-            if bipartite:
-                if new:
+            new = t == 2 * ne
+            if new:
+                left = slack
+                rest = free | low << 1
+                if bipartite:
                     colour[t], colour[u] = colour[h], colour[h] ^ 1
-                elif colour[t] != colour[h]:
+            else:
+                left = slack + (vb == t) + (fb == u) - 2
+                if left < 0:
                     continue
-            if loopless and not new and vb != t and joins_a_loop(h, t):
-                continue
+                if bipartite and colour[t] != colour[h]:
+                    continue
+                if loopless and vb != t and joins_a_loop(h, t):
+                    continue
+                rest = free ^ low
             sigma[h] = t
-            hit[t] = True
-            mark = len(order)
-            for x in (t, h ^ 1):
-                if not seen[x]:
-                    seen[x] = True
-                    order.append(x)
+            queued = 0
+            if not seen[t]:
+                seen[t] = True
+                order.append(t)
+                queued = 1
+            if not seen[h1]:
+                seen[h1] = True
+                order.append(h1)
+                queued += 1
             ve, fe = vend[t], fend[u]
             if vb != t:
                 vend[vb], vbeg[ve] = ve, vb
             if fb != u:
                 fend[fb], fbeg[fe] = fe, fb
-            extend(i + 1, ne + new, left)
+            extend(i + 1, ne + new, left, rest)
             if fb != u:
                 fend[fb], fbeg[fe] = h, u
             if vb != t:
                 vend[vb], vbeg[ve] = h, t
-            for x in order[mark:]:
-                seen[x] = False
-            del order[mark:]
-            hit[t] = False
+            for _ in range(queued):
+                seen[order.pop()] = False
 
-    extend(0, 1, n)
+    extend(0, 1, n, 0b11)
     return out
 
 

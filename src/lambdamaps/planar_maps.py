@@ -29,10 +29,11 @@ copy of the map and relabel the result; rho (cut and delete) and rho_inv
 relabelling or orbit count per level.  rho_direct computes rho's tree by a
 contour exploration instead.
 
-A RootedMap is read-only.  Each kernel that takes a map from outside
-(parse_map, rho, rho_direct, map_stats) checks it with map_defect, and the
-first successful check marks the map, so each map object is validated once
-however many kernels read it; an invalid map is rejected on every call.
+A RootedMap is read-only through its properties.  Each kernel that takes
+a map from outside (parse_map, rho, rho_direct, map_stats) checks it with
+map_defect, and the first successful check marks the map, so each map
+object is validated once however many kernels read it; an invalid map is
+rejected on every call.
 map_defect counts the vertices in its connectivity search and the faces in
 one more pass.  rho_inv checks each v-tree label in the pass that reads it.
 """
@@ -47,27 +48,31 @@ from .labeled_trees import LabeledTree
 from .lambda_core import InvalidInput
 
 
-_set = object.__setattr__
-
-
 class RootedMap:
-    """n: edge count; sigma: ccw rotation as a tuple over 0..2n-1;
-    root: the root half-edge (-1 for the empty map).  Read-only; _valid
-    marks a map that a kernel has found valid."""
+    """A map read-only through its properties n (the edge count), sigma
+    (the ccw rotation as a tuple over 0..2n-1) and root (the root
+    half-edge, -1 for the empty map).  _valid marks a map that a kernel has
+    found valid."""
 
-    __slots__ = ("n", "sigma", "root", "_valid")
+    __slots__ = ("_n", "_sigma", "_root", "_valid")
 
     def __init__(self, n: int, sigma: tuple[int, ...], root: int):
-        _set(self, "n", n)
-        _set(self, "sigma", sigma)
-        _set(self, "root", root)
-        _set(self, "_valid", False)
+        self._n = n
+        self._sigma = sigma
+        self._root = root
+        self._valid = False
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RootedMap is read-only: cannot assign {name}")
+    @property
+    def n(self) -> int:
+        return self._n
 
-    def __delattr__(self, name):
-        raise AttributeError(f"RootedMap is read-only: cannot delete {name}")
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        return self._sigma
+
+    @property
+    def root(self) -> int:
+        return self._root
 
     def __reduce__(self):
         return RootedMap, (self.n, self.sigma, self.root)
@@ -123,37 +128,38 @@ def _vertices(succ: list[int]) -> tuple[list[int], int, list[int]]:
 
 def vertex_cycles(m: RootedMap) -> list[tuple[int, ...]]:
     """The cycles of sigma, each from its smallest half-edge, in that order."""
+    sigma = m.sigma
     seen = [False] * (2 * m.n)
     out = []
-    for start in range(2 * m.n):
+    for start in range(len(seen)):
         if seen[start]:
             continue
         cyc = [start]
         seen[start] = True
-        x = m.sigma[start]
+        x = sigma[start]
         while x != start:
             cyc.append(x)
             seen[x] = True
-            x = m.sigma[x]
+            x = sigma[x]
         out.append(tuple(cyc))
     return out
 
 
 def map_defect(m: RootedMap) -> str | None:
-    if m.n == 0:
-        if m.sigma == () and m.root == -1:
+    n, sigma, root = m.n, m.sigma, m.root
+    if n == 0:
+        if sigma == () and root == -1:
             return None
         return "malformed empty map"
-    if m.n < 0:
+    if n < 0:
         return "negative edge count"
-    if sorted(m.sigma) != list(range(2 * m.n)):
+    if sorted(sigma) != list(range(2 * n)):
         return "sigma is not a permutation of the half-edges"
-    if not (0 <= m.root < 2 * m.n):
+    if not (0 <= root < 2 * n):
         return "root half-edge out of range"
     # A search from half-edge 0 walks each vertex it reaches once and
     # queues the partners of its half-edges: connected when all 2n are.
-    sigma = m.sigma
-    mark = bytearray(2 * m.n)
+    mark = bytearray(2 * n)
     v = 0
     todo = [0]
     for h in todo:
@@ -163,18 +169,18 @@ def map_defect(m: RootedMap) -> str | None:
                 mark[h] = 1
                 todo.append(h ^ 1)
                 h = sigma[h]
-    if len(todo) != 2 * m.n + 1:
+    if len(todo) != 2 * n + 1:
         return "map is not connected"
     f = 0  # faces, the orbits of h -> sigma(h) ^ 1, each unmarked as walked
-    for start in range(2 * m.n):
+    for start in range(2 * n):
         if mark[start]:
             f += 1
             h = start
             while mark[h]:
                 mark[h] = 0
                 h = sigma[h] ^ 1
-    if v - m.n + f != 2:
-        return f"genus is not zero (V-E+F = {v - m.n + f})"
+    if v - n + f != 2:
+        return f"genus is not zero (V-E+F = {v - n + f})"
     return None
 
 
@@ -187,19 +193,20 @@ def _check(m: RootedMap) -> None:
     if not m._valid:
         if defect := map_defect(m):
             raise InvalidInput(defect)
-        _set(m, "_valid", True)
+        m._valid = True
 
 
 def outer_walk(m: RootedMap) -> list[int]:
     """Outer-face corner reps in ccw contour order, ending at the root."""
     if m.n == 0:
         raise InvalidInput("the empty map has no half-edges")
+    sigma, root = m.sigma, m.root
     walk = []
-    h = m.sigma[m.root] ^ 1
-    while h != m.root:
+    h = sigma[root] ^ 1
+    while h != root:
         walk.append(h)
-        h = m.sigma[h] ^ 1
-    walk.append(m.root)
+        h = sigma[h] ^ 1
+    walk.append(root)
     return walk
 
 
@@ -251,7 +258,7 @@ def map_stats(m: RootedMap) -> MapStats:
     _check(m)
     if m.n == 0:
         return MapStats(1, True, 0, 1, True, 0, ())
-    sigma = m.sigma
+    sigma, root = m.sigma, m.root
     vid, nv = _orbits(sigma)
     loopless = all(vid[h] != vid[h + 1] for h in range(0, 2 * m.n, 2))
     walk = outer_walk(m)
@@ -260,8 +267,8 @@ def map_stats(m: RootedMap) -> MapStats:
     # and give each partner's vertex the other colour; the root vertex is
     # black (colour 0).
     colour = [-1] * nv
-    colour[vid[m.root]] = 0
-    todo = [m.root]
+    colour[vid[root]] = 0
+    todo = [root]
     for start in todo:
         c = colour[vid[start]] ^ 1
         h = start
@@ -277,11 +284,11 @@ def map_stats(m: RootedMap) -> MapStats:
                 break
     black = colour.count(0)
     # the inner faces, the orbits of h -> sigma(h) ^ 1 off the outer walk
-    seen = bytearray(2 * m.n)
+    seen = bytearray(len(sigma))
     for h in walk:
         seen[h] = 1
     face: dict[int, int] = {}
-    for start in range(2 * m.n):
+    for start in range(len(sigma)):
         size = 0
         h = start
         while not seen[h]:
@@ -510,14 +517,15 @@ def rho(m: RootedMap) -> LabeledTree:
     bottom-up, without recursion.
     """
     _check(m)
-    if m.n == 0:
+    n = m.n
+    if n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)
     vid, nv, pred = _vertices(succ)
     seen_at = [-1] * nv  # vertex -> the last node whose walk counted it
     labels = [0]
-    lo = [0] * (m.n + 1)  # node -> its children's node numbers, lo..hi-1
-    hi = [0] * (m.n + 1)
+    lo = [0] * (n + 1)  # node -> its children's node numbers, lo..hi-1
+    hi = [0] * (n + 1)
     todo = [(m.root, 0)]  # (root of a map still to decompose, its node)
     while todo:
         r, node = todo.pop()
@@ -546,7 +554,7 @@ def rho(m: RootedMap) -> LabeledTree:
             stem = _delete_root_edge(succ, pred, o)
             if stem != o ^ 1:
                 todo.append((stem, child))
-    assert len(labels) == m.n + 1  # one root edge deleted per edge of m
+    assert len(labels) == n + 1  # one root edge deleted per edge of m
     labels[0] = 1 + sum(labels[lo[0]:hi[0]])
     built: list = [None] * len(labels)
     for x in range(len(labels) - 1, -1, -1):
@@ -640,15 +648,16 @@ def rho_direct(m: RootedMap) -> LabeledTree:
     children's, as in every v-tree, so the outer face is not walked apart.
     """
     _check(m)
-    if m.n == 0:
+    n, root = m.n, m.root
+    if n == 0:
         return LabeledTree(1)
     succ = list(m.sigma)
     vid, nv, pred = _vertices(succ)
     seen_at = [-1] * nv  # vertex -> last step that counted it
-    labels = [0] * (2 * m.n)  # far half of a first-traversed edge -> label of its end
-    visited = [False] * m.n  # edge -> already traversed
-    cur = m.root
-    for step in range(2 * m.n):
+    labels = [0] * (2 * n)  # far half of a first-traversed edge -> label of its end
+    visited = [False] * n  # edge -> already traversed
+    cur = root
+    for step in range(2 * n):
         if visited[cur >> 1]:
             cur = pred[cur ^ 1]
             continue
@@ -679,8 +688,8 @@ def rho_direct(m: RootedMap) -> LabeledTree:
             nv += 1
         labels[h ^ 1] = value
         cur = pred[h ^ 1]
-    assert cur == m.root and all(visited)
-    children = _read_tree(succ, labels, m.root)
+    assert cur == root and all(visited)
+    children = _read_tree(succ, labels, root)
     return LabeledTree(1 + sum(c.label for c in children), children)
 
 

@@ -9,7 +9,9 @@ skeleton, the syntactic diagram as a multigraph with the graph
 edge-connectivity oracles that the library's word oracle replaced (the
 search and labelling pass, and the bridge search before it), and the
 parallel tree walk that ``alpha_equal`` ran before it compared listings,
-each kept as a reference.  Not a test module; the tests import it."""
+and the map search that tested every half-edge at every step before
+``_planar_rotations`` took its candidates from a bitmask, each kept as a
+reference.  Not a test module; the tests import it."""
 
 from __future__ import annotations
 
@@ -472,3 +474,122 @@ def tree_alpha_equal(a, b) -> bool:
             env_a[x[0]] = x[1]
             env_b[y[0]] = y[1]
     return True
+
+
+# ---------------------------------------------------------------------------
+# The map search that tested every half-edge at every step, kept as the
+# reference of enumeration._planar_rotations
+
+def reference_planar_rotations(n: int, bipartite: bool = False,
+                               loopless: bool = False) -> list[tuple[int, ...]]:
+    """The rotation of every rooted planar map with n >= 1 edges, each
+    exactly once and already in the labelling canonical_map gives it
+    (root 0); with bipartite, only the maps with 2-colourable vertices,
+    and with loopless, only the maps in which no edge joins a vertex to
+    itself.
+
+    The search replays canonical_map's breadth-first relabelling: the
+    half-edge being processed takes as image either a labelled half-edge
+    that has no preimage yet, or the even half of the next new edge, and
+    the images and partners are queued as the relabelling queues them.
+    Each complete assignment is one connected rooted map.
+
+    Euler's bound keeps the search planar: a complete map has V + F closed
+    vertex and face cycles, at most n + 2 with equality exactly when it is
+    planar.  Of the 2n assignments, the n - 1 that label a new edge close
+    no cycle (their image and its partner are fresh), and each other one
+    closes at most one vertex and one face.  So after k assignments with c
+    cycles closed and ne edges labelled, at most c + 2(n - k + ne) cycles
+    can still be reached, and slack = c + 2(n - k + ne) - (n + 2) must stay
+    >= 0: a new edge leaves it as it is, and any other assignment adds its
+    closed cycles and takes 2.  An image that would make it negative is not
+    tried, and every complete assignment reached is a planar map.
+
+    Nor is an image that would empty the queue with edges still owed: when
+    h is the last queued half-edge, h ^ 1 is queued and ne < n, an already
+    queued t queues nothing, and the relabelling would stop with fewer than
+    n edges.  So every leaf of the search is a complete assignment.
+
+    For bipartite, half-edges 0 and 1 get colours 0 and 1, a new edge's
+    even half takes the colour of h and its odd half the other, and a
+    labelled t is only tried if it has the colour of h.  For loopless, a
+    labelled t on another vertex path than h is not tried if the two
+    paths, walked along sigma, hold the two halves of one edge.  Every
+    open path is then loop-free: a new edge's half joins a path with its
+    partner still alone, and closing a path into a vertex joins it to
+    itself.  So every vertex of every map reached is loop-free.
+    """
+    nh = 2 * n
+    sigma = [-1] * nh
+    colour = [0, 1] + [-1] * (nh - 2)
+    hit = [False] * nh    # already the image of some half-edge
+    seen = [False] * nh   # already queued
+    seen[0] = True
+    order = [0]
+    out: list[tuple[int, ...]] = []
+    # The partial sigma and the partial face walk h -> sigma(h)^1 are each a
+    # set of paths and closed cycles (vertices and faces).  vbeg/fbeg map
+    # the last half-edge of each open path to its first, vend/fend back.
+    vbeg, vend, fbeg, fend = (list(range(nh)) for _ in range(4))
+
+    def joins_a_loop(h: int, t: int) -> bool:
+        """Whether the vertex path ending at h and the one starting at t
+        hold the two halves of one edge."""
+        ends = {h}
+        x = vbeg[h]
+        while x != h:
+            ends.add(x)
+            x = sigma[x]
+        x, last = t, vend[t]
+        while x ^ 1 not in ends:
+            if x == last:
+                return False
+            x = sigma[x]
+        return True
+
+    def extend(i: int, ne: int, slack: int) -> None:
+        if i == len(order):
+            out.append(tuple(sigma))
+            return
+        h = order[i]
+        vb, fb = vbeg[h], fbeg[h]
+        closes = i + 1 == len(order) and seen[h ^ 1] and ne < n
+        for t in range(2 * ne + (ne < n)):
+            if hit[t] or closes and seen[t]:
+                continue
+            new = t == 2 * ne
+            u = t ^ 1
+            left = slack if new else slack + (vb == t) + (fb == u) - 2
+            if left < 0:
+                continue
+            if bipartite:
+                if new:
+                    colour[t], colour[u] = colour[h], colour[h] ^ 1
+                elif colour[t] != colour[h]:
+                    continue
+            if loopless and not new and vb != t and joins_a_loop(h, t):
+                continue
+            sigma[h] = t
+            hit[t] = True
+            mark = len(order)
+            for x in (t, h ^ 1):
+                if not seen[x]:
+                    seen[x] = True
+                    order.append(x)
+            ve, fe = vend[t], fend[u]
+            if vb != t:
+                vend[vb], vbeg[ve] = ve, vb
+            if fb != u:
+                fend[fb], fbeg[fe] = fe, fb
+            extend(i + 1, ne + new, left)
+            if fb != u:
+                fend[fb], fbeg[fe] = h, u
+            if vb != t:
+                vend[vb], vbeg[ve] = h, t
+            for x in order[mark:]:
+                seen[x] = False
+            del order[mark:]
+            hit[t] = False
+
+    extend(0, 1, n)
+    return out

@@ -1,8 +1,9 @@
 """The generators against their oracles.
 
 Run as a script (``python tests/test_enumeration.py 7``) to compare the
-maps of the rotation search with the rho_inv image of the v-trees at
-another edge count.
+maps of the rotation search at another edge count with the rho_inv image
+of the v-trees, the three searches with the reference search, and the
+bipartite and loopless searches with the map_stats filter of the plain one.
 """
 
 import sys
@@ -39,7 +40,7 @@ from lambdamaps.planar_maps import (
     rho_inv,
     validate_map,
 )
-from reference_kernels import iter_unary_binary, tree_word
+from reference_kernels import iter_unary_binary, reference_planar_rotations, tree_word
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,33 @@ def test_searches_at_seven_edges():
     assert len(_planar_rotations(7, loopless=True)) == 16965
 
 
+SEARCHES = ({}, {"bipartite": True}, {"loopless": True})
+
+
+def searches_equal_the_reference(n: int) -> None:
+    """The plain, bipartite and loopless searches with n edges give the
+    reference search's rotations, in its order."""
+    for rule in SEARCHES:
+        assert _planar_rotations(n, **rule) == reference_planar_rotations(n, **rule), (n, rule)
+
+
+def searches_equal_the_map_stats_filter(n: int) -> None:
+    """The bipartite and loopless searches with n edges give the plain
+    search's rotations that map_stats calls bipartite or loopless, in its
+    order."""
+    plain = _planar_rotations(n)
+    stats = [map_stats(RootedMap(n, sigma, 0)) for sigma in plain]
+    for rule, keep in (("bipartite", [st.bipartite for st in stats]),
+                       ("loopless", [st.loopless for st in stats])):
+        want = [sigma for sigma, kept in zip(plain, keep) if kept]
+        assert _planar_rotations(n, **{rule: True}) == want, (n, rule)
+
+
+def test_searches_equal_the_reference_search():
+    for n in range(1, 7):
+        searches_equal_the_reference(n)
+
+
 def test_gen_bipartite_maps_size_guard():
     with pytest.raises(SizeTooLarge):
         gen_bipartite_maps(MAX_MAP_EDGES + 1)
@@ -396,5 +424,10 @@ def test_compare_stat_multisets_n2_values():
 
 
 if __name__ == "__main__":
-    print(search_equals_vtree_image(int(sys.argv[1])),
+    n = int(sys.argv[1])
+    print(search_equals_vtree_image(n),
           "maps: the rotation search equals the rho_inv image of the v-trees")
+    searches_equal_the_reference(n)
+    print("the plain, bipartite and loopless searches equal the reference search, in order")
+    searches_equal_the_map_stats_filter(n)
+    print("the bipartite and loopless searches equal the map_stats filter of the plain one")

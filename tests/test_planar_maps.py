@@ -176,6 +176,17 @@ def test_canonical_distinguishes_rootings():
     assert len({canonical_form(m) for m in gen_maps(2)}) == 9
 
 
+def test_generated_maps_and_their_pi_images_are_built_canonical():
+    # verify names these maps by their rotation, without canonical_form
+    for n in range(0, 7):
+        for m in gen_maps(n):
+            assert canonical_form(m) == (m.n, *m.sigma), m
+    for n in range(1, 6):
+        for u in filter(is_one_corner, gen_maps(n)):
+            x = pi(u)
+            assert canonical_form(x) == (x.n, *x.sigma), u
+
+
 def test_map_text_roundtrip():
     assert render_map(EMPTY_MAP) == "map n=0"
     assert parse_map("map n=0").n == 0
